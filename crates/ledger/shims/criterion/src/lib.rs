@@ -1,0 +1,1 @@
+//! Empty on purpose: see Cargo.toml.
