@@ -33,7 +33,6 @@ fn run(strategy: StrategyKind, async_ckpt: bool) -> (f64, f64, u64) {
         run_root: dir.path().to_path_buf(),
         async_checkpointing: async_ckpt,
         max_grad_norm: None,
-        crash_during_save: None,
         dedup_checkpoints: false,
         frozen_units: Vec::new(),
         ckpt_chunk_bytes: None,

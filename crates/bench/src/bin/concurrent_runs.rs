@@ -26,12 +26,13 @@
 //! bill. `--out <FILE>` (with `--smoke`) writes the measurement as JSON
 //! (`BENCH_daemon_concurrent.json` in CI).
 
-use llmt_ckpt::engine::{self, SaveOptions};
+use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{scan_run_root, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_daemon::{Daemon, DaemonClient, DaemonConfig};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::{LocalFs, Storage};
 use llmt_tensor::rng::Prng;
@@ -118,11 +119,15 @@ fn contend(cfg: &ModelConfig, root: &Path, runs: usize, saves: u64) -> Outcome {
                                 &SaveRequest {
                                     root: session.run_root(),
                                     step,
-                                    config: &cfg,
-                                    params: &model.params,
-                                    engine: &zero,
+                                    source: &LiveState {
+                                        config: &cfg,
+                                        params: &model.params,
+                                        engine: &zero,
+                                    },
                                     trainer_state: &ts,
                                     units: &units,
+                                    metrics: &MetricsRegistry::new(),
+                                    store: None,
                                 },
                                 &SaveOptions::default(),
                             )
@@ -184,27 +189,28 @@ fn contend_daemon(cfg: &ModelConfig, root: &Path, runs: usize, saves: u64) -> Ou
                     let mut logical = 0u64;
                     let mut physical = 0u64;
                     for step in 1..=saves {
-                        let (session, run_root) = client
-                            .save_begin(&run, 4 * 1024 * 1024, true)
-                            .expect("admit via daemon");
-                        let report = engine::save(
-                            &LocalFs,
-                            &SaveRequest {
-                                root: &run_root,
-                                step,
+                        let req = SaveRequest {
+                            root: Path::new(""), // the daemon session grants the real one
+                            step,
+                            source: &LiveState {
                                 config: &cfg,
                                 params: &model.params,
                                 engine: &zero,
-                                trainer_state: &ts,
-                                units: &units,
                             },
-                            &SaveOptions {
-                                dedup: true,
-                                ..SaveOptions::default()
-                            },
-                        )
-                        .expect("client-side save succeeds");
-                        client.save_commit(session, step).expect("commit");
+                            trainer_state: &ts,
+                            units: &units,
+                            metrics: &MetricsRegistry::new(),
+                            store: None,
+                        };
+                        let (report, _) = client
+                            .save(
+                                &LocalFs,
+                                &run,
+                                4 * 1024 * 1024,
+                                &req,
+                                &SaveOptions::default(),
+                            )
+                            .expect("save through the daemon succeeds");
                         logical += report.total_bytes;
                         physical += report.physical_bytes;
                     }

@@ -17,9 +17,12 @@
 //! track `from != to`, identity plans must be empty, and every plan must
 //! move each element exactly once (total elements == total group numel).
 
-use llmt_ckpt::{restore_checkpoint, save_checkpoint, RestoreRequest, SaveRequest, TrainerState};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+use llmt_ckpt::{restore_checkpoint, RestoreRequest, SaveRequest, TrainerState};
 use llmt_model::{LayerUnit, Model, ModelConfig};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
 use llmt_zero::{GroupTopoLayout, ReshardPlan, Topology, ZeroEngine};
 use serde_json::json;
@@ -56,16 +59,25 @@ fn build_checkpoint(root: &Path, cfg: &ModelConfig, topo: Topology) -> PathBuf {
         grad_accum: 1,
         seq_len: 8,
     };
-    save_checkpoint(&SaveRequest {
-        root,
-        step: 1,
-        config: cfg,
-        params: &model.params,
-        engine: &engine,
-        trainer_state: &ts,
-        units: &LayerUnit::all(cfg),
-    })
+    engine::save(
+        &[&LocalFs],
+        &SaveRequest {
+            root,
+            step: 1,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine: &engine,
+            },
+            trainer_state: &ts,
+            units: &LayerUnit::all(cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        },
+        &SaveOptions::default(),
+    )
     .unwrap()
+    .report
     .paths
     .dir
 }

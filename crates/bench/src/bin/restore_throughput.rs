@@ -15,11 +15,14 @@
 //! host with at least 4 cores the parallel restore is at least 2x faster
 //! than the sequential one. Exits non-zero on any violation.
 
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::{
     restore_checkpoint, Parallelism, RestoreRequest, RestoredState, SaveRequest, TrainerState,
 };
 use llmt_model::{LayerUnit, Model, ModelConfig};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
 use llmt_zero::ZeroEngine;
 use serde_json::json;
@@ -56,16 +59,25 @@ fn build_checkpoint(root: &Path, cfg: &ModelConfig) -> PathBuf {
         grad_accum: 1,
         seq_len: 8,
     };
-    llmt_ckpt::save_checkpoint_dedup(&SaveRequest {
-        root,
-        step: 1,
-        config: cfg,
-        params: &model.params,
-        engine: &engine,
-        trainer_state: &ts,
-        units: &LayerUnit::all(cfg),
-    })
+    engine::save(
+        &[&LocalFs],
+        &SaveRequest {
+            root,
+            step: 1,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine: &engine,
+            },
+            trainer_state: &ts,
+            units: &LayerUnit::all(cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        },
+        &SaveOptions::dedup(true),
+    )
     .unwrap()
+    .report
     .paths
     .dir
 }

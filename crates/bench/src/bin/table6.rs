@@ -101,7 +101,6 @@ fn main() {
                 run_root: dir.path().to_path_buf(),
                 async_checkpointing: false,
                 max_grad_norm: None,
-                crash_during_save: None,
                 dedup_checkpoints: false,
                 frozen_units: Vec::new(),
                 ckpt_chunk_bytes: None,

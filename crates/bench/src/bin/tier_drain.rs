@@ -17,9 +17,11 @@
 //! object copy must be byte-identical to the fs copy. Exits non-zero on
 //! any violation.
 
-use llmt_ckpt::writer::{save_checkpoint_on, SaveRequest};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{RestoreRequest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::{LocalFs, ManualClock, Storage};
 use llmt_storage::StorageModel;
@@ -90,19 +92,28 @@ fn main() {
     let base_clock = Arc::new(ManualClock::default());
     let lustre = ModeledStorage::new(LocalFs, StorageModel::lustre_paper(), base_clock.clone());
     let (model, engine, ts) = make_state(&cfg, 7);
-    let report = save_checkpoint_on(
-        &lustre,
-        &SaveRequest {
-            root: base_dir.path(),
-            step,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &units,
-        },
+    let live = LiveState {
+        config: &cfg,
+        params: &model.params,
+        engine: &engine,
+    };
+    let registry = MetricsRegistry::new();
+    let req_under = |root| SaveRequest {
+        root,
+        step,
+        source: &live,
+        trainer_state: &ts,
+        units: &units,
+        metrics: &registry,
+        store: None,
+    };
+    let report = engine::save(
+        &[&lustre],
+        &req_under(base_dir.path()),
+        &SaveOptions::default(),
     )
-    .expect("baseline save");
+    .expect("baseline save")
+    .report;
     let baseline_unblock_s = base_clock.slept_nanos() as f64 / 1e9;
 
     // ---- Tiered: commit on DRAM, drain to local fs + modeled object
@@ -120,23 +131,12 @@ fn main() {
         drain_bw: 0.0, // unthrottled: drain cost is the pure model charge
         evict_high_water: 0.75,
     };
-    let metrics = llmt_obs::MetricsRegistry::new();
+    let metrics = MetricsRegistry::new();
     let mgr = TierManager::open(root, Arc::new(LocalFs), tier_cfg, clock.clone(), metrics)
         .expect("open tier manager");
     let before_save = clock.slept_nanos();
     let placed = mgr
-        .save(
-            &SaveRequest {
-                root,
-                step,
-                config: &cfg,
-                params: &model.params,
-                engine: &engine,
-                trainer_state: &ts,
-                units: &units,
-            },
-            &Default::default(),
-        )
+        .save(&req_under(root), &SaveOptions::default())
         .expect("tiered save");
     let tiered_unblock_s = (clock.slept_nanos() - before_save) as f64 / 1e9;
 

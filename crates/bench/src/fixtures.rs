@@ -1,9 +1,12 @@
 //! Checkpoint-set fixtures for the loading/merging experiments (Table 7).
 
-use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::TrainerState;
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
 use llmt_zero::ZeroEngine;
 use llmtailor::{MergeRecipe, SliceSpec};
@@ -77,16 +80,25 @@ impl CkptFactory {
             grad_accum: 1,
             seq_len: 16,
         };
-        save_checkpoint(&SaveRequest {
-            root,
-            step: self.step,
-            config: &self.config,
-            params: &self.model.params,
-            engine: &self.engine,
-            trainer_state: &ts,
-            units,
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root,
+                step: self.step,
+                source: &LiveState {
+                    config: &self.config,
+                    params: &self.model.params,
+                    engine: &self.engine,
+                },
+                trainer_state: &ts,
+                units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::default(),
+        )
         .expect("fixture save failed")
+        .report
         .paths
         .dir
     }

@@ -25,6 +25,11 @@
 //!   atomic rename, and the run-root fsync — unchanged from the
 //!   two-phase protocol documented in [`crate::writer`].
 //!
+//! [`save`] is the one entry point: a [`SaveRequest`] (what, from which
+//! [`StateSource`], into which registry and store), [`SaveOptions`] (how
+//! to encode) and an ordered placement list (which storages may take
+//! it). Tier, coordinator and daemon fronts are one call to it each.
+//!
 //! The engine also owns the **single failure path**: any error *or panic*
 //! inside the staged phase removes the `checkpoint-<N>.tmp` staging
 //! directory best-effort before surfacing, so no caller — in particular
@@ -40,14 +45,12 @@ use crate::error::{io_err, CkptError, Result};
 use crate::layout::{commit_marker_contents, CheckpointPaths, CommitStatus};
 use crate::manifest::{CasRefs, ObjectRef, PartialManifest};
 use crate::safetensors;
-use crate::trainer_state::TrainerState;
 use crate::writer::{CheckpointReport, SaveRequest};
 use crate::zero_meta::{shard_tensor_names, GroupMeta, ZeroMeta};
 use llmt_cas::codec::{self, Codec};
 use llmt_cas::{Digest, ObjectStore, PutOutcome};
 use llmt_model::naming::unit_param_specs;
 use llmt_model::{LayerUnit, ModelConfig, ParamSet};
-use llmt_obs::MetricsRegistry;
 use llmt_optim::GroupSpec;
 use llmt_storage::vfs::Storage;
 use llmt_storage::StageTimings;
@@ -442,192 +445,8 @@ fn place_tensors_encoded(
     link(out)
 }
 
-/// Save a checkpoint from a live-state [`SaveRequest`]. This is what the
-/// `save_checkpoint*` wrappers and the trainer's sync path call.
-pub fn save(
-    storage: &dyn Storage,
-    req: &SaveRequest,
-    opts: &SaveOptions,
-) -> Result<CheckpointReport> {
-    save_with(storage, req, opts, &MetricsRegistry::new())
-}
-
-/// [`save`] with an explicit metrics registry: per-stage durations are
-/// additionally recorded into the `ckpt.save.*` histograms, so a run-wide
-/// registry accumulates timing distributions across every save.
-pub fn save_with(
-    storage: &dyn Storage,
-    req: &SaveRequest,
-    opts: &SaveOptions,
-    metrics: &MetricsRegistry,
-) -> Result<CheckpointReport> {
-    let source = LiveState {
-        config: req.config,
-        params: req.params,
-        engine: req.engine,
-    };
-    save_source_with(
-        storage,
-        req.root,
-        req.step,
-        &source,
-        req.trainer_state,
-        req.units,
-        opts,
-        metrics,
-    )
-}
-
-/// Save a checkpoint from any [`StateSource`] (the async writer passes a
-/// copy-on-write snapshot here). Validates and canonicalizes the unit
-/// selection, then runs the staged pipeline under the single failure
-/// path: on error *or panic* the staging directory is removed
-/// best-effort before the failure surfaces.
-pub fn save_source(
-    storage: &dyn Storage,
-    root: &Path,
-    step: u64,
-    source: &dyn StateSource,
-    trainer_state: &TrainerState,
-    units: &[LayerUnit],
-    opts: &SaveOptions,
-) -> Result<CheckpointReport> {
-    save_source_with(
-        storage,
-        root,
-        step,
-        source,
-        trainer_state,
-        units,
-        opts,
-        &MetricsRegistry::new(),
-    )
-}
-
-/// [`save_source`] with an explicit metrics registry. Stage spans
-/// (`ckpt.save.encode` / `ckpt.save.place` / `ckpt.save.commit`) are
-/// recorded into it in addition to populating the report's
-/// [`StageTimings`].
-///
-/// The place stage's object store is resolved from the run root
-/// ([`ObjectStore::resolve`]): a coordinator-managed run root carrying a
-/// `CASROOT` redirect places objects into the shared store, a standalone
-/// root into its own `<root>/objects`.
-#[allow(clippy::too_many_arguments)]
-pub fn save_source_with(
-    storage: &dyn Storage,
-    root: &Path,
-    step: u64,
-    source: &dyn StateSource,
-    trainer_state: &TrainerState,
-    units: &[LayerUnit],
-    opts: &SaveOptions,
-    metrics: &MetricsRegistry,
-) -> Result<CheckpointReport> {
-    let store = ObjectStore::resolve(storage, root).with_metrics(metrics);
-    save_source_in_store(
-        storage,
-        root,
-        step,
-        source,
-        trainer_state,
-        units,
-        opts,
-        metrics,
-        &store,
-    )
-}
-
-/// [`save_source_with`] against an explicit [`ObjectStore`] — the entry
-/// point for callers that carry their own store handle (the coordinator
-/// wires its shared store with pin observers and read-retry here).
-/// Conventional (non-dedup) saves never touch the store.
-#[allow(clippy::too_many_arguments)]
-pub fn save_source_in_store(
-    storage: &dyn Storage,
-    root: &Path,
-    step: u64,
-    source: &dyn StateSource,
-    trainer_state: &TrainerState,
-    units: &[LayerUnit],
-    opts: &SaveOptions,
-    metrics: &MetricsRegistry,
-    store: &ObjectStore,
-) -> Result<CheckpointReport> {
-    let config = source.model_config();
-    for u in units {
-        if !u.exists_in(config) {
-            return Err(CkptError::Incompatible(format!(
-                "unit {u} does not exist in model {}",
-                config.model_name
-            )));
-        }
-    }
-    let mut units: Vec<LayerUnit> = units.to_vec();
-    units.sort();
-    units.dedup();
-    let all_units = LayerUnit::all(config);
-    let full = units.len() == all_units.len();
-
-    // Which optimizer groups are covered by the selection?
-    let groups = source.group_specs();
-    let layerwise = groups.iter().all(|g| g.unit.is_some());
-    if !layerwise && !full {
-        return Err(CkptError::Incompatible(
-            "partial checkpointing requires the layer-wise (2L+x) group layout; \
-             the stock 2-group optimizer file is inseparable (paper §4.1)"
-                .into(),
-        ));
-    }
-    let present: Vec<usize> = groups
-        .iter()
-        .filter(|g| match g.unit {
-            Some(u) => units.contains(&u),
-            None => true, // stock layout, full save
-        })
-        .map(|g| g.id)
-        .collect();
-
-    let staging = CheckpointPaths::staging_under(root, step);
-    let plan = StagePlan {
-        step,
-        source,
-        trainer_state,
-        staging: &staging,
-        units: &units,
-        present: &present,
-        full,
-        opts,
-        metrics,
-        root,
-        store,
-    };
-    // Single failure path: errors and panics inside the staged phase both
-    // funnel through the same best-effort staging cleanup. The async
-    // writer thread relies on this — its old catch_unwind sat *outside*
-    // the writer's error-path cleanup, which could leak `.tmp` dirs.
-    match catch_unwind(AssertUnwindSafe(|| write_staged_and_commit(storage, &plan))) {
-        Ok(Ok(report)) => Ok(report),
-        Ok(Err(e)) => {
-            cleanup_staging(storage, &staging);
-            Err(e)
-        }
-        Err(panic) => {
-            cleanup_staging(storage, &staging);
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Err(CkptError::Format(format!(
-                "checkpoint writer panicked: {msg}"
-            )))
-        }
-    }
-}
-
-/// A save committed through a tier-placement policy: the report plus
-/// which placement (index into the candidate list) admitted it.
+/// A committed save: the report plus which placement (index into the
+/// candidate list) admitted it.
 #[derive(Debug)]
 pub struct PlacedSave {
     /// The committed save's report.
@@ -645,51 +464,118 @@ pub fn is_admission_error(e: &CkptError) -> bool {
     matches!(e, CkptError::Io(_, io) if io.kind() == std::io::ErrorKind::StorageFull)
 }
 
-/// [`save_source_with`] against an ordered list of candidate storages
-/// (fastest first): the save is durable-committed at the first tier that
-/// admits it, falling through on [`is_admission_error`] failures only.
-/// This is the place/commit-stage tier policy: a byte-capacity-bounded
-/// memory tier that cannot hold the checkpoint simply cedes to the next
-/// tier down, after its staging leftovers are cleaned up by the normal
-/// single-failure path.
-#[allow(clippy::too_many_arguments)]
-pub fn save_source_placed(
+/// Stage and commit one checkpoint — the only function in this crate
+/// that does. `placements` is an ordered list of candidate storages
+/// (fastest first; a one-element slice for a plain directory or CAS
+/// save): the save is durable-committed at the first that admits it,
+/// falling through on [`is_admission_error`] failures only, after the
+/// refused tier's staging leftovers are cleaned up.
+///
+/// Validates and canonicalizes the unit selection once, then runs the
+/// staged pipeline per placement under the single failure path: on error
+/// *or panic* the staging directory is removed best-effort before the
+/// failure surfaces (the async writer thread relies on this). Stage
+/// spans (`ckpt.save.encode` / `.place` / `.commit`) are recorded into
+/// `req.metrics` in addition to the report's [`StageTimings`].
+///
+/// Unless `req.store` names one, the place stage's object store is
+/// resolved from the run root on each placement
+/// ([`ObjectStore::resolve`]): a root carrying a `CASROOT` redirect
+/// places objects into the shared store, a standalone root into its own
+/// `<root>/objects`. Conventional (non-dedup) saves never touch it.
+pub fn save(
     placements: &[&dyn Storage],
-    root: &Path,
-    step: u64,
-    source: &dyn StateSource,
-    trainer_state: &TrainerState,
-    units: &[LayerUnit],
+    req: &SaveRequest,
     opts: &SaveOptions,
-    metrics: &MetricsRegistry,
 ) -> Result<PlacedSave> {
-    assert!(!placements.is_empty(), "need at least one placement");
-    let last = placements.len() - 1;
+    let Some(last) = placements.len().checked_sub(1) else {
+        return Err(CkptError::Incompatible(
+            "engine::save needs at least one placement storage".into(),
+        ));
+    };
+    let config = req.source.model_config();
+    for u in req.units {
+        if !u.exists_in(config) {
+            return Err(CkptError::Incompatible(format!(
+                "unit {u} does not exist in model {}",
+                config.model_name
+            )));
+        }
+    }
+    let mut units: Vec<LayerUnit> = req.units.to_vec();
+    units.sort();
+    units.dedup();
+    let full = units.len() == LayerUnit::all(config).len();
+
+    // Which optimizer groups are covered by the selection?
+    let groups = req.source.group_specs();
+    let layerwise = groups.iter().all(|g| g.unit.is_some());
+    if !layerwise && !full {
+        return Err(CkptError::Incompatible(
+            "partial checkpointing requires the layer-wise (2L+x) group layout; \
+             the stock 2-group optimizer file is inseparable (paper §4.1)"
+                .into(),
+        ));
+    }
+    let present: Vec<usize> = groups
+        .iter()
+        .filter(|g| match g.unit {
+            Some(u) => units.contains(&u),
+            None => true, // stock layout, full save
+        })
+        .map(|g| g.id)
+        .collect();
+
+    let staging = CheckpointPaths::staging_under(req.root, req.step);
     for (i, storage) in placements.iter().enumerate() {
-        match save_source_with(
-            *storage,
-            root,
-            step,
-            source,
-            trainer_state,
-            units,
+        let resolved;
+        let store = match req.store {
+            Some(store) => store,
+            None => {
+                resolved = ObjectStore::resolve(*storage, req.root).with_metrics(req.metrics);
+                &resolved
+            }
+        };
+        let plan = StagePlan {
+            req,
             opts,
-            metrics,
-        ) {
+            staging: &staging,
+            units: &units,
+            present: &present,
+            full,
+            store,
+        };
+        let staged = catch_unwind(AssertUnwindSafe(|| {
+            write_staged_and_commit(*storage, &plan)
+        }))
+        .unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(CkptError::Format(format!(
+                "checkpoint writer panicked: {msg}"
+            )))
+        });
+        match staged {
             Ok(report) => {
-                metrics.counter(&format!("ckpt.place.tier{i}")).incr();
+                req.metrics.counter(&format!("ckpt.place.tier{i}")).incr();
                 return Ok(PlacedSave {
                     report,
                     placement: i,
                 });
             }
-            Err(e) if i < last && is_admission_error(&e) => {
-                metrics.counter("ckpt.place.fallthrough").incr();
+            Err(e) => {
+                cleanup_staging(*storage, &staging);
+                if i == last || !is_admission_error(&e) {
+                    return Err(e);
+                }
+                req.metrics.counter("ckpt.place.fallthrough").incr();
             }
-            Err(e) => return Err(e),
         }
     }
-    unreachable!("loop returns on the last placement")
+    unreachable!("the loop returns on the last placement")
 }
 
 /// Best-effort staging removal. If the storage is dead (simulated crash)
@@ -700,31 +586,28 @@ fn cleanup_staging(storage: &dyn Storage, staging: &CheckpointPaths) {
     }
 }
 
-/// Everything the staged phase needs, bundled to keep one signature.
+/// The request plus what [`save`] derived from it for the staged phase.
 struct StagePlan<'a> {
-    root: &'a Path,
-    step: u64,
-    source: &'a dyn StateSource,
-    trainer_state: &'a TrainerState,
+    req: &'a SaveRequest<'a>,
+    opts: &'a SaveOptions,
     staging: &'a CheckpointPaths,
+    /// Canonical (sorted, deduplicated) unit selection.
     units: &'a [LayerUnit],
+    /// Optimizer group ids the selection covers.
     present: &'a [usize],
     full: bool,
-    opts: &'a SaveOptions,
-    metrics: &'a MetricsRegistry,
-    /// Object store the place stage targets (dedup saves only). Resolved
-    /// from the run root by default; the coordinator injects its shared
-    /// store here.
+    /// Object store the place stage targets (dedup saves only).
     store: &'a ObjectStore,
 }
 
 /// Phase 1 + 2 + 3 of the commit protocol, against the staging directory.
 fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<CheckpointReport> {
-    let config = plan.source.model_config();
+    let req = plan.req;
+    let config = req.source.model_config();
     let staging = plan.staging;
     let dedup = plan.opts.dedup;
     let chunk = plan.opts.chunk_bytes.max(1);
-    let world = plan.source.world_size();
+    let world = req.source.world_size();
     let mut timings = StageTimings::default();
 
     // A leftover staging dir from a previously crashed save must not leak
@@ -767,7 +650,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     // Delta bases come from the newest committed predecessor's manifest;
     // resolving it is one read pair, done once per save.
     let prev_refs = (dedup && plan.opts.delta_chain > 0)
-        .then(|| previous_refs_on(storage, plan.root, plan.step))
+        .then(|| previous_refs_on(storage, req.root, req.step))
         .flatten();
     let policy = PlacePolicy {
         compress: plan.opts.compress,
@@ -786,14 +669,14 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     let model_bytes: u64 = if let Some(refs) = refs.as_mut() {
         let mut total = 0u64;
         for unit in plan.units {
-            let sp = plan.metrics.span("ckpt.save.encode");
-            let tensors = plan.source.unit_weight_tensors(*unit)?;
+            let sp = req.metrics.span("ckpt.save.encode");
+            let tensors = req.source.unit_weight_tensors(*unit)?;
             for (name, t) in &tensors {
                 digests.insert(name.clone(), t.digest());
             }
             timings.encode_ns += sp.finish();
 
-            let sp = plan.metrics.span("ckpt.save.place");
+            let sp = req.metrics.span("ckpt.save.place");
             let key = unit.as_string();
             let out = place_tensors_encoded(
                 storage,
@@ -824,10 +707,10 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         }
         total
     } else {
-        let sp = plan.metrics.span("ckpt.save.encode");
+        let sp = req.metrics.span("ckpt.save.encode");
         let mut weight_tensors: Vec<(String, RawTensor)> = Vec::new();
         for unit in plan.units {
-            let tensors = plan.source.unit_weight_tensors(*unit)?;
+            let tensors = req.source.unit_weight_tensors(*unit)?;
             for (name, t) in &tensors {
                 digests.insert(name.clone(), t.digest());
             }
@@ -835,7 +718,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         }
         timings.encode_ns += sp.finish();
 
-        let sp = plan.metrics.span("ckpt.save.place");
+        let sp = req.metrics.span("ckpt.save.place");
         let (n, _digest) = safetensors::stream_file_on(
             storage,
             &staging.model(),
@@ -857,11 +740,11 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         let mut total = 0u64;
         for rank in 0..world {
             for gid in plan.present {
-                let sp = plan.metrics.span("ckpt.save.encode");
-                let tensors = plan.source.shard_tensors(rank, *gid);
+                let sp = req.metrics.span("ckpt.save.encode");
+                let tensors = req.source.shard_tensors(rank, *gid);
                 timings.encode_ns += sp.finish();
 
-                let sp = plan.metrics.span("ckpt.save.place");
+                let sp = req.metrics.span("ckpt.save.place");
                 let key = CasRefs::optim_key(rank, *gid);
                 let out = place_tensors_encoded(
                     storage,
@@ -893,11 +776,11 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         }
         total
     } else {
-        let sp = plan.metrics.span("ckpt.save.place");
+        let sp = req.metrics.span("ckpt.save.place");
         let write_rank = |rank: usize| -> Result<u64> {
             let mut tensors: Vec<(String, RawTensor)> = Vec::with_capacity(plan.present.len() * 3);
             for gid in plan.present {
-                tensors.extend(plan.source.shard_tensors(rank, *gid));
+                tensors.extend(req.source.shard_tensors(rank, *gid));
             }
             let (n, _digest) = safetensors::stream_file_on(
                 storage,
@@ -920,7 +803,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         totals.into_iter().sum()
     };
 
-    let sp_commit = plan.metrics.span("ckpt.save.commit");
+    let sp_commit = req.metrics.span("ckpt.save.commit");
 
     // Small JSON files are written inline (and synced) so their exact byte
     // counts are known without re-reading.
@@ -933,24 +816,24 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     // 3. ZeRO metadata. The topology is recorded only when it actually
     //    has a tensor-parallel dimension: a pure-dp save stays
     //    byte-identical to pre-topology checkpoints.
-    let topo = plan.source.topology();
+    let topo = req.source.topology();
     let zero_meta = ZeroMeta {
         world_size: world,
         saved_topology: (topo.tp > 1).then_some(topo),
         num_layers: config.num_hidden_layers,
         tied: config.tie_word_embeddings,
-        optimizer_step: plan.source.optimizer_step(),
+        optimizer_step: req.source.optimizer_step(),
         groups_present: plan.present.to_vec(),
-        groups: plan
+        groups: req
             .source
             .group_specs()
             .iter()
             .map(|g| GroupMeta {
                 id: g.id,
                 numel: g.numel,
-                shard_len: plan.source.shard_len(g.id),
+                shard_len: req.source.shard_len(g.id),
                 weight_decay: g.weight_decay,
-                tp_shard_lens: plan.source.tp_shard_lens(g.id),
+                tp_shard_lens: req.source.tp_shard_lens(g.id),
             })
             .collect(),
     };
@@ -963,14 +846,14 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     // 4. Config + trainer state + latest marker + manifest (paper §4.4).
     let config_json = serde_json::to_string_pretty(config)?;
     meta_bytes += put(&staging.config(), config_json.as_bytes())?;
-    let state_json = serde_json::to_string_pretty(plan.trainer_state)?;
+    let state_json = serde_json::to_string_pretty(req.trainer_state)?;
     meta_bytes += put(&staging.trainer_state(), state_json.as_bytes())?;
     meta_bytes += put(
         &staging.latest(),
-        format!("global_step{}\n", plan.step).as_bytes(),
+        format!("global_step{}\n", req.step).as_bytes(),
     )?;
     let manifest = PartialManifest {
-        step: plan.step,
+        step: req.step,
         units: plan.units.to_vec(),
         weight_digests: digests,
         full: plan.full,
@@ -983,12 +866,12 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
 
     // 5. Seal: the COMMIT marker goes in only after every payload byte is
     //    durable, so its presence certifies the whole directory.
-    let marker = commit_marker_contents(plan.step, manifest_json.as_bytes());
+    let marker = commit_marker_contents(req.step, manifest_json.as_bytes());
     meta_bytes += put(&staging.commit_marker(), marker.as_bytes())?;
     files_written += 1;
 
     // 6. Swap into place atomically and persist the rename.
-    let paths = CheckpointPaths::under(plan.root, plan.step);
+    let paths = CheckpointPaths::under(req.root, req.step);
     if storage.exists(&paths.dir) {
         storage
             .remove_dir_all(&paths.dir)
@@ -997,7 +880,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     storage
         .rename(&staging.dir, &paths.dir)
         .map_err(io_err(&staging.dir))?;
-    storage.sync(plan.root).map_err(io_err(plan.root))?;
+    storage.sync(req.root).map_err(io_err(req.root))?;
     timings.commit_ns += sp_commit.finish();
 
     let total_bytes = model_bytes + optim_bytes + meta_bytes;
@@ -1024,8 +907,9 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::save_checkpoint_on;
+    use crate::trainer_state::TrainerState;
     use llmt_model::Model;
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_storage::vfs::LocalFs;
     use llmt_tensor::rng::Prng;
@@ -1058,6 +942,26 @@ mod tests {
             seq_len: 8,
         };
         (model, engine, ts)
+    }
+
+    /// [`save`] on `root`'s local filesystem from any source.
+    fn save_at(
+        root: &Path,
+        step: u64,
+        source: &dyn StateSource,
+        ts: &TrainerState,
+        opts: &SaveOptions,
+    ) -> Result<CheckpointReport> {
+        let req = SaveRequest {
+            root,
+            step,
+            source,
+            trainer_state: ts,
+            units: &LayerUnit::all(source.model_config()),
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        };
+        save(&[&LocalFs], &req, opts).map(|p| p.report)
     }
 
     /// A [`StateSource`] that panics while producing shard tensors —
@@ -1098,16 +1002,7 @@ mod tests {
             params: &model.params,
             engine: &engine,
         });
-        let err = save_source(
-            &LocalFs,
-            dir.path(),
-            5,
-            &source,
-            &ts,
-            &LayerUnit::all(&cfg),
-            &SaveOptions::default(),
-        )
-        .unwrap_err();
+        let err = save_at(dir.path(), 5, &source, &ts, &SaveOptions::default()).unwrap_err();
         match err {
             CkptError::Format(msg) => assert!(msg.contains("injected writer panic"), "{msg}"),
             other => panic!("expected Format error, got {other}"),
@@ -1130,26 +1025,19 @@ mod tests {
     fn sequential_and_rayon_saves_are_byte_identical() {
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 2);
+        let live = LiveState {
+            config: &cfg,
+            params: &model.params,
+            engine: &engine,
+        };
         let mk_req = |parallelism: Parallelism| -> tempfile::TempDir {
             let dir = tempfile::tempdir().unwrap();
-            save(
-                &LocalFs,
-                &SaveRequest {
-                    root: dir.path(),
-                    step: 7,
-                    config: &cfg,
-                    params: &model.params,
-                    engine: &engine,
-                    trainer_state: &ts,
-                    units: &LayerUnit::all(&cfg),
-                },
-                &SaveOptions {
-                    parallelism,
-                    chunk_bytes: 512,
-                    ..SaveOptions::default()
-                },
-            )
-            .unwrap();
+            let opts = SaveOptions {
+                parallelism,
+                chunk_bytes: 512,
+                ..SaveOptions::default()
+            };
+            save_at(dir.path(), 7, &live, &ts, &opts).unwrap();
             dir
         };
         let da = mk_req(Parallelism::Sequential);
@@ -1171,22 +1059,14 @@ mod tests {
         // payload files and accounting as the default configuration.
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 2);
+        let live = LiveState {
+            config: &cfg,
+            params: &model.params,
+            engine: &engine,
+        };
         let mk = |opts: &SaveOptions| {
             let dir = tempfile::tempdir().unwrap();
-            let report = save(
-                &LocalFs,
-                &SaveRequest {
-                    root: dir.path(),
-                    step: 3,
-                    config: &cfg,
-                    params: &model.params,
-                    engine: &engine,
-                    trainer_state: &ts,
-                    units: &LayerUnit::all(&cfg),
-                },
-                opts,
-            )
-            .unwrap();
+            let report = save_at(dir.path(), 3, &live, &ts, opts).unwrap();
             (dir, report)
         };
         let (da, ra) = mk(&SaveOptions::default());
@@ -1204,52 +1084,47 @@ mod tests {
             std::fs::read(pa.model()).unwrap(),
             std::fs::read(pb.model()).unwrap()
         );
-        // Wrapper equivalence: the legacy entry point is the same save.
-        let dc = tempfile::tempdir().unwrap();
-        let rc = save_checkpoint_on(
-            &LocalFs,
-            &SaveRequest {
-                root: dc.path(),
-                step: 3,
-                config: &cfg,
-                params: &model.params,
-                engine: &engine,
-                trainer_state: &ts,
-                units: &LayerUnit::all(&cfg),
-            },
-        )
-        .unwrap();
-        assert_eq!(rc.total_bytes, ra.total_bytes);
-        assert_eq!(
-            std::fs::read(CheckpointPaths::under(dc.path(), 3).model()).unwrap(),
-            std::fs::read(pa.model()).unwrap()
-        );
     }
 
     #[test]
     fn timings_are_populated() {
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 1);
+        let live = LiveState {
+            config: &cfg,
+            params: &model.params,
+            engine: &engine,
+        };
         let dir = tempfile::tempdir().unwrap();
-        let report = save(
-            &LocalFs,
-            &SaveRequest {
-                root: dir.path(),
-                step: 1,
-                config: &cfg,
-                params: &model.params,
-                engine: &engine,
-                trainer_state: &ts,
-                units: &LayerUnit::all(&cfg),
-            },
-            &SaveOptions::default(),
-        )
-        .unwrap();
+        let report = save_at(dir.path(), 1, &live, &ts, &SaveOptions::default()).unwrap();
         // Sync saves never snapshot; the other stages all did real work.
         assert_eq!(report.timings.snapshot_ns, 0);
         assert!(report.timings.encode_ns > 0);
         assert!(report.timings.place_ns > 0);
         assert!(report.timings.commit_ns > 0);
         assert!(report.timings.total_secs() > 0.0);
+    }
+
+    #[test]
+    fn empty_placement_list_is_a_typed_error() {
+        let cfg = ModelConfig::tiny_test();
+        let (model, engine, ts) = make_state(&cfg, 1);
+        let dir = tempfile::tempdir().unwrap();
+        let req = SaveRequest {
+            root: dir.path(),
+            step: 1,
+            source: &LiveState {
+                config: &cfg,
+                params: &model.params,
+                engine: &engine,
+            },
+            trainer_state: &ts,
+            units: &LayerUnit::all(&cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        };
+        let err = save(&[], &req, &SaveOptions::default()).unwrap_err();
+        assert!(matches!(err, CkptError::Incompatible(_)), "{err}");
+        assert!(std::fs::read_dir(dir.path()).unwrap().next().is_none());
     }
 }

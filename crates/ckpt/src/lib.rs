@@ -12,9 +12,9 @@
 //!   actually contains — the artifact the paper's selective strategies
 //!   produce and LLMTailor consumes.
 //!
-//! [`engine`] is the single save pipeline (enumerate → snapshot → encode →
-//! place → commit) behind every sync/async/dedup save; [`writer`] keeps the
-//! legacy entry points as thin wrappers over it. [`restore`] is its mirror
+//! [`engine::save`] is the single save pipeline (enumerate → snapshot →
+//! encode → place → commit) and the one function that stages and commits
+//! a checkpoint; [`writer`] holds its request and report types. [`restore`] is its mirror
 //! image on the read side (enumerate → fetch → decode → validate → bind):
 //! parallel chunked fetches with verify-on-read digests and optimizer
 //! resharding-on-load, behind resume, recovery, merge sources and deep
@@ -45,8 +45,8 @@ pub mod writer;
 pub mod zero_meta;
 
 pub use engine::{
-    is_admission_error, save_source_placed, LiveState, Parallelism, PlacedSave, SaveOptions,
-    StateSource, DEFAULT_CHUNK_BYTES,
+    is_admission_error, LiveState, Parallelism, PlacedSave, SaveOptions, StateSource,
+    DEFAULT_CHUNK_BYTES,
 };
 pub use error::{CkptError, Result};
 pub use layout::{scan_run_root, CheckpointPaths, CommitStatus, QuarantinedDir, ScanReport};
@@ -58,8 +58,5 @@ pub use restore::{
 };
 pub use trainer_state::TrainerState;
 pub use verify::{verify_checkpoint, verify_checkpoint_on, VerifyReport};
-pub use writer::{
-    commit_checkpoint, save_checkpoint, save_checkpoint_dedup, save_checkpoint_dedup_on,
-    save_checkpoint_on, CheckpointReport, SaveRequest,
-};
+pub use writer::{commit_checkpoint_on, CheckpointReport, SaveRequest};
 pub use zero_meta::ZeroMeta;

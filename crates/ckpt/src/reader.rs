@@ -474,8 +474,10 @@ impl CheckpointHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{save_checkpoint, SaveRequest};
+    use crate::engine::{self, LiveState, SaveOptions};
+    use crate::writer::SaveRequest;
     use llmt_model::{Model, ModelConfig, ParamSet};
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_tensor::rng::Prng;
     use llmt_zero::ZeroEngine;
@@ -512,15 +514,23 @@ mod tests {
             grad_accum: 1,
             seq_len: 8,
         };
-        save_checkpoint(&SaveRequest {
-            root: dir,
-            step,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units,
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root: dir,
+                step,
+                source: &LiveState {
+                    config: cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::default(),
+        )
         .unwrap();
         (model, engine)
     }
@@ -675,7 +685,6 @@ mod tests {
 
     #[test]
     fn dedup_checkpoint_reads_identical_to_plain_checkpoint() {
-        use crate::writer::save_checkpoint_dedup;
         let cfg = ModelConfig::tiny_test();
         let dir = tempfile::tempdir().unwrap();
         let (model, engine) = write_ckpt(dir.path(), &cfg, 10, &LayerUnit::all(&cfg));
@@ -693,15 +702,23 @@ mod tests {
             grad_accum: 1,
             seq_len: 8,
         };
-        save_checkpoint_dedup(&SaveRequest {
-            root: dir.path(),
-            step: 20,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&cfg),
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root: dir.path(),
+                step: 20,
+                source: &LiveState {
+                    config: &cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units: &LayerUnit::all(&cfg),
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::dedup(true),
+        )
         .unwrap();
         let plain_dir = dir.path().join("checkpoint-10");
         let cas_dir = dir.path().join("checkpoint-20");

@@ -29,8 +29,6 @@
 //! checkpointed at `{dp=4, tp=1}` resumes bit-exactly at `{dp=2, tp=2}`
 //! and vice versa (both tilings are exact partitions of the same flat
 //! buffers, and the ZeRO engine's trajectory is partition-invariant).
-//! The legacy [`RestoreRequest::world_size`] integer is deprecated and
-//! forwards to a pure data-parallel topology.
 
 use crate::engine::Parallelism;
 use crate::error::{io_err, CkptError, Result};
@@ -76,13 +74,6 @@ pub struct RestoreRequest {
     /// keeps the saved topology; a differing target reshards every group
     /// through an offline [`llmt_zero::ReshardPlan`].
     pub topology: Option<Topology>,
-    /// Legacy pure-dp spelling of [`RestoreRequest::topology`]:
-    /// `Some(w)` forwards to `Topology { dp: w, tp: 1 }` when `topology`
-    /// is unset. Setting both to conflicting values is an error.
-    #[deprecated(
-        note = "set `topology` instead; a bare world size maps to `Topology::dp_only(w)`"
-    )]
-    pub world_size: Option<usize>,
     /// Payload selection.
     pub scope: RestoreScope,
     /// Verify-on-read: recompute and check manifest digests (SHA-256 for
@@ -102,35 +93,13 @@ pub struct RestoreRequest {
 
 impl Default for RestoreRequest {
     fn default() -> Self {
-        #[allow(deprecated)]
         RestoreRequest {
             topology: None,
-            world_size: None,
             scope: RestoreScope::Full,
             verify: true,
             parallelism: Parallelism::Rayon,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             require_committed: true,
-        }
-    }
-}
-
-impl RestoreRequest {
-    /// The requested target topology with the deprecated `world_size`
-    /// field folded in: `topology` wins, a bare world size maps to pure
-    /// data parallelism, and `None` means "keep the saved topology".
-    /// Conflicting settings of both fields are refused.
-    pub fn target_topology(&self) -> Result<Option<Topology>> {
-        #[allow(deprecated)]
-        let legacy = self.world_size;
-        match (self.topology, legacy) {
-            (Some(t), Some(w)) if t.world() != w => Err(CkptError::Incompatible(format!(
-                "RestoreRequest sets topology {t} ({} ranks) but also legacy world_size {w}",
-                t.world()
-            ))),
-            (Some(t), _) => Ok(Some(t)),
-            (None, Some(w)) => Ok(Some(Topology::dp_only(w))),
-            (None, None) => Ok(None),
         }
     }
 }
@@ -305,8 +274,7 @@ pub fn restore_checkpoint_with(
             saved_topo.world()
         )));
     }
-    let requested_topo = req.target_topology()?;
-    let target_topo = requested_topo.unwrap_or(saved_topo);
+    let target_topo = req.topology.unwrap_or(saved_topo);
     if target_topo.validate().is_err() {
         return Err(CkptError::Incompatible(format!(
             "target topology {target_topo} is degenerate (both degrees must be positive)"
@@ -513,7 +481,7 @@ pub fn restore_checkpoint_with(
         if meta.is_full() {
             ranks = bind_ranks(&meta, &config, shard_map, target_topo)?;
             report.resharded = target_topo != saved_topo;
-        } else if requested_topo.is_some() {
+        } else if req.topology.is_some() {
             return Err(CkptError::Incompatible(format!(
                 "checkpoint-{} is partial; assemble a full one with LLMTailor first",
                 paths.step
@@ -770,7 +738,8 @@ fn bind_ranks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{save_checkpoint, save_checkpoint_dedup, SaveRequest};
+    use crate::engine::{self, LiveState, SaveOptions};
+    use crate::writer::SaveRequest;
     use llmt_model::{Batch, Model, ModelConfig, ParamSet};
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_tensor::rng::Prng;
@@ -812,17 +781,17 @@ mod tests {
         let req = SaveRequest {
             root,
             step,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine: &engine,
+            },
             trainer_state: &ts,
             units,
+            metrics: &MetricsRegistry::new(),
+            store: None,
         };
-        if dedup {
-            save_checkpoint_dedup(&req).unwrap();
-        } else {
-            save_checkpoint(&req).unwrap();
-        }
+        engine::save(&[&LocalFs], &req, &SaveOptions::dedup(dedup)).unwrap();
         (model, engine)
     }
 
@@ -1018,50 +987,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("layers.1"), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_world_size_forwards_to_topology() {
-        let cfg = ModelConfig::tiny_test();
-        let dir = tempfile::tempdir().unwrap();
-        write_ckpt(dir.path(), &cfg, 10, 2, &LayerUnit::all(&cfg), false);
-        let ckpt = dir.path().join("checkpoint-10");
-        let state = restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                world_size: Some(4),
-                scope: RestoreScope::OptimizerOnly,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(state.ranks.len(), 4);
-        assert_eq!(state.report.topology, Topology::dp_only(4));
-        assert!(state.report.resharded);
-        // Conflicting topology + legacy world size is refused.
-        let err = restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                topology: Some(Topology { dp: 2, tp: 2 }),
-                world_size: Some(2),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, CkptError::Incompatible(_)), "{err}");
-        // Agreeing values are fine: topology wins, 4 = 2*2 ranks.
-        let state = restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                topology: Some(Topology { dp: 2, tp: 2 }),
-                world_size: Some(4),
-                scope: RestoreScope::OptimizerOnly,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(state.report.topology, Topology { dp: 2, tp: 2 });
     }
 
     #[test]

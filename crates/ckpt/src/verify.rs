@@ -383,9 +383,11 @@ pub fn verify_checkpoint_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{save_checkpoint, SaveRequest};
+    use crate::engine::{self, LiveState, SaveOptions};
+    use crate::writer::SaveRequest;
     use crate::{CheckpointPaths, TrainerState};
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_tensor::rng::Prng;
     use llmt_zero::ZeroEngine;
@@ -419,16 +421,25 @@ mod tests {
             seq_len: 8,
         };
         let units = units.unwrap_or_else(|| LayerUnit::all(&cfg));
-        let dir = save_checkpoint(&SaveRequest {
-            root,
-            step: 1,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &units,
-        })
+        let dir = engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root,
+                step: 1,
+                source: &LiveState {
+                    config: &cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units: &units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::default(),
+        )
         .unwrap()
+        .report
         .paths
         .dir;
         (dir, cfg)
@@ -689,16 +700,25 @@ mod tests {
             seq_len: 8,
         };
         let units = LayerUnit::all(&cfg);
-        let dir = crate::writer::save_checkpoint_dedup(&SaveRequest {
-            root: root.path(),
-            step: 1,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &units,
-        })
+        let dir = engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root: root.path(),
+                step: 1,
+                source: &LiveState {
+                    config: &cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units: &units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::dedup(true),
+        )
         .unwrap()
+        .report
         .paths
         .dir;
 

@@ -1,5 +1,6 @@
-//! Checkpoint writer: full or partial (unit-selective) saves with a
-//! two-phase crash-consistent commit.
+//! The save request and report types, and the two-phase crash-consistent
+//! commit protocol [`crate::engine::save`] stages full or partial
+//! (unit-selective) checkpoints under.
 //!
 //! A *partial* checkpoint stores only the selected units' weight tensors
 //! and optimizer groups. This requires the layer-wise group layout — with
@@ -21,33 +22,40 @@
 //! `*.tmp` debris behind (unless the storage itself is dead, in which case
 //! nothing can be removed anyway).
 
-use crate::engine::{self, SaveOptions};
+use crate::engine::StateSource;
 use crate::error::{io_err, Result};
 use crate::layout::{commit_marker_contents, CheckpointPaths};
 use crate::trainer_state::TrainerState;
-use llmt_model::{LayerUnit, ModelConfig, ParamSet};
-use llmt_storage::vfs::{LocalFs, Storage};
+use llmt_cas::ObjectStore;
+use llmt_model::LayerUnit;
+use llmt_obs::MetricsRegistry;
+use llmt_storage::vfs::Storage;
 use llmt_storage::StageTimings;
-use llmt_zero::ZeroEngine;
 use std::path::Path;
 
-/// Everything a save needs.
+/// What to save and where its bookkeeping goes: the one argument every
+/// placement front hands to [`crate::engine::save`]. How to encode it is
+/// [`crate::engine::SaveOptions`]; which storages may take it is the
+/// placement list.
 pub struct SaveRequest<'a> {
     /// Run root; the checkpoint lands in `<root>/checkpoint-<step>`.
     pub root: &'a Path,
     /// Global step of the save.
     pub step: u64,
-    /// Model config (written to `config.json`).
-    pub config: &'a ModelConfig,
-    /// Model weights (the BF16 training copy).
-    pub params: &'a ParamSet,
-    /// Sharded optimizer engine.
-    pub engine: &'a ZeroEngine,
+    /// Where model and optimizer state come from: borrowed live state
+    /// ([`crate::engine::LiveState`]) or an async save's snapshot.
+    pub source: &'a dyn StateSource,
     /// Trainer state (step, RNG, losses).
     pub trainer_state: &'a TrainerState,
     /// Units to store. Must all exist in the config; a full save lists
     /// every unit.
     pub units: &'a [LayerUnit],
+    /// Registry the stage spans, placement counters and (for a resolved
+    /// store) dedup counters are recorded into.
+    pub metrics: &'a MetricsRegistry,
+    /// Explicit object store for the place stage (the coordinator's
+    /// shared, pin-observed store); `None` resolves it from `root`.
+    pub store: Option<&'a ObjectStore>,
 }
 
 /// What a save produced — sizes feed the Table 3/6 experiments.
@@ -87,45 +95,9 @@ pub struct CheckpointReport {
     pub timings: StageTimings,
 }
 
-/// Save a (possibly partial) checkpoint on the local filesystem.
-pub fn save_checkpoint(req: &SaveRequest) -> Result<CheckpointReport> {
-    engine::save(&LocalFs, req, &SaveOptions::default())
-}
-
-/// [`save_checkpoint_dedup_on`] on the local filesystem.
-pub fn save_checkpoint_dedup(req: &SaveRequest) -> Result<CheckpointReport> {
-    engine::save(&LocalFs, req, &SaveOptions::dedup(true))
-}
-
-/// Save a (possibly partial) checkpoint through a [`Storage`], using the
-/// two-phase commit protocol. Returns a size report on success; on failure
-/// the staging directory is removed best-effort before the error is
-/// surfaced.
-pub fn save_checkpoint_on(storage: &dyn Storage, req: &SaveRequest) -> Result<CheckpointReport> {
-    engine::save(storage, req, &SaveOptions::default())
-}
-
-/// Deduplicated save: layer payloads go through the content-addressed
-/// store at `<root>/objects/` and the checkpoint directory holds hard
-/// links plus metadata. A unit whose bytes are already stored (frozen
-/// layer, repeated selective save) costs no payload write at all. The
-/// commit protocol is unchanged — objects are made durable *before* the
-/// COMMIT marker seals the manifest that references them.
-pub fn save_checkpoint_dedup_on(
-    storage: &dyn Storage,
-    req: &SaveRequest,
-) -> Result<CheckpointReport> {
-    engine::save(storage, req, &SaveOptions::dedup(true))
-}
-
 /// Seal an already-written checkpoint directory (e.g. a merge output) with
-/// a `COMMIT` marker derived from its manifest on disk. Returns the marker
-/// length in bytes.
-pub fn commit_checkpoint(paths: &CheckpointPaths) -> Result<u64> {
-    commit_checkpoint_on(&LocalFs, paths)
-}
-
-/// [`commit_checkpoint`] through a [`Storage`].
+/// a `COMMIT` marker derived from its manifest on `storage`. Returns the
+/// marker length in bytes.
 pub fn commit_checkpoint_on(storage: &dyn Storage, paths: &CheckpointPaths) -> Result<u64> {
     let manifest = storage
         .read(&paths.manifest())
@@ -143,13 +115,41 @@ pub fn commit_checkpoint_on(storage: &dyn Storage, paths: &CheckpointPaths) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{self, LiveState, SaveOptions};
     use crate::error::CkptError;
     use crate::manifest::PartialManifest;
     use crate::zero_meta::ZeroMeta;
-    use llmt_cas::ObjectStore;
-    use llmt_model::{Model, ModelConfig};
+    use llmt_model::{Model, ModelConfig, ParamSet};
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+    use llmt_storage::vfs::LocalFs;
     use llmt_tensor::rng::Prng;
+    use llmt_zero::ZeroEngine;
+
+    /// The one save call, over borrowed live state.
+    fn save_on(
+        storage: &dyn Storage,
+        root: &Path,
+        step: u64,
+        (model, zero, ts): (&Model, &ZeroEngine, &TrainerState),
+        units: &[LayerUnit],
+        dedup: bool,
+    ) -> Result<CheckpointReport> {
+        let source = LiveState {
+            config: &model.config,
+            params: &model.params,
+            engine: zero,
+        };
+        let req = SaveRequest {
+            root,
+            step,
+            source: &source,
+            trainer_state: ts,
+            units,
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        };
+        engine::save(&[storage], &req, &SaveOptions::dedup(dedup)).map(|p| p.report)
+    }
 
     fn make_state(
         cfg: &ModelConfig,
@@ -191,15 +191,14 @@ mod tests {
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 2, GroupLayout::LayerWise);
         let dir = tempfile::tempdir().unwrap();
-        let report = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 10,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&cfg),
-        })
+        let report = save_on(
+            &LocalFs,
+            dir.path(),
+            10,
+            (&model, &engine, &ts),
+            &LayerUnit::all(&cfg),
+            false,
+        )
         .unwrap();
         assert!(report.paths.model().exists());
         assert!(report.paths.optim_shard(0).exists());
@@ -226,26 +225,24 @@ mod tests {
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 2, GroupLayout::LayerWise);
         let dir = tempfile::tempdir().unwrap();
-        let full = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 10,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&cfg),
-        })
+        let full = save_on(
+            &LocalFs,
+            dir.path(),
+            10,
+            (&model, &engine, &ts),
+            &LayerUnit::all(&cfg),
+            false,
+        )
         .unwrap();
         let partial_units = vec![LayerUnit::Transformer(0), LayerUnit::FinalNorm];
-        let partial = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 20,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &partial_units,
-        })
+        let partial = save_on(
+            &LocalFs,
+            dir.path(),
+            20,
+            (&model, &engine, &ts),
+            &partial_units,
+            false,
+        )
         .unwrap();
         assert!(partial.total_bytes < full.total_bytes / 2);
         let manifest = PartialManifest::load(&partial.paths.manifest()).unwrap();
@@ -262,27 +259,25 @@ mod tests {
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 2, GroupLayout::Stock);
         let dir = tempfile::tempdir().unwrap();
-        let err = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 10,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &[LayerUnit::FinalNorm],
-        })
+        let err = save_on(
+            &LocalFs,
+            dir.path(),
+            10,
+            (&model, &engine, &ts),
+            &[LayerUnit::FinalNorm],
+            false,
+        )
         .unwrap_err();
         assert!(matches!(err, CkptError::Incompatible(_)));
         // Full saves still work under the stock layout.
-        save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 10,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&cfg),
-        })
+        save_on(
+            &LocalFs,
+            dir.path(),
+            10,
+            (&model, &engine, &ts),
+            &LayerUnit::all(&cfg),
+            false,
+        )
         .unwrap();
     }
 
@@ -291,22 +286,21 @@ mod tests {
         let cfg = ModelConfig::tiny_test_tied(); // no lm_head unit
         let (model, engine, ts) = make_state(&cfg, 1, GroupLayout::LayerWise);
         let dir = tempfile::tempdir().unwrap();
-        let err = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 1,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &[LayerUnit::LmHead],
-        })
+        let err = save_on(
+            &LocalFs,
+            dir.path(),
+            1,
+            (&model, &engine, &ts),
+            &[LayerUnit::LmHead],
+            false,
+        )
         .unwrap_err();
         assert!(matches!(err, CkptError::Incompatible(_)));
     }
 
     #[test]
     fn failed_save_leaves_no_tmp_debris() {
-        use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs, LocalFs};
+        use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs};
 
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 2, GroupLayout::LayerWise);
@@ -320,17 +314,13 @@ mod tests {
                 kind: FaultKind::Permanent,
             },
         );
-        let err = save_checkpoint_on(
+        let err = save_on(
             &storage,
-            &SaveRequest {
-                root: dir.path(),
-                step: 10,
-                config: &cfg,
-                params: &model.params,
-                engine: &engine,
-                trainer_state: &ts,
-                units: &LayerUnit::all(&cfg),
-            },
+            dir.path(),
+            10,
+            (&model, &engine, &ts),
+            &LayerUnit::all(&cfg),
+            false,
         )
         .unwrap_err();
         assert!(matches!(err, CkptError::Io(..)), "{err}");
@@ -358,15 +348,14 @@ mod tests {
         let staging = CheckpointPaths::staging_under(dir.path(), 10);
         std::fs::create_dir_all(&staging.dir).unwrap();
         std::fs::write(staging.dir.join("stale-garbage"), b"torn").unwrap();
-        let report = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 10,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&cfg),
-        })
+        let report = save_on(
+            &LocalFs,
+            dir.path(),
+            10,
+            (&model, &engine, &ts),
+            &LayerUnit::all(&cfg),
+            false,
+        )
         .unwrap();
         assert!(report.paths.commit_status().is_committed());
         assert!(!staging.dir.exists());
@@ -378,20 +367,19 @@ mod tests {
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 1, GroupLayout::LayerWise);
         let dir = tempfile::tempdir().unwrap();
-        let report = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 3,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&cfg),
-        })
+        let report = save_on(
+            &LocalFs,
+            dir.path(),
+            3,
+            (&model, &engine, &ts),
+            &LayerUnit::all(&cfg),
+            false,
+        )
         .unwrap();
-        // Strip the marker, then re-seal via commit_checkpoint.
+        // Strip the marker, then re-seal via commit_checkpoint_on.
         std::fs::remove_file(report.paths.commit_marker()).unwrap();
         assert!(!report.paths.commit_status().is_committed());
-        let n = commit_checkpoint(&report.paths).unwrap();
+        let n = commit_checkpoint_on(&LocalFs, &report.paths).unwrap();
         assert!(n > 0);
         assert!(report.paths.commit_status().is_committed());
     }
@@ -402,17 +390,18 @@ mod tests {
         let (model, engine, ts) = make_state(&cfg, 2, GroupLayout::LayerWise);
         let dir = tempfile::tempdir().unwrap();
         let units = LayerUnit::all(&cfg);
-        let req_at = |step: u64| SaveRequest {
-            root: dir.path(),
-            step,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &units,
+        let save_at = |step: u64| {
+            save_on(
+                &LocalFs,
+                dir.path(),
+                step,
+                (&model, &engine, &ts),
+                &units,
+                true,
+            )
         };
 
-        let r1 = save_checkpoint_dedup(&req_at(10)).unwrap();
+        let r1 = save_at(10).unwrap();
         assert!(r1.paths.commit_status().is_committed());
         assert!(r1.paths.units_dir().exists());
         assert!(
@@ -442,7 +431,7 @@ mod tests {
         // Same state at a later step: every payload byte dedups, only
         // metadata is written, and the store still holds each object once.
         let objects_before = store.list(&LocalFs).unwrap();
-        let r2 = save_checkpoint_dedup(&req_at(20)).unwrap();
+        let r2 = save_at(20).unwrap();
         assert!(r2.paths.commit_status().is_committed());
         assert_eq!(r2.dedup_bytes, r2.model_bytes + r2.optim_bytes);
         assert!(
@@ -464,15 +453,14 @@ mod tests {
         let cfg = ModelConfig::llama32_1b_sim();
         let (model, engine, ts) = make_state(&cfg, 2, GroupLayout::LayerWise);
         let dir = tempfile::tempdir().unwrap();
-        let report = save_checkpoint(&SaveRequest {
-            root: dir.path(),
-            step: 10,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&cfg),
-        })
+        let report = save_on(
+            &LocalFs,
+            dir.path(),
+            10,
+            (&model, &engine, &ts),
+            &LayerUnit::all(&cfg),
+            false,
+        )
         .unwrap();
         let ratio = report.total_bytes as f64 / report.model_bytes as f64;
         assert!(ratio >= 6.9, "ratio {ratio}");

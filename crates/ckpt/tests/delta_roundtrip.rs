@@ -6,12 +6,13 @@
 //! store sweeps.
 
 use llmt_cas::ObjectStore;
-use llmt_ckpt::engine::{save, SaveOptions};
+use llmt_ckpt::engine::{save, LiveState, SaveOptions};
 use llmt_ckpt::{
     restore_checkpoint, verify_checkpoint_on, CheckpointHandle, CheckpointPaths, LoadMode,
     PartialManifest, RestoreRequest, SaveRequest, TrainerState,
 };
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
@@ -76,19 +77,24 @@ fn save_step(
     opts: &SaveOptions,
 ) -> llmt_ckpt::CheckpointReport {
     save(
-        &LocalFs,
+        &[&LocalFs],
         &SaveRequest {
             root,
             step,
-            config: cfg,
-            params: &model.params,
-            engine,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine,
+            },
             trainer_state: &trainer_state(cfg, step),
             units: &LayerUnit::all(cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
         },
         opts,
     )
     .unwrap()
+    .report
 }
 
 /// Weight bytes snapshot for later bit-exact comparison.

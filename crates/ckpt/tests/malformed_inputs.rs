@@ -138,8 +138,11 @@ fn committed_dedup_ckpt(root: &Path) -> std::path::PathBuf {
 }
 
 fn committed_ckpt_impl(root: &Path, dedup: bool) -> std::path::PathBuf {
+    use llmt_ckpt::engine::{self, LiveState, SaveOptions};
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+    use llmt_storage::vfs::LocalFs;
     use llmt_zero::ZeroEngine;
 
     let cfg = ModelConfig::tiny_test();
@@ -171,18 +174,18 @@ fn committed_ckpt_impl(root: &Path, dedup: bool) -> std::path::PathBuf {
     let req = llmt_ckpt::SaveRequest {
         root,
         step: 1,
-        config: &cfg,
-        params: &model.params,
-        engine: &engine,
+        source: &LiveState {
+            config: &cfg,
+            params: &model.params,
+            engine: &engine,
+        },
         trainer_state: &ts,
         units: &LayerUnit::all(&cfg),
+        metrics: &MetricsRegistry::new(),
+        store: None,
     };
-    let report = if dedup {
-        llmt_ckpt::save_checkpoint_dedup(&req)
-    } else {
-        llmt_ckpt::save_checkpoint(&req)
-    };
-    report.unwrap().paths.dir
+    let placed = engine::save(&[&LocalFs], &req, &SaveOptions::dedup(dedup)).unwrap();
+    placed.report.paths.dir
 }
 
 #[test]

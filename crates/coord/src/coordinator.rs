@@ -58,7 +58,7 @@
 use crate::error::{io_err, CoordError, CoordResult};
 use crate::ledger::{EpochLedger, ReaderTicket};
 use llmt_cas::{Digest, ObjectStore, PutObserver, PutOutcome, SweepMark, SweepReport};
-use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+use llmt_ckpt::engine::{self, SaveOptions};
 use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
 use llmt_ckpt::{scan_run_root, PartialManifest, VerifyReport};
 use llmt_obs::{MetricsRegistry, RunEvent};
@@ -588,39 +588,31 @@ impl PublisherSession {
         &self.run_root
     }
 
-    /// Save a checkpoint through the shared store. The request's `root`
-    /// field is ignored — the checkpoint lands under this session's run
-    /// root. Dedup is forced on —
-    /// that is the point of the shared CAS — and every placed object is
-    /// pinned until the next census. On success the committed manifest's
-    /// digests are published into the epoch ledger (bumping the store
-    /// epoch), making the checkpoint reachable for readers that begin
-    /// afterwards.
+    /// Save a checkpoint through the shared store. The request's `root`,
+    /// `metrics` and `store` are replaced by this session's — unlike
+    /// `TierManager::save`, which rejects a foreign root, the session
+    /// *grants* the root, so the checkpoint always lands under it. Dedup
+    /// is forced on — that is the point of the shared CAS — and every
+    /// placed object is pinned until the next census. On success the
+    /// committed manifest's digests are published into the epoch ledger
+    /// (bumping the store epoch), making the checkpoint reachable for
+    /// readers that begin afterwards.
     pub fn save(&self, req: &SaveRequest, opts: &SaveOptions) -> CoordResult<CheckpointReport> {
         let opts = SaveOptions {
             dedup: true,
             ..*opts
         };
-        let source = LiveState {
-            config: req.config,
-            params: req.params,
-            engine: req.engine,
-        };
         let store = ObjectStore::for_run_root(&self.shared.root)
             .with_metrics(&self.shared.metrics)
             .with_observer(self.shared.pins.clone() as Arc<dyn PutObserver>)
             .with_read_retry(RetryPolicy::default(), self.shared.clock.clone());
-        let report = engine::save_source_in_store(
-            &*self.shared.storage,
-            &self.run_root,
-            req.step,
-            &source,
-            req.trainer_state,
-            req.units,
-            &opts,
-            &self.shared.metrics,
-            &store,
-        )?;
+        let req = SaveRequest {
+            root: &self.run_root,
+            metrics: &self.shared.metrics,
+            store: Some(&store),
+            ..*req
+        };
+        let report = engine::save(&[&*self.shared.storage], &req, &opts)?.report;
         let digests = manifest_digests(&report.paths.manifest())?;
         self.shared
             .ledger

@@ -18,11 +18,12 @@
 //! timeouts elapse instantly and nothing wall-sleeps.
 
 use llmt_cas::{Digest, ObjectStore};
-use llmt_ckpt::engine::SaveOptions;
+use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{scan_run_root, PartialManifest, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::{
     Clock, FaultKind, FaultSpec, FaultyFs, LocalFs, ManualClock, RetryPolicy, RetryingStorage,
@@ -144,11 +145,15 @@ fn publish(
             &SaveRequest {
                 root: session.run_root(),
                 step,
-                config: cfg,
-                params: &model.params,
-                engine,
+                source: &LiveState {
+                    config: cfg,
+                    params: &model.params,
+                    engine,
+                },
                 trainer_state: ts,
                 units: &units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
             },
             &SaveOptions::default(),
         )
@@ -405,11 +410,15 @@ fn kill_points_in_one_publisher_never_damage_other_runs() {
                     &SaveRequest {
                         root: session.run_root(),
                         step: 1,
-                        config: &cfg,
-                        params: &model.params,
-                        engine: &zero,
+                        source: &LiveState {
+                            config: &cfg,
+                            params: &model.params,
+                            engine: &zero,
+                        },
                         trainer_state: &ts,
                         units: &units,
+                        metrics: &MetricsRegistry::new(),
+                        store: None,
                     },
                     &SaveOptions::default(),
                 )

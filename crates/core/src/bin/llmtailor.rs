@@ -687,9 +687,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// protocol: save-begin admission, a dedup save into the granted run
 /// root, commit-publish.
 fn cmd_save(args: &[String]) -> Result<(), String> {
-    use llmt_ckpt::engine::SaveOptions;
+    use llmt_ckpt::engine::{LiveState, SaveOptions};
     use llmt_ckpt::writer::SaveRequest;
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_tensor::rng::Prng;
     use llmt_zero::ZeroEngine;
@@ -744,34 +745,23 @@ fn cmd_save(args: &[String]) -> Result<(), String> {
             grad_accum: 1,
             seq_len: 8,
         };
-        let (session, run_root) = client
-            .save_begin(&run, 8 << 20, true)
-            .map_err(|e| e.to_string())?;
         let req = SaveRequest {
-            root: &run_root,
+            root: Path::new(""), // the daemon session grants the real one
             step,
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
+            source: &LiveState {
+                config: &cfg,
+                params: &model.params,
+                engine: &engine,
+            },
             trainer_state: &ts,
             units: &units,
+            metrics: &MetricsRegistry::new(),
+            store: None,
         };
-        let save_opts = SaveOptions {
-            dedup: true,
-            ..SaveOptions::default()
-        };
-        let saved = llmt_ckpt::engine::save(&storage, &req, &save_opts);
-        match saved {
-            Ok(_) => {
-                published_total += client
-                    .save_commit(session, step)
-                    .map_err(|e| e.to_string())?;
-            }
-            Err(e) => {
-                let _ = client.save_abort(session);
-                return Err(format!("save at step {step} failed: {e}"));
-            }
-        }
+        let (_, published) = client
+            .save(&storage, &run, 8 << 20, &req, &SaveOptions::default())
+            .map_err(|e| format!("save at step {step} failed: {e}"))?;
+        published_total += published;
     }
     println!(
         "published {steps} checkpoint(s) for run '{run}' through {} ({published_total} object \

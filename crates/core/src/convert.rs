@@ -33,12 +33,13 @@
 //! digest.
 
 use crate::error::{Result, TailorError};
-use llmt_ckpt::engine::{save_source, LiveState, SaveOptions};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::{
-    restore_checkpoint_on, safetensors, CheckpointPaths, CkptError, RestoreRequest, RestoreScope,
-    TrainerState, ZeroMeta,
+    restore_checkpoint_on, safetensors, CheckpointPaths, CheckpointReport, CkptError,
+    RestoreRequest, RestoreScope, SaveRequest, TrainerState, ZeroMeta,
 };
 use llmt_model::{LayerUnit, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, GroupSpec, LrSchedule};
 use llmt_storage::vfs::{LocalFs, Storage};
 use llmt_tensor::rng::Prng;
@@ -207,19 +208,12 @@ fn convert_from_checkpoint(
                     .map_err(|e| TailorError::Ckpt(CkptError::Format(format!("convert: {e}"))))?;
             }
             engine.step_count = restored.zero_meta.optimizer_step;
-            let source = LiveState {
-                config: &config,
-                params: &params,
-                engine: &engine,
-            };
-            let report = save_source(
+            let report = save_sharded(
                 storage.as_ref(),
                 out,
                 paths.step,
-                &source,
+                (&config, &params, &engine),
                 &restored.trainer_state,
-                &LayerUnit::all(&config),
-                &SaveOptions::default(),
             )?;
             Ok(ConvertReport {
                 output: report.paths.dir,
@@ -230,6 +224,30 @@ fn convert_from_checkpoint(
             })
         }
     }
+}
+
+/// A full conventional save of the converted state under `out`.
+fn save_sharded(
+    storage: &dyn Storage,
+    out: &Path,
+    step: u64,
+    (config, params, engine): (&ModelConfig, &ParamSet, &ZeroEngine),
+    trainer_state: &TrainerState,
+) -> Result<CheckpointReport> {
+    let req = SaveRequest {
+        root: out,
+        step,
+        source: &LiveState {
+            config,
+            params,
+            engine,
+        },
+        trainer_state,
+        units: &LayerUnit::all(config),
+        metrics: &MetricsRegistry::new(),
+        store: None,
+    };
+    Ok(engine::save(&[storage], &req, &SaveOptions::default())?.report)
 }
 
 fn convert_from_consolidated(
@@ -274,20 +292,7 @@ fn convert_from_consolidated(
                 },
             );
             let ts = import_trainer_state(&config);
-            let source = LiveState {
-                config: &config,
-                params: &params,
-                engine: &engine,
-            };
-            let report = save_source(
-                storage.as_ref(),
-                out,
-                0,
-                &source,
-                &ts,
-                &LayerUnit::all(&config),
-                &SaveOptions::default(),
-            )?;
+            let report = save_sharded(storage.as_ref(), out, 0, (&config, &params, &engine), &ts)?;
             Ok(ConvertReport {
                 output: report.paths.dir,
                 step: 0,

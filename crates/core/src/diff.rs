@@ -103,10 +103,13 @@ pub fn diff_checkpoints(a: &Path, b: &Path) -> Result<Vec<UnitDiff>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
+    use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+    use llmt_ckpt::writer::SaveRequest;
     use llmt_ckpt::TrainerState;
     use llmt_model::{Batch, Model, ModelConfig, ParamSet};
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+    use llmt_storage::vfs::LocalFs;
     use llmt_tensor::rng::Prng;
     use llmt_zero::ZeroEngine;
     use std::path::PathBuf;
@@ -144,16 +147,25 @@ mod tests {
                 seq_len: 8,
             };
             out.push(
-                save_checkpoint(&SaveRequest {
-                    root,
-                    step,
-                    config: cfg,
-                    params: &model.params,
-                    engine: &engine,
-                    trainer_state: &ts,
-                    units: &LayerUnit::all(cfg),
-                })
+                engine::save(
+                    &[&LocalFs],
+                    &SaveRequest {
+                        root,
+                        step,
+                        source: &LiveState {
+                            config: cfg,
+                            params: &model.params,
+                            engine: &engine,
+                        },
+                        trainer_state: &ts,
+                        units: &LayerUnit::all(cfg),
+                        metrics: &MetricsRegistry::new(),
+                        store: None,
+                    },
+                    &SaveOptions::default(),
+                )
                 .unwrap()
+                .report
                 .paths
                 .dir,
             );

@@ -303,8 +303,10 @@ pub fn du_run(run_root: &Path) -> Result<DuReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llmt_ckpt::{save_checkpoint_dedup, SaveRequest, TrainerState};
+    use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+    use llmt_ckpt::{SaveRequest, TrainerState};
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_zero::ZeroEngine;
 
@@ -334,15 +336,23 @@ mod tests {
             grad_accum: 1,
             seq_len: 8,
         };
-        save_checkpoint_dedup(&SaveRequest {
-            root,
-            step,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(cfg),
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root,
+                step,
+                source: &LiveState {
+                    config: cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units: &LayerUnit::all(cfg),
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::dedup(true),
+        )
         .unwrap();
     }
 

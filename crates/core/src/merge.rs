@@ -457,7 +457,7 @@ pub fn execute_plan(plan: &MergePlan, mode: LoadMode, pattern: LoadPattern) -> R
     // Seal the assembled checkpoint with a commit marker: resume refuses
     // unmarked directories, and a merge output is as resume-critical as a
     // trainer-written save.
-    let marker_bytes = llmt_ckpt::commit_checkpoint(&out)?;
+    let marker_bytes = llmt_ckpt::commit_checkpoint_on(&LocalFs, &out)?;
     files_written += 6;
     bytes_written += marker_bytes;
     bytes_written += [

@@ -166,7 +166,10 @@ mod tests {
     }
 
     fn write_ckpt_impl(root: &Path, cfg: &ModelConfig, step: u64, dedup: bool) {
+        use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+        use llmt_obs::MetricsRegistry;
         use llmt_optim::LrSchedule;
+        use llmt_storage::vfs::LocalFs;
         let mut model = llmt_model::Model::new(cfg.clone(), 3 + if dedup { step } else { 0 });
         let mut engine = llmt_zero::ZeroEngine::new(
             &model.params,
@@ -195,17 +198,17 @@ mod tests {
         let req = llmt_ckpt::SaveRequest {
             root,
             step,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine: &engine,
+            },
             trainer_state: &ts,
             units: &LayerUnit::all(cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
         };
-        if dedup {
-            llmt_ckpt::save_checkpoint_dedup(&req).unwrap();
-        } else {
-            llmt_ckpt::save_checkpoint(&req).unwrap();
-        }
+        engine::save(&[&LocalFs], &req, &SaveOptions::dedup(dedup)).unwrap();
     }
 
     #[test]

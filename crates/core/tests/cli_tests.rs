@@ -1,10 +1,13 @@
 //! End-to-end tests of the `llmtailor` CLI binary.
 
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::manifest::SaveLog;
-use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
+use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::TrainerState;
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
 use llmt_zero::ZeroEngine;
 use std::path::Path;
@@ -51,15 +54,23 @@ fn build_run(root: &Path, cfg: &ModelConfig) {
             grad_accum: 1,
             seq_len: 8,
         };
-        save_checkpoint(&SaveRequest {
-            root,
-            step,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &units,
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root,
+                step,
+                source: &LiveState {
+                    config: cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units: &units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::default(),
+        )
         .unwrap();
         for u in units {
             log.record(u, step);

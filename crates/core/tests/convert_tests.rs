@@ -10,10 +10,13 @@
 //!    stripped back down; the consolidated `model.safetensors` +
 //!    `config.json` come back with identical digests.
 
-use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::TrainerState;
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
 use llmt_zero::{Topology, ZeroEngine};
 use llmtailor::{convert_checkpoint, TargetLayout};
@@ -77,16 +80,25 @@ impl Fixture {
             grad_accum: 1,
             seq_len: 8,
         };
-        save_checkpoint(&SaveRequest {
-            root,
-            step: self.step,
-            config: &self.cfg,
-            params: &self.model.params,
-            engine: &self.engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(&self.cfg),
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root,
+                step: self.step,
+                source: &LiveState {
+                    config: &self.cfg,
+                    params: &self.model.params,
+                    engine: &self.engine,
+                },
+                trainer_state: &ts,
+                units: &LayerUnit::all(&self.cfg),
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::default(),
+        )
         .unwrap()
+        .report
         .paths
         .dir
     }

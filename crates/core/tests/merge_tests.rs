@@ -1,9 +1,12 @@
 //! End-to-end tests of the merge engine against real training state.
 
-use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{CheckpointHandle, LoadMode, PartialManifest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
 use llmt_zero::ZeroEngine;
 use llmtailor::{
@@ -74,16 +77,25 @@ impl Fixture {
 
     fn save(&self, root: &Path, units: &[LayerUnit]) -> PathBuf {
         let ts = self.trainer_state();
-        save_checkpoint(&SaveRequest {
-            root,
-            step: self.step,
-            config: &self.cfg,
-            params: &self.model.params,
-            engine: &self.engine,
-            trainer_state: &ts,
-            units,
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root,
+                step: self.step,
+                source: &LiveState {
+                    config: &self.cfg,
+                    params: &self.model.params,
+                    engine: &self.engine,
+                },
+                trainer_state: &ts,
+                units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::default(),
+        )
         .unwrap()
+        .report
         .paths
         .dir
     }

@@ -1,10 +1,13 @@
 //! Property tests for the merge engine: any assignment of units across two
 //! checkpoints yields a full checkpoint with bit-exact per-unit provenance.
 
-use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{CheckpointHandle, LoadMode, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::rng::Prng;
 use llmt_zero::ZeroEngine;
 use llmtailor::{merge_with_recipe, LoadPattern, MergeRecipe, SliceSpec};
@@ -41,16 +44,25 @@ fn save_at(root: &Path, cfg: &ModelConfig, seed: u64, steps: u64) -> PathBuf {
         grad_accum: 1,
         seq_len: 8,
     };
-    save_checkpoint(&SaveRequest {
-        root,
-        step: steps,
-        config: cfg,
-        params: &model.params,
-        engine: &engine,
-        trainer_state: &ts,
-        units: &LayerUnit::all(cfg),
-    })
+    engine::save(
+        &[&LocalFs],
+        &SaveRequest {
+            root,
+            step: steps,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine: &engine,
+            },
+            trainer_state: &ts,
+            units: &LayerUnit::all(cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        },
+        &SaveOptions::default(),
+    )
     .unwrap()
+    .report
     .paths
     .dir
 }

@@ -2,6 +2,10 @@
 //! request/response pair at a time.
 
 use crate::protocol::{write_message, LineReader, Request, Response};
+use llmt_ckpt::engine::{self, SaveOptions};
+use llmt_ckpt::error::io_err;
+use llmt_ckpt::{CheckpointReport, SaveRequest};
+use llmt_storage::vfs::Storage;
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -101,6 +105,46 @@ impl DaemonClient {
         match expect_reply(self.request(&Request::SaveAbort { session })?)? {
             Response::Ok => Ok(()),
             other => Err(unexpected("save_abort", &other)),
+        }
+    }
+
+    /// Save one checkpoint of tenant `run` through the daemon: admit a
+    /// publisher session declaring `declared_bytes` (blocking on the
+    /// admission budget), save `req` under the granted run root — whose
+    /// `CASROOT` redirect lands every object in the daemon's shared store,
+    /// so dedup is forced on — then have the daemon publish the committed
+    /// manifest. A failed save aborts the session so its budget frees at
+    /// once. Returns the report and the number of published digests.
+    pub fn save(
+        &mut self,
+        storage: &dyn Storage,
+        run: &str,
+        declared_bytes: u64,
+        req: &SaveRequest,
+        opts: &SaveOptions,
+    ) -> llmt_ckpt::Result<(CheckpointReport, usize)> {
+        let (session, run_root) = self
+            .save_begin(run, declared_bytes, true)
+            .map_err(io_err(req.root))?;
+        let req = SaveRequest {
+            root: &run_root,
+            ..*req
+        };
+        let opts = SaveOptions {
+            dedup: true,
+            ..*opts
+        };
+        match engine::save(&[storage], &req, &opts) {
+            Ok(placed) => {
+                let published = self
+                    .save_commit(session, req.step)
+                    .map_err(io_err(&run_root))?;
+                Ok((placed.report, published))
+            }
+            Err(e) => {
+                let _ = self.save_abort(session);
+                Err(e)
+            }
         }
     }
 

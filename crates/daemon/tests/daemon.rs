@@ -9,12 +9,13 @@
 //! every sweep — zero swept-live objects, survivors verify deep.
 
 use llmt_cas::{Digest, ObjectStore};
-use llmt_ckpt::engine::{self, SaveOptions};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{scan_run_root, PartialManifest, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_daemon::{Daemon, DaemonClient, DaemonConfig, Request, Response};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::{
     FaultKind, FaultSpec, FaultyFs, LocalFs, ManualClock, RetryPolicy, RetryingStorage, Storage,
@@ -91,17 +92,21 @@ fn save_via_daemon(
     let req = SaveRequest {
         root: &run_root,
         step,
-        config: cfg,
-        params: &model.params,
-        engine,
+        source: &LiveState {
+            config: cfg,
+            params: &model.params,
+            engine,
+        },
         trainer_state: ts,
         units: &units,
+        metrics: &MetricsRegistry::new(),
+        store: None,
     };
     let opts = SaveOptions {
         dedup: true,
         ..SaveOptions::default()
     };
-    engine::save(storage, &req, &opts).map_err(std::io::Error::other)?;
+    engine::save(&[storage], &req, &opts).map_err(std::io::Error::other)?;
     client.save_commit(session, step)?;
     Ok(())
 }
@@ -348,11 +353,15 @@ fn daemon_resumes_an_interrupted_tier_drain() {
             &SaveRequest {
                 root: &run_root,
                 step,
-                config: &cfg,
-                params: &model.params,
-                engine: &engine,
+                source: &LiveState {
+                    config: &cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
                 trainer_state: &ts,
                 units: &units,
+                metrics: &MetricsRegistry::new(),
+                store: None,
             },
             &SaveOptions::default(),
         )

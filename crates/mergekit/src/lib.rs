@@ -196,10 +196,13 @@ pub fn is_resumable(dir: &Path) -> bool {
 
 #[cfg(test)]
 pub(crate) mod test_helpers {
-    use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
+    use llmt_ckpt::engine::{self, LiveState, SaveOptions};
+    use llmt_ckpt::writer::SaveRequest;
     use llmt_ckpt::TrainerState;
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+    use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
+    use llmt_storage::vfs::LocalFs;
     use llmt_tensor::rng::Prng;
     use llmt_zero::ZeroEngine;
     use std::path::{Path, PathBuf};
@@ -232,16 +235,25 @@ pub(crate) mod test_helpers {
             grad_accum: 1,
             seq_len: 8,
         };
-        save_checkpoint(&SaveRequest {
-            root,
-            step: steps,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
-            trainer_state: &ts,
-            units: &LayerUnit::all(cfg),
-        })
+        engine::save(
+            &[&LocalFs],
+            &SaveRequest {
+                root,
+                step: steps,
+                source: &LiveState {
+                    config: cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units: &LayerUnit::all(cfg),
+                metrics: &MetricsRegistry::new(),
+                store: None,
+            },
+            &SaveOptions::default(),
+        )
         .unwrap()
+        .report
         .paths
         .dir
     }
@@ -251,7 +263,6 @@ pub(crate) mod test_helpers {
 mod tests {
     use super::*;
     use crate::test_helpers::save_full;
-    use llmt_ckpt::writer::{save_checkpoint, SaveRequest};
     use llmt_ckpt::TrainerState;
     use llmt_model::{Batch, Model, ParamSet};
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};

@@ -395,8 +395,8 @@ pub enum FaultKind {
     Crash,
 }
 
-/// When and how [`FaultyFs`] fails. Serializable so a trainer config can
-/// carry a crash schedule (`TrainerConfig::crash_during_save`).
+/// When and how [`FaultyFs`] fails. Serializable so a chaos harness can
+/// record the schedule that broke it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Zero-based index of the storage op at which the fault fires.

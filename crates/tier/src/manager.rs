@@ -24,7 +24,7 @@
 use crate::mem::MemStorage;
 use crate::sim::{FlakeSpec, ModeledStorage, RebasedStorage};
 use llmt_cas::{Digest, ObjectKind, ObjectStore};
-use llmt_ckpt::engine::{save_source_placed, LiveState, SaveOptions};
+use llmt_ckpt::engine::{self, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{
     restore_checkpoint_with, CheckpointPaths, CheckpointReport, CkptError, PartialManifest,
@@ -342,6 +342,10 @@ pub struct TierManager {
     metrics: MetricsRegistry,
     journal: Journal,
     state: Mutex<TierState>,
+    /// Held across one whole [`Self::persist_state`], so concurrent
+    /// persists (a save beside a drain hop) neither share the tmp file
+    /// nor land an older snapshot over a newer one.
+    persist: Mutex<()>,
 }
 
 impl std::fmt::Debug for TierManager {
@@ -392,6 +396,7 @@ impl TierManager {
             metrics,
             journal,
             state: Mutex::new(TierState::default()),
+            persist: Mutex::new(()),
         };
         mgr.recover()?;
         Ok(Arc::new(mgr))
@@ -521,8 +526,13 @@ impl TierManager {
         Ok(())
     }
 
-    /// Atomically persist `.tier/state.json` (tmp → sync → rename).
+    /// Atomically persist `.tier/state.json` (tmp → sync → rename), one
+    /// persist at a time: snapshots reach disk in the order they were taken.
     fn persist_state(&self) -> io::Result<()> {
+        let _persisting = self
+            .persist
+            .lock()
+            .expect("a persist panicked mid-write; the tmp file may be torn");
         let state = self.state.lock().unwrap().clone();
         let dir = self.root.join(TIER_DIR);
         self.fs.create_dir_all(&dir)?;
@@ -561,17 +571,16 @@ impl TierManager {
     /// commits (memory first if configured, fs otherwise), lower tiers
     /// are queued for background draining. Returns once the commit is
     /// durable *at the placement tier* — with a memory tier, that is the
-    /// trainer's unblock point.
+    /// trainer's unblock point. Spans and placement counters go to the
+    /// manager's registry, not the request's.
     pub fn save(&self, req: &SaveRequest, opts: &SaveOptions) -> llmt_ckpt::Result<TierSaveReport> {
-        assert_eq!(
-            req.root, self.root,
-            "TierManager::save: request root must be the manager's root"
-        );
-        let source = LiveState {
-            config: req.config,
-            params: req.params,
-            engine: req.engine,
-        };
+        if req.root != self.root {
+            return Err(CkptError::Incompatible(format!(
+                "TierManager::save: request root {} is not the manager's root {}",
+                req.root.display(),
+                self.root.display()
+            )));
+        }
         let mut placements: Vec<&dyn Storage> = Vec::new();
         let mut levels: Vec<TierLevel> = Vec::new();
         if let Some(m) = &self.mem_facade {
@@ -581,16 +590,11 @@ impl TierManager {
         placements.push(&*self.fs);
         levels.push(TierLevel::Fs);
 
-        let placed = save_source_placed(
-            &placements,
-            req.root,
-            req.step,
-            &source,
-            req.trainer_state,
-            req.units,
-            opts,
-            &self.metrics,
-        )?;
+        let req = SaveRequest {
+            metrics: &self.metrics,
+            ..*req
+        };
+        let placed = engine::save(&placements, &req, opts)?;
         let level = levels[placed.placement];
         self.metrics
             .counter(&format!("tier.place.{}", level.as_str()))

@@ -13,10 +13,11 @@
 //! (b) keep it, resume the drain, and produce verify-on-read bit-exact
 //! restores from both durable tiers.
 
-use llmt_ckpt::engine::{Parallelism, SaveOptions};
+use llmt_ckpt::engine::{LiveState, Parallelism, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{RestoreRequest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs, LocalFs, ManualClock, Storage};
 use llmt_tensor::rng::Prng;
@@ -81,11 +82,15 @@ fn save_step(mgr: &TierManager, root: &Path, cfg: &ModelConfig, step: u64) {
         &SaveRequest {
             root,
             step,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine: &engine,
+            },
             trainer_state: &ts,
             units: &units,
+            metrics: &MetricsRegistry::new(),
+            store: None,
         },
         &save_opts(),
     )

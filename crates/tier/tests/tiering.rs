@@ -2,11 +2,12 @@
 //! fallthrough, drain bit-exactness, crash/restart residency, eviction,
 //! read-through promotion, and object-store retry semantics.
 
-use llmt_ckpt::engine::SaveOptions;
+use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::TrainerState;
 use llmt_ckpt::{CkptError, RestoreRequest};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::{LocalFs, ManualClock, RetryPolicy, RetryingStorage, Storage};
 use llmt_storage::StorageModel;
@@ -17,7 +18,7 @@ use llmt_tier::{
 };
 use llmt_zero::ZeroEngine;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 fn make_state(cfg: &ModelConfig, seed: u64) -> (Model, ZeroEngine, TrainerState) {
     let mut model = Model::new(cfg.clone(), seed);
@@ -50,22 +51,34 @@ fn make_state(cfg: &ModelConfig, seed: u64) -> (Model, ZeroEngine, TrainerState)
 }
 
 fn save_step(mgr: &TierManager, root: &Path, cfg: &ModelConfig, step: u64) -> TierLevel {
+    try_save_step(mgr, root, cfg, step).expect("tiered save")
+}
+
+fn try_save_step(
+    mgr: &TierManager,
+    root: &Path,
+    cfg: &ModelConfig,
+    step: u64,
+) -> llmt_ckpt::Result<TierLevel> {
     let (model, engine, ts) = make_state(cfg, step);
     let units = LayerUnit::all(cfg);
     mgr.save(
         &SaveRequest {
             root,
             step,
-            config: cfg,
-            params: &model.params,
-            engine: &engine,
+            source: &LiveState {
+                config: cfg,
+                params: &model.params,
+                engine: &engine,
+            },
             trainer_state: &ts,
             units: &units,
+            metrics: &MetricsRegistry::new(),
+            store: None,
         },
         &SaveOptions::default(),
     )
-    .expect("tiered save")
-    .placed
+    .map(|placed| placed.placed)
 }
 
 fn cfg_all_tiers() -> TierConfig {
@@ -505,11 +518,15 @@ fn drains_carry_delta_chains_to_every_tier() {
                 &SaveRequest {
                     root,
                     step,
-                    config: &cfg,
-                    params: &model.params,
-                    engine: &engine,
+                    source: &LiveState {
+                        config: &cfg,
+                        params: &model.params,
+                        engine: &engine,
+                    },
                     trainer_state: &ts,
                     units: &units,
+                    metrics: &MetricsRegistry::new(),
+                    store: None,
                 },
                 &opts,
             )
@@ -554,4 +571,163 @@ fn drains_carry_delta_chains_to_every_tier() {
             );
         }
     }
+}
+
+#[test]
+fn save_under_a_foreign_root_is_a_typed_error() {
+    let dir = tempfile::tempdir().unwrap();
+    let elsewhere = tempfile::tempdir().unwrap();
+    let (mgr, _clock, _metrics) = open_mgr(dir.path(), TierConfig::default());
+    let err = try_save_step(&mgr, elsewhere.path(), &ModelConfig::tiny_test(), 1).unwrap_err();
+    assert!(matches!(err, CkptError::Incompatible(_)), "{err}");
+    assert!(mgr.status().checkpoints.is_empty());
+}
+
+/// `LocalFs` with one rendezvous point for the tier-state persist race:
+/// an armed gate holds the next write of `.tier/state.json.tmp` until
+/// some *other* persist has renamed that file into place, or — when
+/// persists are properly serialized and that can never happen — until
+/// `HOLD` has passed.
+#[derive(Debug, Default)]
+struct PersistGate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    armed: bool,
+    holding: bool,
+    renames: u64,
+}
+
+const HOLD: std::time::Duration = std::time::Duration::from_millis(300);
+
+impl PersistGate {
+    fn is_state_tmp(path: &Path) -> bool {
+        path.ends_with(Path::new(TIER_DIR).join("state.json.tmp"))
+    }
+
+    fn arm(&self) {
+        self.state.lock().unwrap().armed = true;
+    }
+
+    /// Block until a persist is held at the gate.
+    fn wait_until_holding(&self) {
+        let st = self.state.lock().unwrap();
+        drop(self.changed.wait_while(st, |s| !s.holding).unwrap());
+    }
+}
+
+impl Storage for PersistGate {
+    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        if Self::is_state_tmp(path) {
+            let mut st = self.state.lock().unwrap();
+            if st.armed {
+                st.armed = false;
+                st.holding = true;
+                self.changed.notify_all();
+                let seen = st.renames;
+                let (mut st, _) = self
+                    .changed
+                    .wait_timeout_while(st, HOLD, |s| s.renames == seen)
+                    .unwrap();
+                st.holding = false;
+            }
+        }
+        LocalFs.write(path, bytes)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        LocalFs.rename(from, to)?;
+        if Self::is_state_tmp(from) {
+            self.state.lock().unwrap().renames += 1;
+            self.changed.notify_all();
+        }
+        Ok(())
+    }
+
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        LocalFs.create_dir_all(path)
+    }
+    fn sync(&self, path: &Path) -> std::io::Result<()> {
+        LocalFs.sync(path)
+    }
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        LocalFs.read(path)
+    }
+    fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
+        LocalFs.read_range(path, offset, len)
+    }
+    fn list_dir(&self, path: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
+        LocalFs.list_dir(path)
+    }
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        LocalFs.remove_dir_all(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        LocalFs.exists(path)
+    }
+    fn file_len(&self, path: &Path) -> std::io::Result<u64> {
+        LocalFs.file_len(path)
+    }
+    fn hard_link(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        LocalFs.hard_link(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        LocalFs.remove_file(path)
+    }
+    fn create_stream<'a>(
+        &'a self,
+        path: &Path,
+    ) -> std::io::Result<Box<dyn llmt_storage::vfs::WriteStream + 'a>> {
+        LocalFs.create_stream(path)
+    }
+}
+
+#[test]
+fn saves_overlapping_drain_hops_all_succeed_and_persist_in_order() {
+    const SAVES: u64 = 4;
+    let dir = tempfile::tempdir().unwrap();
+    let root = dir.path();
+    let cfg = ModelConfig::tiny_test();
+    let gate = Arc::new(PersistGate::default());
+    let mgr = TierManager::open(
+        root,
+        gate.clone(),
+        TierConfig {
+            drain_bw: 0.0,
+            ..TierConfig::default()
+        },
+        Arc::new(ManualClock::default()),
+        MetricsRegistry::new(),
+    )
+    .unwrap();
+    assert_eq!(save_step(&mgr, root, &cfg, 1), TierLevel::Mem);
+
+    // Every further save's persist is held at the gate with its snapshot
+    // already taken, while a drain hop of the previous step runs to its
+    // own persist. Unserialized, the hop's newer snapshot lands first and
+    // the save's older one then replaces it (or loses the shared tmp
+    // file and the committed save reports `Err`).
+    for step in 2..=SAVES {
+        gate.arm();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                gate.wait_until_holding();
+                let hop = mgr.drain_step().expect("drain hop beside a save");
+                assert_eq!(hop.map(|h| h.step), Some(step - 1));
+            });
+            try_save_step(&mgr, root, &cfg, step)
+                .unwrap_or_else(|e| panic!("save {step} committed but reported {e}"));
+        });
+        // Whichever persist came last, the file a reopened manager would
+        // load is the live state.
+        assert_eq!(
+            load_status(&LocalFs, root).unwrap(),
+            Some(mgr.status()),
+            "after save {step}"
+        );
+    }
+    assert_eq!(mgr.status().pending_drains, 1);
 }

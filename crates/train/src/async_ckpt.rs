@@ -34,7 +34,7 @@
 use crate::snapshot::CowSnapshot;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use llmt_ckpt::engine::{self, SaveOptions};
-use llmt_ckpt::writer::CheckpointReport;
+use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
 use llmt_ckpt::{CkptError, Result, TrainerState};
 use llmt_model::LayerUnit;
 use llmt_obs::{Counter, MetricsRegistry};
@@ -111,17 +111,17 @@ impl AsyncCheckpointer {
             .name("ckpt-writer".into())
             .spawn(move || {
                 while let Ok(Msg::Job(job)) = rx.recv() {
-                    let result = engine::save_source_with(
-                        &*storage,
-                        &job.root,
-                        job.step,
-                        &job.snapshot,
-                        &job.trainer_state,
-                        &job.units,
-                        &job.options,
-                        &worker_metrics,
-                    )
-                    .map(|mut report| {
+                    let req = SaveRequest {
+                        root: &job.root,
+                        step: job.step,
+                        source: &job.snapshot,
+                        trainer_state: &job.trainer_state,
+                        units: &job.units,
+                        metrics: &worker_metrics,
+                        store: None,
+                    };
+                    let result = engine::save(&[&*storage], &req, &job.options).map(|placed| {
+                        let mut report = placed.report;
                         report.timings.snapshot_ns = job.snapshot_ns;
                         report
                     });

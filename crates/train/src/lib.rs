@@ -14,7 +14,6 @@
 //! appendix: save-log JSON -> auto-generated recipe -> merge -> resume.
 
 pub mod async_ckpt;
-pub mod memory_tier;
 pub mod recover;
 pub mod report;
 pub mod resume;
@@ -22,7 +21,6 @@ pub mod snapshot;
 pub mod trainer;
 
 pub use async_ckpt::{AsyncCheckpointer, SnapshotJob};
-pub use memory_tier::{MemorySnapshot, MemoryTier};
 pub use recover::recover_checkpoint;
 pub use report::RunReport;
 pub use resume::{resume_trainer, resume_trainer_on};

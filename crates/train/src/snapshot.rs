@@ -248,7 +248,7 @@ impl SnapshotTracker {
 /// one async save: shared [`UnitBlock`]s plus the small metadata the
 /// checkpoint engine needs. Implements
 /// [`StateSource`](llmt_ckpt::engine::StateSource), so the background
-/// writer feeds it straight into `engine::save_source`.
+/// writer hands it to `engine::save` as the request's source.
 #[derive(Debug)]
 pub struct CowSnapshot {
     /// Model configuration at capture time.

@@ -2,18 +2,16 @@
 
 use crate::report::RunReport;
 use crate::snapshot::{SnapshotTracker, StagedGauge};
-use llmt_ckpt::engine::{self, Parallelism, SaveOptions};
+use llmt_ckpt::engine::{self, LiveState, Parallelism, SaveOptions};
 use llmt_ckpt::error::io_err;
 use llmt_ckpt::manifest::SaveLog;
 use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
-use llmt_ckpt::{Result, TrainerState};
+use llmt_ckpt::{CkptError, Result, TrainerState};
 use llmt_data::{BatchSource, DataTask};
 use llmt_model::{Model, ModelConfig, ParamSet};
 use llmt_obs::{Journal, MetricsRegistry, RunEvent};
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
-use llmt_storage::vfs::{
-    FaultSpec, FaultyFs, LocalFs, ManualClock, RetryPolicy, RetryingStorage, Storage, SystemClock,
-};
+use llmt_storage::vfs::{LocalFs, RetryPolicy, RetryingStorage, Storage, SystemClock};
 use llmt_storage::{IoTally, RestoreTimings, StageTimings};
 use llmt_tensor::rng::Prng;
 use llmt_zero::{Topology, ZeroEngine};
@@ -70,17 +68,6 @@ pub struct TrainerConfig {
     /// averaging, matching the HF Trainer.
     #[serde(default)]
     pub max_grad_norm: Option<f32>,
-    /// Fault-injection hook for crash-consistency testing: when set, every
-    /// checkpoint write goes through a seeded
-    /// [`FaultyFs`](llmt_storage::vfs::FaultyFs) that fires this fault at
-    /// its `at_op`-th storage operation (counted across the whole run).
-    /// `None` (the default, and the only sensible production value) uses
-    /// the plain local filesystem. Retries with deterministic backoff wrap
-    /// both modes; with a fault configured the backoff clock is a
-    /// [`ManualClock`](llmt_storage::vfs::ManualClock) so chaos tests
-    /// never wall-sleep.
-    #[serde(default)]
-    pub crash_during_save: Option<FaultSpec>,
     /// Route checkpoint payloads through the content-addressed object
     /// store at `<run_root>/objects/`: each layer's bytes are stored once
     /// under their digest and checkpoints hold hard links, so an unchanged
@@ -157,7 +144,6 @@ impl TrainerConfig {
             run_root,
             async_checkpointing: false,
             max_grad_norm: Some(1.0),
-            crash_during_save: None,
             dedup_checkpoints: false,
             frozen_units: Vec::new(),
             ckpt_chunk_bytes: None,
@@ -178,9 +164,9 @@ impl TrainerConfig {
         }
     }
 
-    /// The storage stack this configuration implies: retrying-with-backoff
-    /// over either the local filesystem or (when [`Self::crash_during_save`]
-    /// is set) a fault-injecting wrapper seeded from the run seed.
+    /// The storage stack this configuration implies: the local
+    /// filesystem behind retry-with-backoff. Fault injection hands its own
+    /// stack to [`Trainer::with_storage`] instead.
     pub fn build_storage(&self) -> Arc<dyn Storage> {
         self.build_storage_parts().0
     }
@@ -189,23 +175,9 @@ impl TrainerConfig {
     /// counter of the wrapping [`RetryingStorage`] so run events can
     /// attribute absorbed transient faults.
     pub fn build_storage_parts(&self) -> (Arc<dyn Storage>, Arc<AtomicU64>) {
-        match self.crash_during_save {
-            Some(spec) => {
-                let s = RetryingStorage::new(
-                    FaultyFs::with_seed(LocalFs, spec, self.seed),
-                    RetryPolicy::default(),
-                    Arc::new(ManualClock::default()),
-                );
-                let retries = s.retry_counter();
-                (Arc::new(s), retries)
-            }
-            None => {
-                let s =
-                    RetryingStorage::new(LocalFs, RetryPolicy::default(), Arc::new(SystemClock));
-                let retries = s.retry_counter();
-                (Arc::new(s), retries)
-            }
-        }
+        let s = RetryingStorage::new(LocalFs, RetryPolicy::default(), Arc::new(SystemClock));
+        let retries = s.retry_counter();
+        (Arc::new(s), retries)
     }
 }
 
@@ -238,8 +210,8 @@ pub struct Trainer {
     /// Copy-on-write snapshot bookkeeping for async saves: tracks which
     /// units the optimizer has mutated so a snapshot clones only those.
     snapshots: SnapshotTracker,
-    /// Storage stack every checkpoint write goes through (retry wrapper,
-    /// optionally fault-injecting — see `TrainerConfig::crash_during_save`).
+    /// Storage stack every checkpoint write goes through (the config's
+    /// retry wrapper, or whatever [`Trainer::with_storage`] was handed).
     storage: Arc<dyn Storage>,
     /// Run-wide metrics registry every pipeline stage emits into (save
     /// spans, restore spans, snapshot gauge, dedup counters).
@@ -592,40 +564,36 @@ impl Trainer {
     /// selection, and record the decisions in the save log.
     pub fn checkpoint(&mut self) -> Result<CheckpointReport> {
         let storage = self.storage.clone();
-        let metrics = self.metrics.clone();
         let opts = self.save_options();
-        self.checkpoint_with(move |req| engine::save_with(&*storage, req, &opts, &metrics))
+        self.checkpoint_with(|req| Ok(engine::save(&[&*storage], req, &opts)?.report))
     }
 
     /// [`Trainer::checkpoint`] with the actual save delegated to `save`:
     /// the trainer does everything around the write — strategy-driven
     /// unit selection, save-log recording, event journaling — while the
     /// closure decides *where* and *through what* the bytes go (the
-    /// private run root, a coordinator session, a daemon session).
+    /// private run root, a tier manager, a coordinator or daemon session).
     pub fn checkpoint_with<F>(&mut self, save: F) -> Result<CheckpointReport>
     where
         F: FnOnce(&SaveRequest<'_>) -> Result<CheckpointReport>,
     {
         let units = self.select_units();
         let ts = self.trainer_state();
-        let req = SaveRequest {
+        let report = save(&SaveRequest {
             root: &self.config.run_root,
             step: self.step,
-            config: &self.config.model_config,
-            params: &self.model.params,
-            engine: &self.engine,
+            source: &LiveState {
+                config: &self.config.model_config,
+                params: &self.model.params,
+                engine: &self.engine,
+            },
             trainer_state: &ts,
             units: &units,
-        };
-        let report = save(&req)?;
-        for u in &report.units {
-            self.save_log.record(*u, self.step);
-        }
+            metrics: &self.metrics,
+            store: None,
+        })?;
         self.ckpt_event += 1;
-        // Persist the save log next to the checkpoints (the artifact JSON).
-        self.save_log
-            .save_on(&*self.storage, &self.config.run_root.join("save_log.json"))?;
-        self.journal_save(self.step, &report)?;
+        self.book_save(self.step, &report)?;
         Ok(report)
     }
 
@@ -640,50 +608,19 @@ impl Trainer {
         proj.model + proj.optim + (1 << 20)
     }
 
-    /// Checkpoint through a running `llmtailord`: admit a publisher
-    /// session (blocking on the daemon's admission budget), save into
-    /// the granted run root — whose `CASROOT` redirect lands every
-    /// object in the daemon's shared store — then ask the daemon to
-    /// publish the committed manifest. On a failed save the session is
-    /// aborted so its admission budget frees immediately.
-    ///
-    /// Dedup is forced on, as with any shared-store save; the trainer's
-    /// own save log and event journal stay under its private run root.
+    /// Checkpoint through a running `llmtailord`
+    /// ([`llmt_daemon::DaemonClient::save`]). The trainer's own save log
+    /// and event journal stay under its private run root and are written
+    /// only after the daemon acknowledged the commit.
     pub fn checkpoint_via_daemon(
         &mut self,
         client: &mut llmt_daemon::DaemonClient,
         run: &str,
     ) -> Result<CheckpointReport> {
         let declared = self.declared_save_bytes();
-        let (session, run_root) = client
-            .save_begin(run, declared, true)
-            .map_err(io_err(&self.config.run_root))?;
         let storage = self.storage.clone();
-        let metrics = self.metrics.clone();
-        let opts = SaveOptions {
-            dedup: true,
-            ..self.save_options()
-        };
-        let step = self.step;
-        let result = self.checkpoint_with(move |req| {
-            let req = SaveRequest {
-                root: &run_root,
-                ..*req
-            };
-            engine::save_with(&*storage, &req, &opts, &metrics)
-        });
-        match result {
-            Ok(report) => {
-                client
-                    .save_commit(session, step)
-                    .map_err(io_err(&self.config.run_root))?;
-                Ok(report)
-            }
-            Err(e) => {
-                let _ = client.save_abort(session);
-                Err(e)
-            }
-        }
+        let opts = self.save_options();
+        self.checkpoint_with(|req| Ok(client.save(&*storage, run, declared, req, &opts)?.0))
     }
 
     /// The run-wide metrics registry.
@@ -691,11 +628,18 @@ impl Trainer {
         &self.metrics
     }
 
-    /// Append a "save" event to the run journal. Errors propagate: the
-    /// journal rides the same storage stack as the checkpoints, and a
-    /// storage that just died mid-append must abort the run exactly like
-    /// a torn payload write would.
-    fn journal_save(&mut self, step: u64, ck: &CheckpointReport) -> Result<()> {
+    /// Book a committed save: record its units in the save log, persist
+    /// the log next to the checkpoints (the artifact JSON), and append a
+    /// "save" event to the run journal. Errors propagate: log and journal
+    /// ride the same storage stack as the checkpoints, and a storage that
+    /// just died mid-append must abort the run exactly like a torn
+    /// payload write would.
+    fn book_save(&mut self, step: u64, ck: &CheckpointReport) -> Result<()> {
+        for u in &ck.units {
+            self.save_log.record(*u, step);
+        }
+        self.save_log
+            .save_on(&*self.storage, &self.config.run_root.join("save_log.json"))?;
         let mut ev = RunEvent::new("save", step);
         ev.bytes = ck.total_bytes;
         ev.physical_bytes = ck.physical_bytes;
@@ -798,14 +742,18 @@ impl Trainer {
     /// snapshot (copy-on-write capture of dirty units) blocks; the save
     /// log is updated when the write completes (see `collect_async`).
     pub fn checkpoint_async(&mut self) -> Result<()> {
+        if self.async_writer.is_none() {
+            return Err(CkptError::Incompatible(
+                "checkpoint_async on a trainer built without config.async_checkpointing".into(),
+            ));
+        }
         let units = self.select_units();
         let job = self.snapshot_job(units)?;
         self.ckpt_event += 1;
         self.async_writer
             .as_mut()
-            .expect("checkpoint_async requires config.async_checkpointing")
-            .submit(job)?;
-        Ok(())
+            .expect("checked above")
+            .submit(job)
     }
 
     fn collect_async(
@@ -820,12 +768,7 @@ impl Trainer {
         let done = if block { writer.drain() } else { writer.poll() };
         for (step, result) in done {
             let ck = result?;
-            for u in &ck.units {
-                self.save_log.record(*u, step);
-            }
-            self.save_log
-                .save_on(&*self.storage, &self.config.run_root.join("save_log.json"))?;
-            self.journal_save(step, &ck)?;
+            self.book_save(step, &ck)?;
             tally.record(ck.physical_bytes, ck.files_written as u64);
             tally.record_saved(ck.dedup_bytes);
             tally.record_stages(&ck.timings);
@@ -963,18 +906,27 @@ mod tests {
         assert_eq!(t.engine.step_count, 3);
     }
 
+    /// A trainer whose storage fires `kind` at its 6th operation — partway
+    /// through the very first save (a full save takes ~20 storage ops) —
+    /// behind the production retry wrapper on a [`ManualClock`], so
+    /// backoff takes no wall time.
+    fn faulty_trainer(cfg: TrainerConfig, kind: llmt_storage::vfs::FaultKind) -> Trainer {
+        use llmt_storage::vfs::{FaultSpec, FaultyFs, ManualClock};
+        let faulty = FaultyFs::with_seed(LocalFs, FaultSpec { at_op: 6, kind }, cfg.seed);
+        let clock = Arc::new(ManualClock::default());
+        let storage = RetryingStorage::new(faulty, RetryPolicy::default(), clock);
+        Trainer::with_storage(cfg, Arc::new(storage))
+    }
+
     #[test]
-    fn crash_during_save_tears_the_checkpoint_and_surfaces_err() {
+    fn crash_mid_save_tears_the_checkpoint_and_surfaces_err() {
         use llmt_storage::vfs::FaultKind;
         let dir = tempfile::tempdir().unwrap();
-        let mut cfg = quick_config(dir.path());
-        // Dies partway through the very first save (a full save takes ~20
-        // storage ops), so nothing can ever commit.
-        cfg.crash_during_save = Some(FaultSpec {
-            at_op: 6,
-            kind: FaultKind::TornWrite { keep_bytes: None },
-        });
-        let mut t = Trainer::new(cfg);
+        // Dead from the first save on, so nothing can ever commit.
+        let mut t = faulty_trainer(
+            quick_config(dir.path()),
+            FaultKind::TornWrite { keep_bytes: None },
+        );
         assert!(
             t.train_until(10, None).is_err(),
             "dead storage must abort the run"
@@ -991,20 +943,27 @@ mod tests {
     fn transient_faults_are_absorbed_by_retries_without_wall_sleep() {
         use llmt_storage::vfs::FaultKind;
         let dir = tempfile::tempdir().unwrap();
-        let mut cfg = quick_config(dir.path());
         // Two consecutive EIO-like failures mid-save: the retry wrapper
-        // (on a ManualClock, so this test takes no wall time in backoff)
         // must ride them out and commit normally.
-        cfg.crash_during_save = Some(FaultSpec {
-            at_op: 6,
-            kind: FaultKind::Transient { failures: 2 },
-        });
-        let mut t = Trainer::new(cfg);
+        let mut t = faulty_trainer(
+            quick_config(dir.path()),
+            FaultKind::Transient { failures: 2 },
+        );
         let report = t.train_until(7, None).unwrap();
         assert_eq!(report.ckpt_steps, vec![2, 4, 6]);
         let scan = llmt_ckpt::scan_run_root(dir.path());
         assert_eq!(scan.committed_steps(), vec![2, 4, 6]);
         assert!(scan.quarantined.is_empty(), "{:?}", scan.quarantined);
+    }
+
+    #[test]
+    fn checkpoint_async_without_the_writer_is_a_typed_error() {
+        let dir = tempfile::tempdir().unwrap();
+        let mut t = Trainer::new(TrainerConfig::test_default(dir.path().to_path_buf()));
+        t.step_once();
+        let err = t.checkpoint_async().unwrap_err();
+        assert!(matches!(err, CkptError::Incompatible(_)), "{err}");
+        assert_eq!(t.ckpt_event, 0, "a refused save is not a checkpoint event");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! and resuming from the daemon-held checkpoint is bit-exact.
 
 use llmt_daemon::{Daemon, DaemonClient, DaemonConfig};
+use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs, LocalFs};
 use llmt_train::{resume_trainer, Trainer, TrainerConfig};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn daemon_config() -> DaemonConfig {
@@ -84,12 +86,12 @@ fn failed_daemon_save_releases_its_session() {
     // A save that dies mid-write (fault injection) must abort its
     // daemon session so the admission budget frees for the next save.
     let mut cfg = TrainerConfig::test_default(private.path().to_path_buf());
-    cfg.crash_during_save = Some(llmt_storage::vfs::FaultSpec {
-        at_op: 5,
-        kind: llmt_storage::vfs::FaultKind::Crash,
-    });
     cfg.sequential_ckpt_io = true;
-    let mut t = Trainer::new(cfg);
+    let spec = FaultSpec {
+        at_op: 5,
+        kind: FaultKind::Crash,
+    };
+    let mut t = Trainer::with_storage(cfg, Arc::new(FaultyFs::new(LocalFs, spec)));
     t.train_until(2, None).unwrap();
     t.checkpoint_via_daemon(&mut client, "run-b")
         .expect_err("fault-injected save must fail");

@@ -1,18 +1,27 @@
-//! The unified save engine is one pipeline with three entry modes — sync,
-//! async (copy-on-write snapshot) and dedup (content-addressed) — and the
-//! modes must be observationally equivalent:
+//! `engine::save` is one pipeline behind every placement — a plain
+//! directory, the content-addressed store, an async copy-on-write
+//! snapshot, a tier manager, a coordinator publisher session — and the
+//! placements must be observationally equivalent:
 //!
-//! 1. The same trainer step saved through each mode yields bit-identical
-//!    unit weights and optimizer shards.
+//! 1. The same trainer step saved through each placement yields identical
+//!    manifest digests and restores to bit-identical unit weights and
+//!    optimizer shards.
 //! 2. Every digest a dedup manifest records (computed incrementally while
 //!    streaming) equals the whole-buffer digest of the object's bytes, and
 //!    the whole-buffer encoder reproduces the streamed file exactly.
 
 use llmt_cas::{Digest, ObjectStore};
-use llmt_ckpt::{safetensors, CheckpointHandle, LoadMode, PartialManifest};
-use llmt_model::LayerUnit;
+use llmt_ckpt::{
+    restore_checkpoint, safetensors, CheckpointPaths, CkptError, PartialManifest, RestoreRequest,
+    RestoredState, SaveOptions,
+};
+use llmt_coord::Coordinator;
+use llmt_obs::MetricsRegistry;
+use llmt_storage::vfs::{LocalFs, SystemClock};
+use llmt_tier::{TierConfig, TierLevel, TierManager};
 use llmt_train::{Trainer, TrainerConfig};
 use std::path::Path;
+use std::sync::Arc;
 
 const STEP: u64 = 3;
 
@@ -27,36 +36,90 @@ fn run(root: &Path, async_ckpt: bool, dedup: bool) {
     assert_eq!(report.ckpt_steps, vec![STEP]);
 }
 
+/// The committed `checkpoint-STEP` under `root` on the local filesystem:
+/// its manifest and everything it restores to.
+fn committed(root: &Path) -> (PartialManifest, RestoredState) {
+    let paths = CheckpointPaths::under(root, STEP);
+    let manifest = PartialManifest::load(&paths.manifest()).unwrap();
+    let state = restore_checkpoint(&paths.dir, &RestoreRequest::default()).unwrap();
+    (manifest, state)
+}
+
 #[test]
-fn sync_async_and_dedup_saves_agree_bit_for_bit_at_the_same_step() {
-    let sync_dir = tempfile::tempdir().unwrap();
-    let async_dir = tempfile::tempdir().unwrap();
-    let dedup_dir = tempfile::tempdir().unwrap();
-    run(sync_dir.path(), false, false);
-    run(async_dir.path(), true, false);
-    run(dedup_dir.path(), false, true);
-
-    let cfg = TrainerConfig::test_default(sync_dir.path().to_path_buf());
-    let open = |root: &Path| {
-        CheckpointHandle::open(
-            &root.join(format!("checkpoint-{STEP}")),
-            LoadMode::EagerFull,
-        )
-        .unwrap()
+fn every_placement_saves_the_same_step_bit_for_bit() {
+    let dirs: Vec<_> = (0..5).map(|_| tempfile::tempdir().unwrap()).collect();
+    let [plain_dir, cas_dir, async_dir, tier_dir, coord_dir] = &dirs[..] else {
+        unreachable!()
     };
-    let mut sync = open(sync_dir.path());
-    let mut asyn = open(async_dir.path());
-    let mut dedup = open(dedup_dir.path());
 
-    for unit in LayerUnit::all(&cfg.model_config) {
-        let want = sync.unit_weights(unit).unwrap();
-        assert_eq!(asyn.unit_weights(unit).unwrap(), want, "async: {unit}");
-        assert_eq!(dedup.unit_weights(unit).unwrap(), want, "dedup: {unit}");
+    // Plain directory, CAS and async snapshot source: the trainer's own
+    // three configurations.
+    run(plain_dir.path(), false, false);
+    run(cas_dir.path(), false, true);
+    run(async_dir.path(), true, false);
+
+    // Tier manager and coordinator session: a fourth identical run hands
+    // its request to each front.
+    let mut t = Trainer::new(TrainerConfig::test_default(tier_dir.path().to_path_buf()));
+    t.train_until(STEP, None).unwrap();
+    let tiers = TierManager::open(
+        tier_dir.path(),
+        Arc::new(LocalFs),
+        TierConfig::default(),
+        Arc::new(SystemClock),
+        MetricsRegistry::new(),
+    )
+    .unwrap();
+    t.checkpoint_with(|req| {
+        let placed = tiers.save(req, &SaveOptions::default())?;
+        assert_eq!(placed.placed, TierLevel::Mem);
+        Ok(placed.report)
+    })
+    .unwrap();
+    let coord = Coordinator::open(coord_dir.path()).unwrap();
+    let session = coord.publisher("run", t.declared_save_bytes()).unwrap();
+    t.checkpoint_with(|req| {
+        session
+            .save(req, &SaveOptions::default())
+            .map_err(|e| CkptError::Format(e.to_string()))
+    })
+    .unwrap();
+
+    let (want_manifest, want) = committed(plain_dir.path());
+    let in_mem = tiers
+        .restore_from(TierLevel::Mem, STEP, &RestoreRequest::default())
+        .unwrap();
+    tiers.drain_all().unwrap();
+    let (tier_manifest, drained) = committed(tier_dir.path());
+    let (cas_manifest, cas) = committed(cas_dir.path());
+    let (async_manifest, asyn) = committed(async_dir.path());
+    let (coord_manifest, published) = committed(session.run_root());
+
+    for (name, manifest) in [
+        ("cas", &cas_manifest),
+        ("async", &async_manifest),
+        ("tier", &tier_manifest),
+        ("coord", &coord_manifest),
+    ] {
+        assert_eq!(manifest.units, want_manifest.units, "{name}");
+        assert_eq!(
+            manifest.weight_digests, want_manifest.weight_digests,
+            "{name}"
+        );
     }
-    for rank in 0..cfg.world_size {
-        let want = sync.rank_state_full(rank).unwrap();
-        assert_eq!(asyn.rank_state_full(rank).unwrap(), want, "async r{rank}");
-        assert_eq!(dedup.rank_state_full(rank).unwrap(), want, "dedup r{rank}");
+    // The two content-addressed placements name the same objects.
+    assert!(cas_manifest.objects.is_some());
+    assert_eq!(coord_manifest.objects, cas_manifest.objects);
+
+    for (name, got) in [
+        ("cas", &cas),
+        ("async", &asyn),
+        ("tier mem", &in_mem),
+        ("tier drained", &drained),
+        ("coord", &published),
+    ] {
+        assert_eq!(got.weights, want.weights, "{name}: weights");
+        assert_eq!(got.ranks, want.ranks, "{name}: optimizer shards");
     }
 }
 

@@ -1,7 +1,8 @@
 //! Failure recovery walkthrough (artifact tasks T1-T3), now with a *real*
 //! mid-write crash: instead of stopping cleanly between steps, the trainer
-//! is configured (via `TrainerConfig::crash_during_save`) to tear a
-//! checkpoint write partway through, exactly like a node dying mid-save.
+//! runs on a fault-injecting storage stack (`Trainer::with_storage` over a
+//! `FaultyFs`) that tears a checkpoint write partway through, exactly like
+//! a node dying mid-save.
 //! Recovery then has to distinguish committed checkpoints from the torn
 //! (quarantined) one before merging.
 //!
@@ -33,12 +34,13 @@ fn main() {
 
     // T1: run a training job whose third save tears mid-write.
     let dir = tempfile::tempdir().unwrap();
-    let mut config = base_config(dir.path());
-    config.crash_during_save = Some(FaultSpec {
+    let config = base_config(dir.path());
+    let spec = FaultSpec {
         at_op: kill_at,
         kind: FaultKind::TornWrite { keep_bytes: None },
-    });
-    let mut trainer = Trainer::new(config.clone());
+    };
+    let torn_fs = Arc::new(FaultyFs::with_seed(LocalFs, spec, config.seed));
+    let mut trainer = Trainer::with_storage(config.clone(), torn_fs);
     let err = trainer
         .train_until(40, None)
         .expect_err("the torn write must abort the run");
@@ -68,9 +70,8 @@ fn main() {
         report.sources, report.io.bytes_read, report.duration
     );
 
-    // T3: resume from the sealed merge output and keep training. The
-    // fault spec must be cleared first — the crash already happened; the
-    // resumed run writes to healthy storage.
+    // T3: resume from the sealed merge output and keep training — on the
+    // config's own healthy storage; the crash already happened.
     let h = CheckpointHandle::open(&merged, LoadMode::LazyRange).unwrap();
     assert!(h.is_committed(), "merge outputs are committed");
     assert!(h.zero_meta.is_full(), "merged checkpoint must be complete");
@@ -79,7 +80,6 @@ fn main() {
         h.trainer_state.global_step,
         h.commit_status().describe()
     );
-    config.crash_during_save = None;
     let mut resumed = resume_trainer(&merged, config).expect("resume");
     let before = resumed
         .loss_history

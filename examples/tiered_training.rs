@@ -7,10 +7,11 @@
 //!
 //! Run with: `cargo run --release --example tiered_training`
 
-use llmt_ckpt::engine::SaveOptions;
+use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{RestoreRequest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
+use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
 use llmt_storage::vfs::{LocalFs, ManualClock};
 use llmt_tier::{spawn_drainer, ObjectTierConfig, TierConfig, TierLevel, TierManager};
@@ -77,11 +78,15 @@ fn main() {
                 &SaveRequest {
                     root,
                     step,
-                    config: &cfg,
-                    params: &model.params,
-                    engine: &engine,
+                    source: &LiveState {
+                        config: &cfg,
+                        params: &model.params,
+                        engine: &engine,
+                    },
                     trainer_state: &ts,
                     units: &units,
+                    metrics: &MetricsRegistry::new(),
+                    store: None,
                 },
                 &SaveOptions::default(),
             )

@@ -5,6 +5,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# `cargo build` and `cargo test` never compile crates/bench/benches/, so
+# type-check every target: a removed API must not leave one stale.
+cargo check --workspace --all-targets
+# Deleted-name guard: the save entry points, snapshot ring and fault knob
+# that `engine::save` and `Trainer::with_storage` replaced stay deleted.
+# (Each pattern ends in a bracket expression so this line matches nothing.)
+if git grep -nE 'save_source_wit[h]|save_checkpoint_dedu[p]|MemoryTie[r]|crash_during_sav[e]' -- . \
+  ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!crates/ledger'; then
+  echo "a deleted name is back (see the matches above)"; exit 1
+fi
 cargo test -q
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
