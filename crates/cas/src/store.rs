@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! <run_root>/objects/<hh>/<64-hex-digest>.obj     # hh = first hex byte
-//! <run_root>/objects/<hh>/<64-hex>.<nonce>.part   # staging debris only
+//! <run_root>/objects/<hh>/<64-hex>.<pid>-<n>.part # staging debris only
 //! ```
 //!
 //! Every object is immutable: its name *is* the SHA-256 of its bytes, so
@@ -34,9 +34,23 @@ pub const OBJECTS_DIR: &str = "objects";
 /// that holds `objects/`), as UTF-8 text.
 pub const CASROOT_FILE: &str = "CASROOT";
 
-/// Distinguishes concurrent writers staging the same digest (their
-/// payloads are identical, but their `.part` files must not collide).
+/// Distinguishes concurrent writers in this process staging the same
+/// digest (their payloads are identical, but their `.part` files must
+/// not collide).
 static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
+
+/// Where a writer stages `digest` inside `fanout` before the rename to
+/// its object name. The process id keeps two processes placing the same
+/// digest into a shared store apart, the counter two threads of one; the
+/// `.part` extension is how the sweep tells staging files from objects.
+fn staging_path(fanout: &Path, digest: Digest) -> PathBuf {
+    let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
+    fanout.join(staging_name(digest, std::process::id(), nonce))
+}
+
+fn staging_name(digest: Digest, pid: u32, nonce: u64) -> String {
+    format!("{}.{pid}-{nonce}.part", digest.to_hex())
+}
 
 /// Upper bound on any chain walk. Far above any configured chain cap;
 /// only header corruption (a reference cycle) can reach it, and hitting
@@ -353,8 +367,7 @@ impl ObjectStore {
         }
         let fanout = path.parent().expect("object path has a fanout dir");
         storage.create_dir_all(fanout)?;
-        let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
-        let tmp = fanout.join(format!("{}.{nonce}.part", digest.to_hex()));
+        let tmp = staging_path(fanout, digest);
         let mut stream = storage.create_stream(&tmp)?;
         let mut h = crate::digest::Hasher::new();
         let mut staged_len = 0u64;
@@ -430,6 +443,32 @@ impl ObjectStore {
         match self.touch_chain(storage, digest) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => None,
             Ok(_) | Err(_) => Some(self.count_hit(digest, len)),
+        }
+    }
+
+    /// Hard-link the stored object `digest` at `dest`, a checkpoint's
+    /// payload file.
+    ///
+    /// `link(2)` fails with `NotFound` when the inode it resolved loses
+    /// its last name before the link lands. That is what happens when
+    /// another process's put of the same content, or a chain compaction,
+    /// renames a fresh copy over the object name at that instant. The
+    /// name itself never goes away, so the link is tried again against
+    /// the inode that holds it now.
+    pub fn link(&self, storage: &dyn Storage, digest: Digest, dest: &Path) -> io::Result<()> {
+        let path = self.object_path(digest);
+        let mut replaced = 0;
+        loop {
+            match storage.hard_link(&path, dest) {
+                Err(e)
+                    if e.kind() == io::ErrorKind::NotFound
+                        && replaced < 3
+                        && storage.exists(&path) =>
+                {
+                    replaced += 1
+                }
+                done => return done,
+            }
         }
     }
 
@@ -718,8 +757,7 @@ impl ObjectStore {
         let path = self.object_path(digest);
         let fanout = path.parent().expect("object path has a fanout dir");
         storage.create_dir_all(fanout)?;
-        let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
-        let tmp = fanout.join(format!("{}.{nonce}.part", digest.to_hex()));
+        let tmp = staging_path(fanout, digest);
         let mut stream = storage.create_stream(&tmp)?;
         stream.write_chunk(file)?;
         stream.finish()?;
@@ -1366,6 +1404,103 @@ mod tests {
         let r = s.sweep_with_mark(&fs, &live, &later).unwrap();
         assert_eq!(r.debris_removed, 1);
         assert!(!part.exists());
+    }
+
+    #[test]
+    fn staging_names_are_unique_per_process_and_call_and_swept_as_debris() {
+        use std::time::{Duration, SystemTime};
+        let digest = Digest::of(b"placed by two clients at once");
+        assert_ne!(staging_name(digest, 7, 0), staging_name(digest, 8, 0));
+        let dir = tempfile::tempdir().unwrap();
+        let s = store(dir.path());
+        let fs = LocalFs;
+        let fanout = s.object_path(digest).parent().unwrap().to_path_buf();
+        let (a, b) = (staging_path(&fanout, digest), staging_path(&fanout, digest));
+        assert_ne!(a, b);
+        let pid = std::process::id().to_string();
+        for p in [&a, &b] {
+            assert!(p.extension().is_some_and(|e| e == "part"), "{p:?}");
+            assert!(p.to_string_lossy().contains(&pid), "{p:?}");
+        }
+        // The sweep handles it like any other staging file: in flight
+        // while young, debris once the mark postdates it.
+        std::fs::create_dir_all(&fanout).unwrap();
+        std::fs::write(&a, b"partial payl").unwrap();
+        let live = BTreeSet::new();
+        let before = SweepMark::at(SystemTime::now() - Duration::from_secs(10));
+        let r = s.sweep_with_mark(&fs, &live, &before).unwrap();
+        assert_eq!((r.pinned_young, r.debris_removed), (1, 0));
+        let after = SweepMark::at(SystemTime::now() + Duration::from_secs(10));
+        let r = s.sweep_with_mark(&fs, &live, &after).unwrap();
+        assert_eq!((r.pinned_young, r.debris_removed), (0, 1));
+        assert!(!a.exists());
+    }
+
+    #[test]
+    fn link_survives_the_object_being_replaced_under_its_name() {
+        // What a second process placing the same digest does to the
+        // first one's link(2): the name is renamed over between lookup
+        // and link, and the kernel refuses to link the nameless inode.
+        #[derive(Debug)]
+        struct ReplacedOnce(std::sync::atomic::AtomicBool);
+        impl Storage for ReplacedOnce {
+            fn hard_link(&self, a: &Path, b: &Path) -> io::Result<()> {
+                if self.0.swap(false, Ordering::SeqCst) {
+                    let copy = a.with_extension("1-0.part");
+                    std::fs::copy(a, &copy)?;
+                    std::fs::rename(&copy, a)?;
+                    return Err(io::ErrorKind::NotFound.into());
+                }
+                LocalFs.hard_link(a, b)
+            }
+            fn exists(&self, p: &Path) -> bool {
+                LocalFs.exists(p)
+            }
+            fn create_dir_all(&self, p: &Path) -> io::Result<()> {
+                LocalFs.create_dir_all(p)
+            }
+            fn write(&self, p: &Path, b: &[u8]) -> io::Result<()> {
+                LocalFs.write(p, b)
+            }
+            fn sync(&self, p: &Path) -> io::Result<()> {
+                LocalFs.sync(p)
+            }
+            fn rename(&self, a: &Path, b: &Path) -> io::Result<()> {
+                LocalFs.rename(a, b)
+            }
+            fn read(&self, p: &Path) -> io::Result<Vec<u8>> {
+                LocalFs.read(p)
+            }
+            fn read_range(&self, p: &Path, o: u64, l: usize) -> io::Result<Vec<u8>> {
+                LocalFs.read_range(p, o, l)
+            }
+            fn list_dir(&self, p: &Path) -> io::Result<Vec<PathBuf>> {
+                LocalFs.list_dir(p)
+            }
+            fn remove_dir_all(&self, p: &Path) -> io::Result<()> {
+                LocalFs.remove_dir_all(p)
+            }
+            fn file_len(&self, p: &Path) -> io::Result<u64> {
+                LocalFs.file_len(p)
+            }
+            fn remove_file(&self, p: &Path) -> io::Result<()> {
+                LocalFs.remove_file(p)
+            }
+            fn create_stream<'a>(&'a self, p: &Path) -> io::Result<Box<dyn WriteStream + 'a>> {
+                LocalFs.create_stream(p)
+            }
+        }
+        let dir = tempfile::tempdir().unwrap();
+        let s = store(dir.path());
+        let fs = ReplacedOnce(std::sync::atomic::AtomicBool::new(true));
+        let digest = s.put(&fs, b"same seed, same layer").unwrap().digest;
+        let dest = dir.path().join("units.safetensors");
+        s.link(&fs, digest, &dest).unwrap();
+        assert_eq!(std::fs::read(&dest).unwrap(), b"same seed, same layer");
+        // A name that is really gone is still an error.
+        let gone = Digest::of(b"never stored");
+        let err = s.link(&fs, gone, &dir.path().join("x")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     /// Storage wrapper that injects a concurrent `put` into the same

@@ -271,8 +271,8 @@ pub fn place_tensors_object(
     let out = store
         .put_stream(storage, digest, len, chunks)
         .map_err(io_err(store.root_dir()))?;
-    storage
-        .hard_link(&store.object_path(out.digest), dest)
+    store
+        .link(storage, out.digest, dest)
         .map_err(io_err(dest))?;
     Ok(out)
 }
@@ -370,8 +370,8 @@ fn place_tensors_encoded(
     }
     let (prefix, len, digest) = safetensors::image_digest(tensors, metadata)?;
     let link = |out: PutOutcome| -> Result<PutOutcome> {
-        storage
-            .hard_link(&store.object_path(out.digest), dest)
+        store
+            .link(storage, out.digest, dest)
             .map_err(io_err(dest))?;
         Ok(out)
     };

@@ -13,17 +13,20 @@
 use crate::error::{io_err, CkptError, Result};
 use crate::layout::{CheckpointPaths, CommitStatus};
 use crate::manifest::PartialManifest;
+use crate::restore::{
+    encoded_object, fetch_payload, file_plans, validate_object, FileKind, FilePlan,
+};
 use crate::safetensors::{self, SafetensorsIndex};
 use crate::trainer_state::TrainerState;
 use crate::zero_meta::{shard_tensor_names, ZeroMeta};
-use llmt_cas::{codec, Digest, ObjectStore};
-use llmt_model::naming::unit_param_specs;
+use llmt_cas::ObjectStore;
+use llmt_model::naming::{unit_of, unit_param_specs};
 use llmt_model::{LayerUnit, ModelConfig};
 use llmt_storage::vfs::{LocalFs, Storage};
 use llmt_tensor::RawTensor;
 use llmt_zero::{RankState, ShardState};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// How file contents are fetched.
@@ -72,32 +75,20 @@ pub struct CheckpointHandle {
     /// Trainer state.
     pub trainer_state: TrainerState,
     mode: LoadMode,
-    commit: CommitStatus,
-    storage: Arc<dyn Storage>,
+    pub(crate) commit: CommitStatus,
+    pub(crate) storage: Arc<dyn Storage>,
     stats: IoStats,
-    /// Tensor name -> unit key, for deduplicated (CAS) checkpoints whose
-    /// weights live in per-unit files instead of one `model.safetensors`.
-    /// `None` for conventional checkpoints.
-    cas_weight_unit: Option<HashMap<String, String>>,
-    /// Manifest object digest of each CAS-backed file, keyed by path.
-    /// Encoded links (compressed fulls, delta chains) are materialized
-    /// through the store by this logical digest.
-    object_refs: HashMap<PathBuf, Digest>,
-    /// Store handle for materializing encoded objects (dedup checkpoints).
-    store: Option<ObjectStore>,
-    /// Whole-file tensor caches (eager mode), keyed by file path.
-    file_cache: HashMap<PathBuf, HashMap<String, RawTensor>>,
-    /// Parsed headers (lazy mode), keyed by file path.
-    file_index: HashMap<PathBuf, SafetensorsIndex>,
-}
-
-/// Parse a `rank<r>/group<g>` optimizer object key.
-fn parse_optim_key(key: &str) -> Option<(usize, usize)> {
-    let (r, g) = key.split_once('/')?;
-    Some((
-        r.strip_prefix("rank")?.parse().ok()?,
-        g.strip_prefix("group")?.parse().ok()?,
-    ))
+    /// Every payload file of the checkpoint; "which file holds what" is
+    /// answered from here.
+    pub(crate) plans: Vec<FilePlan>,
+    /// The store encoded objects are read through; `None` for a
+    /// conventional checkpoint.
+    pub(crate) store: Option<ObjectStore>,
+    /// Whole-file tensor caches (eager mode, and encoded objects in lazy
+    /// mode), keyed by index into `plans`.
+    file_cache: HashMap<usize, HashMap<String, RawTensor>>,
+    /// Parsed headers (lazy mode), keyed by index into `plans`.
+    file_index: HashMap<usize, SafetensorsIndex>,
 }
 
 impl CheckpointHandle {
@@ -148,35 +139,13 @@ impl CheckpointHandle {
             None
         };
         let commit = CommitStatus::evaluate(marker_bytes.as_deref(), manifest_bytes.as_deref());
-        // A manifest with object refs marks a deduplicated checkpoint:
-        // weights resolve through per-unit files, optimizer state through
-        // per-(rank, group) files.
-        let cas_weight_unit = manifest.as_ref().filter(|m| m.objects.is_some()).map(|m| {
-            let mut map = HashMap::new();
-            for unit in &m.units {
-                for spec in unit_param_specs(&config, *unit) {
-                    map.insert(spec.name, unit.as_string());
-                }
-            }
-            map
-        });
-        let mut object_refs = HashMap::new();
-        if let Some(objs) = manifest.as_ref().and_then(|m| m.objects.as_ref()) {
-            for (key, r) in &objs.weights {
-                if let Ok(d) = Digest::parse_hex(&r.digest) {
-                    object_refs.insert(paths.unit_weights(key), d);
-                }
-            }
-            for (key, r) in &objs.optim {
-                if let (Some((rank, gid)), Ok(d)) =
-                    (parse_optim_key(key), Digest::parse_hex(&r.digest))
-                {
-                    object_refs.insert(paths.optim_group(rank, gid), d);
-                }
-            }
-        }
-        let store = (!object_refs.is_empty())
-            .then(|| ObjectStore::resolve(&*storage, dir.parent().unwrap_or(dir)));
+        let plans = file_plans(&paths, &config, &zero_meta, manifest.as_ref());
+        // A manifest with object refs marks a deduplicated checkpoint,
+        // whose links may hold encoded objects only the store can decode.
+        let store = manifest
+            .as_ref()
+            .and_then(|m| m.objects.as_ref())
+            .map(|_| ObjectStore::resolve(&*storage, dir.parent().unwrap_or(dir)));
         Ok(CheckpointHandle {
             paths,
             config,
@@ -187,8 +156,7 @@ impl CheckpointHandle {
             commit,
             storage,
             stats: IoStats::default(),
-            cas_weight_unit,
-            object_refs,
+            plans,
             store,
             file_cache: HashMap::new(),
             file_index: HashMap::new(),
@@ -225,157 +193,75 @@ impl CheckpointHandle {
         self.file_index.clear();
     }
 
-    /// The file holding weight tensor `name`: the per-unit object link
-    /// for deduplicated checkpoints, `model.safetensors` otherwise.
-    fn weight_file(&self, name: &str) -> Result<PathBuf> {
-        match &self.cas_weight_unit {
-            None => Ok(self.paths.model()),
-            Some(map) => map
-                .get(name)
-                .map(|key| self.paths.unit_weights(key))
-                .ok_or_else(|| CkptError::Missing(format!("weight '{name}'"))),
+    /// Load plan `idx`'s contents (eager, or an encoded object) or header
+    /// (lazy) into the cache.
+    fn ensure_file_loaded(&mut self, idx: usize) -> Result<()> {
+        if self.file_cache.contains_key(&idx) || self.file_index.contains_key(&idx) {
+            return Ok(());
         }
-    }
-
-    /// The file holding rank `rank`'s shard of group `gid`.
-    fn shard_file(&self, rank: usize, gid: usize) -> PathBuf {
-        if self.cas_weight_unit.is_some() {
-            self.paths.optim_group(rank, gid)
-        } else {
-            self.paths.optim_shard(rank)
+        let plan = &self.plans[idx];
+        // Only a raw file has an in-place safetensors header to
+        // range-read against; an encoded object is loaded whole.
+        if self.mode == LoadMode::LazyRange && encoded_object(&*self.storage, plan)?.is_none() {
+            let index = safetensors::open_index_on(&*self.storage, &plan.path)?;
+            self.stats.files_opened += 1;
+            self.stats.bytes_read += index.data_start; // header bytes
+            self.file_index.insert(idx, index);
+            return Ok(());
         }
-    }
-
-    /// Decode an encoded (compressed / delta-chained) store object into
-    /// its logical safetensors image via the store's chain walk, which
-    /// verifies every hop's decoded digest against its object name.
-    fn materialize_encoded(&mut self, path: &Path) -> Result<Vec<u8>> {
-        let want = self.object_refs.get(path).copied().ok_or_else(|| {
-            CkptError::Format(format!(
-                "{}: encoded store object without a manifest object ref",
-                path.display()
-            ))
-        })?;
-        let store = self.store.as_ref().ok_or_else(|| {
-            CkptError::Format(format!(
-                "{}: encoded store object outside a deduplicated checkpoint",
-                path.display()
-            ))
-        })?;
-        store
-            .materialize(&*self.storage, want)
-            .map_err(io_err(path))
-    }
-
-    /// Whether the CAS-backed file at `path` holds an *encoded* object
-    /// (by magic peek) — such files cannot serve range reads and are
-    /// materialized eagerly even in lazy mode.
-    fn is_encoded_file(&self, path: &Path) -> bool {
-        self.object_refs.contains_key(path)
-            && matches!(
-                self.storage.read_range(path, 0, codec::OBJECT_MAGIC.len()),
-                Ok(head) if head == codec::OBJECT_MAGIC
-            )
-    }
-
-    /// Load a file's contents (eager) or header (lazy) into the cache.
-    fn ensure_file_loaded(&mut self, path: &Path) -> Result<()> {
-        match self.mode {
-            LoadMode::EagerFull => {
-                if !self.file_cache.contains_key(path) {
-                    // Eager whole-file loads are the restore engine's
-                    // fetch + decode stages: chunked streaming reads
-                    // through the `Storage` trait (every chunk an
-                    // injectable fault point), then an in-memory decode.
-                    let (bytes, _digest) = crate::restore::fetch_file_on(
-                        &*self.storage,
-                        path,
-                        crate::DEFAULT_CHUNK_BYTES,
-                    )?;
-                    let bytes = if codec::is_encoded(&bytes) {
-                        self.materialize_encoded(path)?
-                    } else {
-                        bytes
-                    };
-                    let (tensors, _) = safetensors::decode_image(path, &bytes)?;
-                    self.stats.bytes_read += bytes.len() as u64;
-                    self.stats.files_opened += 1;
-                    self.stats.full_loads += 1;
-                    self.file_cache
-                        .insert(path.to_path_buf(), tensors.into_iter().collect());
-                }
-            }
-            LoadMode::LazyRange => {
-                if !self.file_index.contains_key(path) && !self.file_cache.contains_key(path) {
-                    if self.is_encoded_file(path) {
-                        // Encoded objects have no in-place safetensors
-                        // header to range-read against; fall back to a
-                        // full materialize into the eager cache.
-                        let bytes = self.materialize_encoded(path)?;
-                        let (tensors, _) = safetensors::decode_image(path, &bytes)?;
-                        self.stats.bytes_read += bytes.len() as u64;
-                        self.stats.files_opened += 1;
-                        self.stats.full_loads += 1;
-                        self.file_cache
-                            .insert(path.to_path_buf(), tensors.into_iter().collect());
-                    } else {
-                        let index = safetensors::open_index_on(&*self.storage, path)?;
-                        self.stats.files_opened += 1;
-                        self.stats.bytes_read += index.data_start; // header bytes
-                        self.file_index.insert(path.to_path_buf(), index);
-                    }
-                }
-            }
+        let (bytes, digest) = fetch_payload(&*self.storage, self.store.as_ref(), plan)?;
+        let (_, problems) = validate_object(plan, bytes.len() as u64, digest);
+        if let Some(first) = problems.into_iter().next() {
+            return Err(first);
         }
+        let (tensors, _) = safetensors::decode_image(&plan.path, &bytes)?;
+        self.stats.bytes_read += bytes.len() as u64;
+        self.stats.files_opened += 1;
+        self.stats.full_loads += 1;
+        self.file_cache.insert(idx, tensors.into_iter().collect());
         Ok(())
     }
 
-    /// Read one named tensor out of `path` under the handle's load mode.
-    fn fetch_tensor(&mut self, path: &Path, name: &str) -> Result<RawTensor> {
-        self.ensure_file_loaded(path)?;
+    /// Read tensor `name` out of the file `holds` selects, under the
+    /// handle's load mode. `what` names the tensor in a "missing" error.
+    fn fetch_tensor(
+        &mut self,
+        holds: impl Fn(&FileKind) -> bool,
+        name: &str,
+        what: &str,
+    ) -> Result<RawTensor> {
+        let missing = || CkptError::Missing(format!("{what} '{name}'"));
+        let idx = self
+            .plans
+            .iter()
+            .position(|p| holds(&p.kind))
+            .ok_or_else(missing)?;
+        self.ensure_file_loaded(idx)?;
         self.stats.tensor_reads += 1;
-        let from_cache = |cache: &HashMap<String, RawTensor>| {
-            cache
-                .get(name)
-                .cloned()
-                .ok_or_else(|| CkptError::Missing(format!("tensor '{name}'")))
-        };
-        match self.mode {
-            LoadMode::EagerFull => {
-                let cache = self.file_cache.get(path).ok_or_else(|| {
-                    CkptError::Format(format!(
-                        "{}: file vanished from the eager cache after load",
-                        path.display()
-                    ))
-                })?;
-                from_cache(cache)
-            }
-            LoadMode::LazyRange => {
-                // Encoded objects were materialized into the eager cache.
-                if let Some(cache) = self.file_cache.get(path) {
-                    return from_cache(cache);
-                }
-                let index = self.file_index.get(path).ok_or_else(|| {
-                    CkptError::Format(format!("{}: no range index after load", path.display()))
-                })?;
-                let t = safetensors::read_tensor_at_on(&*self.storage, path, index, name)?;
-                self.stats.bytes_read += t.byte_len() as u64;
-                Ok(t)
-            }
+        if let Some(cache) = self.file_cache.get(&idx) {
+            return cache.get(name).cloned().ok_or_else(missing);
         }
+        let index = self
+            .file_index
+            .get(&idx)
+            .expect("a loaded file is in the cache or the index");
+        if index.entry(name).is_none() {
+            return Err(missing());
+        }
+        let path = &self.plans[idx].path;
+        let t = safetensors::read_tensor_at_on(&*self.storage, path, index, name)?;
+        self.stats.bytes_read += t.byte_len() as u64;
+        Ok(t)
     }
 
     /// Read one named weight tensor.
     pub fn weight(&mut self, name: &str) -> Result<RawTensor> {
-        let path = self.weight_file(name)?;
-        self.fetch_tensor(&path, name).map_err(|e| match e {
-            // Keep the conventional "weight 'x'" wording for missing
-            // names regardless of which file backed the lookup.
-            CkptError::Missing(m) if m.starts_with("tensor ") => {
-                CkptError::Missing(format!("weight '{name}'"))
-            }
-            other => other,
-        })
+        let unit = unit_of(name);
+        let holds = |kind: &FileKind| match kind {
+            FileKind::Weights { units } => unit.is_some_and(|u| units.contains(&u)),
+            FileKind::Shards { .. } => false,
+        };
+        self.fetch_tensor(holds, name, "weight")
     }
 
     /// Read every weight tensor of one unit (canonical order).
@@ -407,17 +293,14 @@ impl CheckpointHandle {
                 self.zero_meta.world_size
             )));
         }
-        let path = self.shard_file(rank, group_id);
+        let holds = |kind: &FileKind| match kind {
+            FileKind::Shards { rank: r, gids } => *r == rank && gids.contains(&group_id),
+            FileKind::Weights { .. } => false,
+        };
         let names = shard_tensor_names(group_id);
-        let mut fetch = |name: &str| -> Result<Vec<f32>> {
-            self.fetch_tensor(&path, name)
+        let mut fetch = |name: &str| {
+            self.fetch_tensor(holds, name, "shard tensor")
                 .map(|t| t.to_f32s())
-                .map_err(|e| match e {
-                    CkptError::Missing(m) if m.starts_with("tensor ") => {
-                        CkptError::Missing(format!("shard tensor '{name}'"))
-                    }
-                    other => other,
-                })
         };
         Ok(ShardState {
             master: fetch(&names[0])?,

@@ -1,18 +1,27 @@
 //! Unified parallel restore engine: the mirror image of [`crate::engine`].
 //!
-//! Every bulk checkpoint read — resume, crash recovery, merge sources,
-//! deep verification, eval loading — funnels through one staged pipeline:
+//! Every checkpoint read — resume, crash recovery, merge sources,
+//! verification, eval loading — executes one description of the payload,
+//! the [`FilePlan`] list, through the same stages:
 //!
 //! ```text
-//! enumerate   metadata + commit verdict -> the file fetch plan
-//! fetch       chunked streaming reads through `Storage::read_range`,
-//!             every byte also feeding an incremental SHA-256
+//! enumerate   metadata + commit verdict -> the file plan
+//! fetch       chunked streaming reads through `Storage::read_range`;
+//!             a SHA-256 is computed exactly when the manifest holds an
+//!             object digest to compare it with
 //! decode      safetensors header parse + tensor materialization
 //! validate    verify-on-read: object digests, tensor digests/shapes,
-//!             shard lengths (free with the I/O)
+//!             shard lengths
 //! bind        canonical-order weights + optimizer rank states,
 //!             resharded to the requested world size
 //! ```
+//!
+//! [`file_plans`] is the only read-side code that knows the plain and
+//! content-addressed layouts, [`fetch_payload`] the only one that knows
+//! raw from encoded objects, [`validate_file`] the only per-file check.
+//! [`restore_checkpoint_on`] stops at the first problem,
+//! [`crate::verify`] collects them all, and
+//! [`CheckpointHandle`] serves single tensors out of the same plan.
 //!
 //! Fetch/decode/validate run fused per file on the rayon pool, so a
 //! checkpoint with many unit and shard files restores with near-linear
@@ -49,7 +58,7 @@ use llmt_storage::RestoreTimings;
 use llmt_tensor::RawTensor;
 use llmt_zero::{GroupPlan, GroupTopoLayout, RankState, ShardState, Topology};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,7 +76,10 @@ pub enum RestoreScope {
     OptimizerOnly,
 }
 
-/// What to restore and how.
+/// What to restore and how. Every restore verifies what it reads and
+/// refuses a directory without a valid `COMMIT` marker with
+/// [`CkptError::Quarantined`]; [`crate::verify`] and
+/// [`CheckpointHandle::open_on`] are the ways to look inside one.
 #[derive(Debug, Clone)]
 pub struct RestoreRequest {
     /// Target dp×tp topology for the bound optimizer rank states. `None`
@@ -76,19 +88,8 @@ pub struct RestoreRequest {
     pub topology: Option<Topology>,
     /// Payload selection.
     pub scope: RestoreScope,
-    /// Verify-on-read: recompute and check manifest digests (SHA-256 for
-    /// object-backed files, FNV per weight tensor) and shard lengths
-    /// while the bytes stream past.
-    pub verify: bool,
     /// Fetch files in parallel (rayon) or strictly sequentially.
     pub parallelism: Parallelism,
-    /// Streaming read granularity; every chunk is one `Storage` op, so
-    /// fault injection reaches mid-file read failures.
-    pub chunk_bytes: usize,
-    /// Refuse checkpoints without a valid `COMMIT` marker with
-    /// [`CkptError::Quarantined`]. Resume paths keep this on; deep
-    /// verification turns it off to inspect quarantined directories.
-    pub require_committed: bool,
 }
 
 impl Default for RestoreRequest {
@@ -96,10 +97,7 @@ impl Default for RestoreRequest {
         RestoreRequest {
             topology: None,
             scope: RestoreScope::Full,
-            verify: true,
             parallelism: Parallelism::Rayon,
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
-            require_committed: true,
         }
     }
 }
@@ -161,53 +159,199 @@ pub struct RestoredState {
     pub report: RestoreReport,
 }
 
-/// Fetch a whole file in `chunk_bytes`-sized range reads through a
-/// [`Storage`], feeding every byte to an incremental SHA-256. One
-/// bounded-granularity traversal shared by the read and the content
-/// digest — the read-side twin of [`safetensors::stream_file_on`].
-pub fn fetch_file_on(
-    storage: &dyn Storage,
-    path: &Path,
-    chunk_bytes: usize,
-) -> Result<(Vec<u8>, Digest)> {
-    let chunk_bytes = chunk_bytes.max(1);
-    let len = storage.file_len(path).map_err(io_err(path))? as usize;
-    let mut bytes = Vec::with_capacity(len);
-    let mut hasher = Hasher::new();
-    let mut off = 0usize;
-    while off < len {
-        let take = chunk_bytes.min(len - off);
-        let chunk = storage
-            .read_range(path, off as u64, take)
-            .map_err(io_err(path))?;
-        hasher.update(&chunk);
-        bytes.extend_from_slice(&chunk);
-        off += take;
+/// One payload file of a checkpoint: where it is, what it holds and what
+/// the manifest says its bytes must be.
+#[derive(Debug)]
+pub(crate) struct FilePlan {
+    pub(crate) path: PathBuf,
+    pub(crate) kind: FileKind,
+    /// The manifest's object reference for a content-addressed file: the
+    /// digest and length of its *decoded* image, parsed once. `Ok(None)`
+    /// for every file of a conventional checkpoint. `Err` when the
+    /// manifest's reference for this file is absent or malformed; any
+    /// fetch of the file then fails with that message.
+    pub(crate) expect: std::result::Result<Option<(Digest, u64)>, String>,
+    /// Subject string for messages ("unit layers.3", "rank 1 shards", ...).
+    pub(crate) subject: String,
+}
+
+impl FilePlan {
+    /// The object reference, or the typed error for a malformed one.
+    pub(crate) fn object(&self) -> Result<Option<(Digest, u64)>> {
+        self.expect.clone().map_err(CkptError::Format)
     }
-    Ok((bytes, hasher.finalize()))
 }
 
-/// One entry of the enumerate stage's fetch plan.
-struct FilePlan {
-    path: PathBuf,
-    kind: FileKind,
-    /// Expected object digest/length (deduplicated checkpoints).
-    expect: Option<ObjectRef>,
-    /// Subject string for error messages ("unit layers.3",
-    /// "rank 1 shards", ...).
-    subject: String,
-}
-
-enum FileKind {
+#[derive(Debug)]
+pub(crate) enum FileKind {
     /// Weight tensors of `units`.
     Weights { units: Vec<LayerUnit> },
     /// Optimizer shards of one rank, covering `gids`.
     Shards { rank: usize, gids: Vec<usize> },
 }
 
+/// The payload files of a checkpoint, weights first, then shards in
+/// rank-major order. This is the only read-side code that knows the two
+/// layouts: conventional (`model.safetensors` plus one shard file per
+/// rank) and content-addressed (a manifest with object references; one
+/// link per unit and one per `(rank, group)`).
+pub(crate) fn file_plans(
+    paths: &CheckpointPaths,
+    config: &ModelConfig,
+    meta: &ZeroMeta,
+    manifest: Option<&PartialManifest>,
+) -> Vec<FilePlan> {
+    let units = match manifest {
+        Some(m) => m.units.clone(),
+        None => LayerUnit::all(config),
+    };
+    let Some(refs) = manifest.and_then(|m| m.objects.as_ref()) else {
+        let mut plans = vec![FilePlan {
+            path: paths.model(),
+            kind: FileKind::Weights { units },
+            expect: Ok(None),
+            subject: "model weights".to_string(),
+        }];
+        plans.extend((0..meta.world_size).map(|rank| FilePlan {
+            path: paths.optim_shard(rank),
+            kind: FileKind::Shards {
+                rank,
+                gids: meta.groups_present.clone(),
+            },
+            expect: Ok(None),
+            subject: format!("rank {rank} shards"),
+        }));
+        return plans;
+    };
+    // A reference is looked up by the key its file is saved under; keys
+    // are never parsed back. A key no file claims (`rankX/group1`) leaves
+    // some file without its reference, and that file's message names it.
+    let object = |map: &BTreeMap<String, ObjectRef>, key: &str, claimed: &dyn Fn(&str) -> bool| {
+        let Some(r) = map.get(key) else {
+            let stray: Vec<&str> = map
+                .keys()
+                .map(String::as_str)
+                .filter(|k| !claimed(k))
+                .collect();
+            return Err(format!(
+                "manifest has no object reference '{key}' (keys no file claims: [{}])",
+                stray.join(", ")
+            ));
+        };
+        match Digest::parse_hex(&r.digest) {
+            Ok(d) => Ok(Some((d, r.bytes))),
+            Err(e) => Err(format!(
+                "object reference '{key}': malformed digest '{}': {e}",
+                r.digest
+            )),
+        }
+    };
+    let gids = &meta.groups_present;
+    let unit_key = |k: &str| units.iter().any(|u| u.as_string() == k);
+    let shard_key =
+        |k: &str| (0..meta.world_size).any(|r| gids.iter().any(|g| CasRefs::optim_key(r, *g) == k));
+    let mut plans = Vec::new();
+    for unit in &units {
+        let key = unit.as_string();
+        plans.push(FilePlan {
+            path: paths.unit_weights(&key),
+            kind: FileKind::Weights { units: vec![*unit] },
+            expect: object(&refs.weights, &key, &unit_key),
+            subject: format!("unit {unit}"),
+        });
+    }
+    for rank in 0..meta.world_size {
+        for gid in gids {
+            plans.push(FilePlan {
+                path: paths.optim_group(rank, *gid),
+                kind: FileKind::Shards {
+                    rank,
+                    gids: vec![*gid],
+                },
+                expect: object(&refs.optim, &CasRefs::optim_key(rank, *gid), &shard_key),
+                subject: format!("rank {rank} group {gid} shard"),
+            });
+        }
+    }
+    plans
+}
+
+/// The digest to read this file by through the store, when it is a
+/// content-addressed file holding an *encoded* object (compressed full or
+/// delta; told from a raw safetensors image by its first bytes). An
+/// encoded link cannot serve range reads, and after a chain compaction
+/// it points at the old inode, so the store's own copy is what is read.
+pub(crate) fn encoded_object(storage: &dyn Storage, plan: &FilePlan) -> Result<Option<Digest>> {
+    let Some((want, _)) = plan.object()? else {
+        return Ok(None);
+    };
+    let head = storage
+        .read_range(&plan.path, 0, codec::OBJECT_MAGIC.len())
+        .map_err(io_err(&plan.path))?;
+    Ok((head == codec::OBJECT_MAGIC).then_some(want))
+}
+
+/// Fetch one payload file as its decoded safetensors image, with the
+/// image's SHA-256 when the plan has an object reference to compare it
+/// with: the expected digest for an encoded object (the store's chain
+/// walk verifies every hop against its name), the digest of the streamed
+/// bytes for a raw one. A file without a reference is streamed unhashed.
+/// Reads go through `storage` in [`DEFAULT_CHUNK_BYTES`] ranges, each one
+/// an injectable fault point.
+pub(crate) fn fetch_payload(
+    storage: &dyn Storage,
+    store: Option<&ObjectStore>,
+    plan: &FilePlan,
+) -> Result<(Vec<u8>, Option<Digest>)> {
+    let path = &plan.path;
+    if let Some(want) = encoded_object(storage, plan)? {
+        let store = store.ok_or_else(|| {
+            CkptError::Format(format!(
+                "{}: encoded store object outside a deduplicated checkpoint",
+                path.display()
+            ))
+        })?;
+        let image = store.materialize(storage, want).map_err(io_err(path))?;
+        return Ok((image, Some(want)));
+    }
+    let len = storage.file_len(path).map_err(io_err(path))? as usize;
+    let mut bytes = Vec::with_capacity(len);
+    let mut hasher = plan.object()?.map(|_| Hasher::new());
+    while bytes.len() < len {
+        let take = DEFAULT_CHUNK_BYTES.min(len - bytes.len());
+        let chunk = storage
+            .read_range(path, bytes.len() as u64, take)
+            .map_err(io_err(path))?;
+        if let Some(h) = &mut hasher {
+            h.update(&chunk);
+        }
+        bytes.extend_from_slice(&chunk);
+    }
+    Ok((bytes, hasher.map(Hasher::finalize)))
+}
+
+/// Take group `gid`'s three state tensors out of a decoded shard file.
+pub(crate) fn take_shard(
+    by_name: &mut HashMap<String, RawTensor>,
+    rank: usize,
+    gid: usize,
+) -> Result<ShardState> {
+    let names = shard_tensor_names(gid);
+    let mut take = |name: &str| {
+        by_name
+            .remove(name)
+            .map(|t| t.to_f32s())
+            .ok_or_else(|| CkptError::Missing(format!("shard tensor '{name}' of rank {rank}")))
+    };
+    Ok(ShardState {
+        master: take(&names[0])?,
+        exp_avg: take(&names[1])?,
+        exp_avg_sq: take(&names[2])?,
+    })
+}
+
 /// Output of one fused fetch→decode→validate task.
 struct FileOut {
-    plan_idx: usize,
     tensors: Vec<(String, RawTensor)>,
     bytes: u64,
     digests_verified: usize,
@@ -239,25 +383,19 @@ pub fn restore_checkpoint_with(
 ) -> Result<RestoredState> {
     // --- enumerate -----------------------------------------------------
     let sp_enumerate = metrics.span("ckpt.restore.enumerate");
-    let h = CheckpointHandle::open_on(storage.clone(), dir, LoadMode::EagerFull)?;
-    if req.require_committed && !h.is_committed() {
+    let h = CheckpointHandle::open_on(storage, dir, LoadMode::EagerFull)?;
+    if !h.is_committed() {
         return Err(CkptError::Quarantined(
             dir.to_path_buf(),
             h.commit_status().describe(),
         ));
     }
-    let config = h.config.clone();
     // Reject structurally impossible configs up front: everything after
     // this point sizes buffers and builds layouts from the config, and a
     // corrupt config.json must surface as an error, never a panic.
-    config.validate()?;
-    let meta = h.zero_meta.clone();
-    let manifest = h.manifest.clone();
+    h.config.validate()?;
+    let (config, meta) = (&h.config, &h.zero_meta);
     let units = h.units_present();
-    let paths = h.paths.clone();
-    let commit = h.commit_status().clone();
-    let trainer_state = h.trainer_state.clone();
-    drop(h);
 
     let saved_world = meta.world_size;
     if saved_world == 0 {
@@ -280,96 +418,24 @@ pub fn restore_checkpoint_with(
             "target topology {target_topo} is degenerate (both degrees must be positive)"
         )));
     }
-    let refs = manifest.as_ref().and_then(|m| m.objects.as_ref());
-    let dedup = refs.is_some();
-
-    let mut plans: Vec<FilePlan> = Vec::new();
-    if req.scope != RestoreScope::OptimizerOnly {
-        if dedup {
-            for unit in &units {
-                let key = unit.as_string();
-                plans.push(FilePlan {
-                    path: paths.unit_weights(&key),
-                    kind: FileKind::Weights { units: vec![*unit] },
-                    expect: refs.and_then(|r| r.weights.get(&key).cloned()),
-                    subject: format!("unit {unit}"),
-                });
-            }
-        } else {
-            plans.push(FilePlan {
-                path: paths.model(),
-                kind: FileKind::Weights {
-                    units: units.clone(),
-                },
-                expect: None,
-                subject: "model weights".to_string(),
-            });
-        }
-    }
-    if req.scope != RestoreScope::WeightsOnly {
-        for rank in 0..saved_world {
-            if dedup {
-                for gid in &meta.groups_present {
-                    plans.push(FilePlan {
-                        path: paths.optim_group(rank, *gid),
-                        kind: FileKind::Shards {
-                            rank,
-                            gids: vec![*gid],
-                        },
-                        expect: refs
-                            .and_then(|r| r.optim.get(&CasRefs::optim_key(rank, *gid)).cloned()),
-                        subject: format!("rank {rank} group {gid} shard"),
-                    });
-                }
-            } else {
-                plans.push(FilePlan {
-                    path: paths.optim_shard(rank),
-                    kind: FileKind::Shards {
-                        rank,
-                        gids: meta.groups_present.clone(),
-                    },
-                    expect: None,
-                    subject: format!("rank {rank} shards"),
-                });
-            }
-        }
-    }
+    let plans: Vec<&FilePlan> = h
+        .plans
+        .iter()
+        .filter(|p| match p.kind {
+            FileKind::Weights { .. } => req.scope != RestoreScope::OptimizerOnly,
+            FileKind::Shards { .. } => req.scope != RestoreScope::WeightsOnly,
+        })
+        .collect();
     let enumerate_ns = sp_enumerate.finish();
 
     // --- fetch → decode → validate (fused per file) --------------------
     let fetch_ns = AtomicU64::new(0);
     let decode_ns = AtomicU64::new(0);
     let validate_ns = AtomicU64::new(0);
-    // Deduplicated checkpoints may hard-link *encoded* store objects
-    // (compressed fulls or delta chains); those are materialized through
-    // the store, which walks the chain verifying every hop's decoded
-    // digest against its object name.
-    let store = dedup.then(|| ObjectStore::resolve(&*storage, dir.parent().unwrap_or(dir)));
-    let run_one = |(plan_idx, plan): (usize, &FilePlan)| -> Result<FileOut> {
+    let run_one = |plan: &&FilePlan| -> Result<FileOut> {
         let sp = metrics.span("ckpt.restore.fetch");
-        let (mut bytes, mut digest) = fetch_file_on(&*storage, &plan.path, req.chunk_bytes)
+        let (bytes, digest) = fetch_payload(&*h.storage, h.store.as_ref(), plan)
             .map_err(|e| annotate(e, &plan.subject))?;
-        if codec::is_encoded(&bytes) {
-            let (store, expect) = match (&store, &plan.expect) {
-                (Some(s), Some(e)) => (s, e),
-                _ => {
-                    return Err(CkptError::Format(format!(
-                        "{}: encoded store object without a manifest object ref",
-                        plan.subject
-                    )))
-                }
-            };
-            let want = Digest::parse_hex(&expect.digest).map_err(|e| {
-                CkptError::Format(format!(
-                    "{}: unparseable manifest digest '{}': {e}",
-                    plan.subject, expect.digest
-                ))
-            })?;
-            bytes = store
-                .materialize(&*storage, want)
-                .map_err(|e| annotate(io_err(&plan.path)(e), &plan.subject))?;
-            digest = want;
-        }
         fetch_ns.fetch_add(sp.finish(), Ordering::Relaxed);
 
         let sp = metrics.span("ckpt.restore.decode");
@@ -378,42 +444,35 @@ pub fn restore_checkpoint_with(
         decode_ns.fetch_add(sp.finish(), Ordering::Relaxed);
 
         let sp = metrics.span("ckpt.restore.validate");
-        let mut digests_verified = 0usize;
-        if req.verify {
-            digests_verified = validate_file(
-                plan,
-                &bytes,
-                digest,
-                &tensors,
-                &config,
-                manifest.as_ref(),
-                &meta,
-            )?;
+        let len = bytes.len() as u64;
+        drop(bytes);
+        let (digests_verified, problems) = validate_file(
+            plan,
+            len,
+            digest,
+            &tensors,
+            config,
+            h.manifest.as_ref(),
+            meta,
+        );
+        if let Some(first) = problems.into_iter().next() {
+            return Err(first);
         }
         validate_ns.fetch_add(sp.finish(), Ordering::Relaxed);
         Ok(FileOut {
-            plan_idx,
             tensors,
-            bytes: bytes.len() as u64,
+            bytes: len,
             digests_verified,
         })
     };
-    let mut outs: Vec<FileOut> = match req.parallelism {
-        Parallelism::Rayon => plans
-            .par_iter()
-            .enumerate()
-            .map(run_one)
-            .collect::<Result<Vec<_>>>()?,
-        Parallelism::Sequential => plans
-            .iter()
-            .enumerate()
-            .map(run_one)
-            .collect::<Result<Vec<_>>>()?,
+    // Both collects keep plan order.
+    let outs: Vec<FileOut> = match req.parallelism {
+        Parallelism::Rayon => plans.par_iter().map(run_one).collect::<Result<_>>()?,
+        Parallelism::Sequential => plans.iter().map(run_one).collect::<Result<_>>()?,
     };
-    outs.sort_by_key(|o| o.plan_idx);
 
     let mut report = RestoreReport {
-        step: paths.step,
+        step: h.paths.step,
         units: units.clone(),
         files_fetched: outs.len(),
         bytes_fetched: outs.iter().map(|o| o.bytes).sum(),
@@ -436,29 +495,13 @@ pub fn restore_checkpoint_with(
     let sp_bind = metrics.span("ckpt.restore.bind");
     let mut weight_map: HashMap<String, RawTensor> = HashMap::new();
     let mut shard_map: HashMap<(usize, usize), ShardState> = HashMap::new();
-    for out in outs {
-        match &plans[out.plan_idx].kind {
+    for (plan, out) in plans.iter().zip(outs) {
+        match &plan.kind {
             FileKind::Weights { .. } => weight_map.extend(out.tensors),
             FileKind::Shards { rank, gids } => {
                 let mut by_name: HashMap<String, RawTensor> = out.tensors.into_iter().collect();
                 for gid in gids {
-                    let names = shard_tensor_names(*gid);
-                    let mut take = |name: &str| -> Result<Vec<f32>> {
-                        by_name.remove(name).map(|t| t.to_f32s()).ok_or_else(|| {
-                            CkptError::Missing(format!(
-                                "shard tensor '{name}' of rank {rank} in {}",
-                                plans[out.plan_idx].path.display()
-                            ))
-                        })
-                    };
-                    shard_map.insert(
-                        (*rank, *gid),
-                        ShardState {
-                            master: take(&names[0])?,
-                            exp_avg: take(&names[1])?,
-                            exp_avg_sq: take(&names[2])?,
-                        },
-                    );
+                    shard_map.insert((*rank, *gid), take_shard(&mut by_name, *rank, *gid)?);
                 }
             }
         }
@@ -467,7 +510,7 @@ pub fn restore_checkpoint_with(
     let mut weights = Vec::new();
     if req.scope != RestoreScope::OptimizerOnly {
         for unit in &units {
-            for spec in unit_param_specs(&config, *unit) {
+            for spec in unit_param_specs(config, *unit) {
                 let t = weight_map
                     .remove(&spec.name)
                     .ok_or_else(|| CkptError::Missing(format!("weight '{}'", spec.name)))?;
@@ -479,12 +522,12 @@ pub fn restore_checkpoint_with(
     let mut ranks = Vec::new();
     if req.scope != RestoreScope::WeightsOnly {
         if meta.is_full() {
-            ranks = bind_ranks(&meta, &config, shard_map, target_topo)?;
+            ranks = bind_ranks(meta, config, shard_map, target_topo)?;
             report.resharded = target_topo != saved_topo;
         } else if req.topology.is_some() {
             return Err(CkptError::Incompatible(format!(
                 "checkpoint-{} is partial; assemble a full one with LLMTailor first",
-                paths.step
+                h.paths.step
             )));
         }
         // Partial + no target: shards were fetched and validated, but
@@ -493,20 +536,20 @@ pub fn restore_checkpoint_with(
     report.timings.bind_ns = sp_bind.finish();
 
     Ok(RestoredState {
-        paths,
-        config,
-        zero_meta: meta,
-        trainer_state,
-        manifest,
-        commit,
+        paths: h.paths,
+        config: h.config,
+        zero_meta: h.zero_meta,
+        trainer_state: h.trainer_state,
+        manifest: h.manifest,
+        commit: h.commit,
         weights,
         ranks,
         report,
     })
 }
 
-/// Prefix an error with the fetch plan's subject so a failing restore
-/// names the unit or shard it died on.
+/// Prefix an error with the plan's subject so a failing restore names
+/// the unit or shard it died on.
 fn annotate(e: CkptError, subject: &str) -> CkptError {
     match e {
         CkptError::Io(path, err) => CkptError::Io(
@@ -518,66 +561,75 @@ fn annotate(e: CkptError, subject: &str) -> CkptError {
     }
 }
 
-/// Verify-on-read for one fetched file. Returns the number of digest
-/// comparisons performed; any mismatch is an error naming the subject.
-fn validate_file(
+/// The object half of [`validate_file`], which is all the eager
+/// [`CheckpointHandle`] checks: the decoded image's length and SHA-256
+/// against the plan's object reference. Returns the digest comparisons
+/// that held and every problem found.
+pub(crate) fn validate_object(
     plan: &FilePlan,
-    bytes: &[u8],
-    digest: Digest,
+    len: u64,
+    digest: Option<Digest>,
+) -> (usize, Vec<CkptError>) {
+    let (Ok(Some((want, want_len))), Some(got)) = (&plan.expect, digest) else {
+        return (0, Vec::new());
+    };
+    let mut problems = Vec::new();
+    if len != *want_len {
+        problems.push(CkptError::Format(format!(
+            "{}: object length {len} != manifest {want_len}",
+            plan.subject
+        )));
+    }
+    if got != *want {
+        problems.push(CkptError::Format(format!(
+            "{}: object digest mismatch: manifest {want}, streamed {got}",
+            plan.subject
+        )));
+    }
+    (usize::from(got == *want), problems)
+}
+
+/// The one per-file check, verify-on-read: object length and digest,
+/// then every tensor the plan says the file holds — presence, shape and
+/// manifest FNV digest for weights, presence and length for shards.
+/// Returns the digest comparisons that held and every problem found, as
+/// the typed error a restore raises for it; [`restore_checkpoint_on`]
+/// stops at the first, [`crate::verify`] reports them all.
+pub(crate) fn validate_file(
+    plan: &FilePlan,
+    len: u64,
+    digest: Option<Digest>,
     tensors: &[(String, RawTensor)],
     config: &ModelConfig,
     manifest: Option<&PartialManifest>,
     meta: &ZeroMeta,
-) -> Result<usize> {
-    let mut verified = 0usize;
-    if let Some(expect) = &plan.expect {
-        if bytes.len() as u64 != expect.bytes {
-            return Err(CkptError::Format(format!(
-                "{}: object length {} != manifest {}",
-                plan.subject,
-                bytes.len(),
-                expect.bytes
-            )));
-        }
-        let want = Digest::parse_hex(&expect.digest).map_err(|e| {
-            CkptError::Format(format!(
-                "{}: malformed object digest '{}': {e}",
-                plan.subject, expect.digest
-            ))
-        })?;
-        if digest != want {
-            return Err(CkptError::Format(format!(
-                "{}: object digest mismatch: manifest {want}, streamed {digest}",
-                plan.subject
-            )));
-        }
-        verified += 1;
-    }
+) -> (usize, Vec<CkptError>) {
+    let (mut verified, mut problems) = validate_object(plan, len, digest);
     let by_name: HashMap<&str, &RawTensor> = tensors.iter().map(|(n, t)| (n.as_str(), t)).collect();
     match &plan.kind {
         FileKind::Weights { units } => {
-            for unit in units {
-                for spec in unit_param_specs(config, *unit) {
-                    let t = by_name
-                        .get(spec.name.as_str())
-                        .ok_or_else(|| CkptError::Missing(format!("weight '{}'", spec.name)))?;
-                    if t.shape().dims() != spec.shape.as_slice() {
-                        return Err(CkptError::Format(format!(
-                            "weight '{}': shape {} != expected {:?}",
-                            spec.name,
-                            t.shape(),
-                            spec.shape
-                        )));
-                    }
-                    if let Some(want) = manifest.and_then(|m| m.weight_digests.get(&spec.name)) {
-                        let got = t.digest();
-                        if got != *want {
-                            return Err(CkptError::Format(format!(
-                                "weight '{}': digest mismatch: manifest {want:#x}, file {got:#x}",
-                                spec.name
-                            )));
-                        }
+            for spec in units.iter().flat_map(|u| unit_param_specs(config, *u)) {
+                let Some(t) = by_name.get(spec.name.as_str()) else {
+                    problems.push(CkptError::Missing(format!("weight '{}'", spec.name)));
+                    continue;
+                };
+                if t.shape().dims() != spec.shape.as_slice() {
+                    problems.push(CkptError::Format(format!(
+                        "weight '{}': shape {} != expected {:?}",
+                        spec.name,
+                        t.shape(),
+                        spec.shape
+                    )));
+                }
+                if let Some(want) = manifest.and_then(|m| m.weight_digests.get(&spec.name)) {
+                    let got = t.digest();
+                    if got == *want {
                         verified += 1;
+                    } else {
+                        problems.push(CkptError::Format(format!(
+                            "weight '{}': digest mismatch: manifest {want:#x}, file {got:#x}",
+                            spec.name
+                        )));
                     }
                 }
             }
@@ -585,33 +637,38 @@ fn validate_file(
         FileKind::Shards { rank, gids } => {
             let topo = meta.topology();
             for gid in gids {
-                let group = meta.groups.get(*gid).ok_or_else(|| {
-                    CkptError::Format(format!(
+                let Some(group) = meta.groups.get(*gid) else {
+                    problems.push(CkptError::Format(format!(
                         "rank {rank} group {gid}: not described by zero_meta.json"
-                    ))
-                })?;
-                let want = group.expected_shard_len(&topo, *rank).ok_or_else(|| {
-                    CkptError::Format(format!(
+                    )));
+                    continue;
+                };
+                let Some(want) = group.expected_shard_len(&topo, *rank) else {
+                    problems.push(CkptError::Format(format!(
                         "rank {rank} group {gid}: no expected shard length under \
                          topology {topo} (inconsistent zero_meta.json)"
-                    ))
-                })?;
+                    )));
+                    continue;
+                };
                 for name in shard_tensor_names(*gid) {
-                    let t = by_name.get(name.as_str()).ok_or_else(|| {
-                        CkptError::Missing(format!("shard tensor '{name}' of rank {rank}"))
-                    })?;
-                    if t.shape().numel() != want {
-                        return Err(CkptError::Format(format!(
-                            "rank {rank} shard tensor '{name}': length {} != expected \
-                             {want} under topology {topo}",
-                            t.shape().numel(),
-                        )));
+                    match by_name.get(name.as_str()) {
+                        None => problems.push(CkptError::Missing(format!(
+                            "shard tensor '{name}' of rank {rank}"
+                        ))),
+                        Some(t) if t.shape().numel() != want => {
+                            problems.push(CkptError::Format(format!(
+                                "rank {rank} shard tensor '{name}': length {} != expected \
+                                 {want} under topology {topo}",
+                                t.shape().numel(),
+                            )))
+                        }
+                        Some(_) => {}
                     }
                 }
             }
         }
     }
-    Ok(verified)
+    (verified, problems)
 }
 
 /// Rebuild each group's tensor layout so a reshard plan knows where every
@@ -670,7 +727,7 @@ fn reconstruct_layouts(
 /// executing a per-group [`GroupPlan`] when the layout changes. The plan
 /// is computed offline (pure interval arithmetic, no I/O) and validates
 /// every source shard length before any element moves.
-fn bind_ranks(
+pub(crate) fn bind_ranks(
     meta: &ZeroMeta,
     config: &ModelConfig,
     mut shard_map: HashMap<(usize, usize), ShardState>,
@@ -796,6 +853,61 @@ mod tests {
     }
 
     #[test]
+    fn fetch_hashes_exactly_when_there_is_a_digest_to_compare_with() {
+        use llmt_cas::Codec;
+        let dir = tempfile::tempdir().unwrap();
+        let fs = LocalFs;
+        let plan = |path: PathBuf, expect| FilePlan {
+            path,
+            kind: FileKind::Weights { units: Vec::new() },
+            expect: Ok(expect),
+            subject: "test file".to_string(),
+        };
+        // Spans several range reads.
+        let image: Vec<u8> = (0..DEFAULT_CHUNK_BYTES * 2 + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let raw = dir.path().join("raw.safetensors");
+        std::fs::write(&raw, &image).unwrap();
+
+        // No object reference: streamed, not hashed.
+        let (bytes, digest) = fetch_payload(&fs, None, &plan(raw.clone(), None)).unwrap();
+        assert_eq!((bytes, digest), (image.clone(), None));
+
+        // A reference to a raw object: the digest is of the bytes that
+        // were streamed, whatever the manifest hoped for.
+        let hoped = Digest::of(b"something else");
+        let with_ref = plan(raw, Some((hoped, image.len() as u64)));
+        let (bytes, digest) = fetch_payload(&fs, None, &with_ref).unwrap();
+        assert_eq!((bytes, digest), (image.clone(), Some(Digest::of(&image))));
+
+        // An encoded object: read through the store by the expected
+        // digest, down the delta chain and back up.
+        let store = ObjectStore::for_run_root(dir.path());
+        let base = store.put(&fs, &image).unwrap().digest;
+        let mut tip_image = image.clone();
+        tip_image[100] ^= 0x55;
+        let tip = Digest::of(&tip_image);
+        let mut diff = tip_image.clone();
+        codec::xor_into(&mut diff, &image).unwrap();
+        let payload = Codec::Lzss.encode(&diff);
+        store
+            .put_delta(&fs, tip, base, &image, Codec::Lzss, &payload)
+            .unwrap();
+        let link = dir.path().join("tip.safetensors");
+        fs.hard_link(&store.object_path(tip), &link).unwrap();
+        let encoded = plan(link, Some((tip, tip_image.len() as u64)));
+        assert_eq!(encoded_object(&fs, &encoded).unwrap(), Some(tip));
+        let (bytes, digest) = fetch_payload(&fs, Some(&store), &encoded).unwrap();
+        assert_eq!((bytes, digest), (tip_image, Some(tip)));
+        // Without a store there is nothing to decode it with.
+        assert!(matches!(
+            fetch_payload(&fs, None, &encoded).unwrap_err(),
+            CkptError::Format(_)
+        ));
+    }
+
+    #[test]
     fn restore_matches_reader_for_plain_and_dedup() {
         let cfg = ModelConfig::tiny_test();
         for dedup in [false, true] {
@@ -897,33 +1009,15 @@ mod tests {
         let n = bytes.len();
         bytes[n - 20] ^= 0xFF;
         std::fs::write(&model_file, bytes).unwrap();
-        let err = restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                require_committed: false,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let err = restore_checkpoint(&ckpt, &RestoreRequest::default()).unwrap_err();
         assert!(
             matches!(&err, CkptError::Format(m) if m.contains("digest mismatch")),
             "{err}"
         );
-        // With verification off the corrupted bytes load silently — the
-        // digest check is what catches them.
-        restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                verify: false,
-                require_committed: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
     }
 
     #[test]
-    fn quarantined_checkpoints_are_refused_unless_asked() {
+    fn quarantined_checkpoints_are_refused() {
         let cfg = ModelConfig::tiny_test();
         let dir = tempfile::tempdir().unwrap();
         write_ckpt(dir.path(), &cfg, 10, 2, &LayerUnit::all(&cfg), false);
@@ -931,15 +1025,6 @@ mod tests {
         std::fs::remove_file(ckpt.join("COMMIT")).unwrap();
         let err = restore_checkpoint(&ckpt, &RestoreRequest::default()).unwrap_err();
         assert!(matches!(err, CkptError::Quarantined(..)), "{err}");
-        let state = restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                require_committed: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!state.commit.is_committed());
     }
 
     #[test]
@@ -978,14 +1063,7 @@ mod tests {
         write_ckpt(dir.path(), &cfg, 10, 2, &LayerUnit::all(&cfg), true);
         let ckpt = dir.path().join("checkpoint-10");
         std::fs::remove_file(ckpt.join("units/layers.1.safetensors")).unwrap();
-        let err = restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                require_committed: false,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let err = restore_checkpoint(&ckpt, &RestoreRequest::default()).unwrap_err();
         assert!(err.to_string().contains("layers.1"), "{err}");
     }
 

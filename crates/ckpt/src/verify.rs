@@ -11,15 +11,23 @@
 //! * `zero_meta.json` agrees with the config (`2L+x` group count, unit
 //!   arithmetic) and with itself (shard lengths vs numels and world size);
 //! * every present group's shards exist in every rank file with the
-//!   advertised length and finite values.
+//!   advertised length and finite values;
+//! * every content-addressed file hashes to the object digest the manifest
+//!   recorded for it, and its object is still in the store.
+//!
+//! The payload checks are the restore engine's own ([`crate::restore`]'s
+//! file plan, fetch and per-file check), run to the end instead of to the
+//! first problem, so a checkpoint verifies iff it restores.
 
-use crate::error::{CkptError, Result};
+use crate::error::Result;
 use crate::reader::{CheckpointHandle, LoadMode};
-use crate::restore::{self, RestoreRequest};
+use crate::restore::{self, FileKind};
+use crate::safetensors;
 use llmt_model::naming::unit_param_specs;
 use llmt_optim::GroupIndexMap;
 use llmt_storage::vfs::{LocalFs, Storage};
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -66,35 +74,39 @@ pub fn verify_checkpoint(dir: &Path) -> Result<VerifyReport> {
 
 /// Verify a checkpoint directory through an arbitrary [`Storage`] backend.
 ///
-/// Every byte verification touches — metadata, manifest-listed weights,
-/// optimizer shards, and content-addressed object links — flows through
-/// `storage`, so fault injection and I/O metering cover verification the
-/// same way they cover saves and restores. I/O errors on metadata abort
-/// with `Err`; integrity problems (including unreadable payload files) are
-/// collected into the report.
+/// Every byte verification touches — metadata, weights, optimizer shards,
+/// content-addressed object links — flows through `storage`, so fault
+/// injection and I/O metering cover verification the same way they cover
+/// saves and restores. I/O errors on metadata abort with `Err`; integrity
+/// problems (including unreadable payload files) are collected into the
+/// report.
 ///
-/// With `deep = true` the restore engine additionally streams every payload
-/// file back through [`restore::restore_checkpoint_on`] with verify-on-read
-/// enabled, recomputing each manifest SHA-256 digest incrementally and
-/// binding the result — proving the checkpoint is not just internally
-/// consistent but actually loadable. A failed deep pass becomes a finding,
-/// not an abort.
+/// The payload is checked in one pass over the checkpoint's file plan:
+/// each file is fetched once (hashed when the manifest has an object
+/// digest for it), decoded, put through the restore engine's per-file
+/// check, and dropped. With `deep = true` the optimizer shards are kept
+/// and bound into rank states as a restore would — proving the checkpoint
+/// is not just internally consistent but loadable — and the report counts
+/// the bytes and digests verified. A failed bind is a finding, not an
+/// abort.
 pub fn verify_checkpoint_on(
     storage: Arc<dyn Storage>,
     dir: &Path,
     deep: bool,
 ) -> Result<VerifyReport> {
-    let mut h = CheckpointHandle::open_on(storage.clone(), dir, LoadMode::LazyRange)?;
+    let h = CheckpointHandle::open_on(storage, dir, LoadMode::EagerFull)?;
     let mut report = VerifyReport::default();
-    let find = |subject: &str, problem: String, report: &mut VerifyReport| {
-        report.findings.push(Finding {
+    let mut findings = Vec::new();
+    let mut find = |subject: &str, problem: String| {
+        findings.push(Finding {
             subject: subject.to_string(),
             problem,
         });
     };
 
     if let Err(e) = h.config.validate() {
-        find("config.json", e.to_string(), &mut report);
+        find("config.json", e.to_string());
+        report.findings = findings;
         return Ok(report); // everything else depends on the config
     }
 
@@ -102,152 +114,11 @@ pub fn verify_checkpoint_on(
     // finding, not an abort — the rest of the report says how much of the
     // payload is intact.
     if !h.is_committed() {
-        find("COMMIT", h.commit_status().describe(), &mut report);
-    }
-
-    // Content-addressed references (deduplicated checkpoints): every
-    // referenced object must back an existing link whose bytes hash to the
-    // recorded digest, and — when the run root still has an object store —
-    // must be present in it. A bit flip in a shared object corrupts every
-    // checkpoint referencing it, so this is checked byte-for-byte.
-    let manifest = h.manifest.clone();
-    if let Some(refs) = manifest.as_ref().and_then(|m| m.objects.as_ref()) {
-        let store = h
-            .paths
-            .dir
-            .parent()
-            .map(|root| llmt_cas::ObjectStore::resolve(&*storage, root));
-        for (key, object) in refs.iter_all() {
-            let link = match key.strip_prefix("rank") {
-                // "rank<r>/group<g>" -> per-(rank, group) optimizer file.
-                Some(rest) => match rest.split_once("/group") {
-                    Some((r, g)) => match (r.parse::<usize>(), g.parse::<usize>()) {
-                        (Ok(rank), Ok(gid)) => h.paths.optim_group(rank, gid),
-                        _ => {
-                            find(key, "unparseable object reference key".into(), &mut report);
-                            continue;
-                        }
-                    },
-                    None => {
-                        find(key, "unparseable object reference key".into(), &mut report);
-                        continue;
-                    }
-                },
-                None => h.paths.unit_weights(key),
-            };
-            let digest = match llmt_cas::Digest::parse_hex(&object.digest) {
-                Ok(d) => d,
-                Err(e) => {
-                    find(
-                        key,
-                        format!("malformed object digest '{}': {e}", object.digest),
-                        &mut report,
-                    );
-                    continue;
-                }
-            };
-            match restore::fetch_file_on(&*storage, &link, crate::DEFAULT_CHUNK_BYTES) {
-                Err(_) => find(
-                    key,
-                    format!("object-backed file missing (digest {digest})"),
-                    &mut report,
-                ),
-                Ok((bytes, actual)) => {
-                    // Encoded objects (compressed fulls, delta chains)
-                    // are compared against their *decoded* image: the
-                    // store's chain walk re-derives it, verifying every
-                    // hop's digest along the way. Raw objects compare
-                    // the streamed bytes directly.
-                    let decoded = if llmt_cas::codec::is_encoded(&bytes) {
-                        match store
-                            .as_ref()
-                            .ok_or_else(|| {
-                                std::io::Error::other("encoded object outside a run root")
-                            })
-                            .and_then(|s| s.materialize(&*storage, digest))
-                        {
-                            Ok(image) => Some((image.len() as u64, digest)),
-                            Err(e) => {
-                                find(
-                                    key,
-                                    format!("encoded object failed to materialize: {e}"),
-                                    &mut report,
-                                );
-                                None
-                            }
-                        }
-                    } else {
-                        Some((bytes.len() as u64, actual))
-                    };
-                    if let Some((len, actual)) = decoded {
-                        if len != object.bytes {
-                            find(
-                                key,
-                                format!("object length {len} != manifest {}", object.bytes),
-                                &mut report,
-                            );
-                        }
-                        if actual != digest {
-                            find(
-                                key,
-                                format!("object digest mismatch: manifest {digest}, file {actual}"),
-                                &mut report,
-                            );
-                        }
-                    }
-                }
-            }
-            if let Some(store) = &store {
-                if store.is_present(&*storage) && !store.contains(&*storage, digest) {
-                    find(
-                        key,
-                        format!("referenced object {digest} absent from store"),
-                        &mut report,
-                    );
-                }
-            }
-        }
-    }
-
-    // Weights: shape + digest per manifest-listed unit.
-    for unit in h.units_present() {
-        for spec in unit_param_specs(&h.config, unit) {
-            match h.weight(&spec.name) {
-                Err(CkptError::Missing(_)) => find(
-                    &spec.name,
-                    "listed in manifest but absent".into(),
-                    &mut report,
-                ),
-                // A torn payload (truncated data section, unreadable file)
-                // is itself an integrity finding; keep checking the rest.
-                Err(e) => find(&spec.name, format!("unreadable: {e}"), &mut report),
-                Ok(t) => {
-                    report.weights_checked += 1;
-                    if t.shape().dims() != spec.shape.as_slice() {
-                        find(
-                            &spec.name,
-                            format!("shape {} != expected {:?}", t.shape(), spec.shape),
-                            &mut report,
-                        );
-                    }
-                    if let Some(m) = &manifest {
-                        match m.weight_digests.get(&spec.name) {
-                            None => find(&spec.name, "no digest in manifest".into(), &mut report),
-                            Some(d) if *d != t.digest() => find(
-                                &spec.name,
-                                format!("digest mismatch: manifest {d:#x}, file {:#x}", t.digest()),
-                                &mut report,
-                            ),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
+        find("COMMIT", h.commit_status().describe());
     }
 
     // ZeRO metadata consistency.
-    let meta = h.zero_meta.clone();
+    let meta = &h.zero_meta;
     let map = GroupIndexMap {
         num_layers: meta.num_layers,
         tied: meta.tied,
@@ -262,7 +133,6 @@ pub fn verify_checkpoint_on(
                 h.config.num_hidden_layers,
                 h.config.tie_word_embeddings
             ),
-            &mut report,
         );
     }
     if meta.groups.len() != map.group_count() {
@@ -273,7 +143,6 @@ pub fn verify_checkpoint_on(
                 meta.groups.len(),
                 map.group_count()
             ),
-            &mut report,
         );
     }
     let topo = meta.topology();
@@ -285,7 +154,6 @@ pub fn verify_checkpoint_on(
                 topo.world(),
                 meta.world_size
             ),
-            &mut report,
         );
     }
     for g in &meta.groups {
@@ -298,53 +166,100 @@ pub fn verify_checkpoint_on(
                     "shard_len {} != expected {want} under topology {topo}",
                     g.shard_len
                 ),
-                &mut report,
             ),
             None => find(
                 &format!("group {}", g.id),
                 format!("no expected shard length under topology {topo} (missing tp_shard_lens?)"),
-                &mut report,
             ),
             _ => {}
         }
     }
 
-    // Shards: presence, length, finiteness.
-    for rank in 0..meta.world_size {
-        for gid in &meta.groups_present {
-            match h.group_shard(rank, *gid) {
-                Err(CkptError::Missing(_)) => find(
-                    &format!("rank {rank} group {gid}"),
-                    "advertised but absent from shard file".into(),
-                    &mut report,
-                ),
-                Err(e) => find(
-                    &format!("rank {rank} group {gid}"),
-                    format!("unreadable: {e}"),
-                    &mut report,
-                ),
-                Ok(shard) => {
+    // Payload: one traversal of the file plan. A file that cannot be
+    // fetched or decoded is one finding and the pass moves on.
+    let mut shard_map = HashMap::new();
+    let store = h.store.as_ref().filter(|s| s.is_present(&*h.storage));
+    for plan in &h.plans {
+        // The link keeps this checkpoint's bytes alive, but a delta tip
+        // and every later dedup hit need the store's own copy.
+        if let (Ok(Some((digest, _))), Some(store)) = (&plan.expect, store) {
+            if !store.contains(&*h.storage, *digest) {
+                find(
+                    &plan.subject,
+                    format!("referenced object {digest} absent from store"),
+                );
+            }
+        }
+        let fetched = restore::fetch_payload(&*h.storage, h.store.as_ref(), plan).and_then(
+            |(bytes, digest)| {
+                let (tensors, _) = safetensors::decode_image(&plan.path, &bytes)?;
+                Ok((bytes.len() as u64, digest, tensors))
+            },
+        );
+        let (len, digest, tensors) = match fetched {
+            Ok(f) => f,
+            Err(e) => {
+                let problem = match &plan.expect {
+                    Ok(Some((digest, _))) if !h.storage.exists(&plan.path) => {
+                        format!("object-backed file missing (digest {digest})")
+                    }
+                    _ => format!("unreadable: {e}"),
+                };
+                find(&plan.subject, problem);
+                continue;
+            }
+        };
+        let (verified, problems) = restore::validate_file(
+            plan,
+            len,
+            digest,
+            &tensors,
+            &h.config,
+            h.manifest.as_ref(),
+            meta,
+        );
+        for p in problems {
+            find(&plan.subject, p.to_string());
+        }
+        if deep {
+            report.bytes_verified += len;
+            report.deep_digests_verified += verified;
+        }
+        // What only verification looks at: the values themselves, and a
+        // manifest that lists a weight without a digest.
+        match &plan.kind {
+            FileKind::Weights { units } => {
+                let present: HashSet<&str> = tensors.iter().map(|(n, _)| n.as_str()).collect();
+                for spec in units.iter().flat_map(|u| unit_param_specs(&h.config, *u)) {
+                    if !present.contains(spec.name.as_str()) {
+                        continue;
+                    }
+                    report.weights_checked += 1;
+                    if h.manifest
+                        .as_ref()
+                        .is_some_and(|m| !m.weight_digests.contains_key(&spec.name))
+                    {
+                        find(&spec.name, "no digest in manifest".into());
+                    }
+                }
+            }
+            FileKind::Shards { rank, gids } => {
+                let mut by_name = tensors.into_iter().collect();
+                for gid in gids {
+                    // A missing tensor is already one of `problems`.
+                    let Ok(shard) = restore::take_shard(&mut by_name, *rank, *gid) else {
+                        continue;
+                    };
                     report.shards_checked += 1;
-                    let want = meta.groups[*gid]
-                        .expected_shard_len(&topo, rank)
-                        .unwrap_or(meta.groups[*gid].shard_len);
                     for (name, buf) in [
                         ("master", &shard.master),
                         ("exp_avg", &shard.exp_avg),
                         ("exp_avg_sq", &shard.exp_avg_sq),
                     ] {
-                        if buf.len() != want {
-                            find(
-                                &format!("rank {rank} group {gid} {name}"),
-                                format!("length {} != shard_len {want}", buf.len()),
-                                &mut report,
-                            );
-                        }
                         if buf.iter().any(|v| !v.is_finite()) {
                             find(
                                 &format!("rank {rank} group {gid} {name}"),
                                 "contains non-finite values".into(),
-                                &mut report,
                             );
                         }
                     }
@@ -352,31 +267,24 @@ pub fn verify_checkpoint_on(
                         find(
                             &format!("rank {rank} group {gid} exp_avg_sq"),
                             "second moment is negative".into(),
-                            &mut report,
                         );
+                    }
+                    if deep {
+                        shard_map.insert((*rank, *gid), shard);
                     }
                 }
             }
         }
     }
 
-    // Deep pass: stream every payload file back through the restore engine
-    // with verify-on-read, so each manifest SHA-256 digest is recomputed
-    // incrementally over the actual bytes and the checkpoint is proven
-    // loadable end to end (decode + shape validation + bind included).
-    if deep {
-        let req = RestoreRequest {
-            require_committed: false,
-            ..RestoreRequest::default()
-        };
-        match restore::restore_checkpoint_on(storage, dir, &req) {
-            Ok(state) => {
-                report.bytes_verified = state.report.bytes_fetched;
-                report.deep_digests_verified = state.report.digests_verified;
-            }
-            Err(e) => find("restore", format!("deep restore failed: {e}"), &mut report),
+    // Deep: bind what was read into rank states at the saved topology,
+    // the last stage of a restore.
+    if deep && meta.is_full() {
+        if let Err(e) = restore::bind_ranks(meta, &h.config, shard_map, topo) {
+            find("bind", e.to_string());
         }
     }
+    report.findings = findings;
     Ok(report)
 }
 
@@ -385,15 +293,29 @@ mod tests {
     use super::*;
     use crate::engine::{self, LiveState, SaveOptions};
     use crate::writer::SaveRequest;
-    use crate::{CheckpointPaths, TrainerState};
+    use crate::{CheckpointPaths, CkptError, TrainerState};
+    use llmt_cas::codec::OBJECT_MAGIC;
+    use llmt_cas::{ObjectKind, ObjectStore};
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
     use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_tensor::rng::Prng;
     use llmt_zero::ZeroEngine;
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
 
     fn make_ckpt(root: &Path, units: Option<Vec<LayerUnit>>) -> (PathBuf, ModelConfig) {
+        make_ckpts(root, units, &SaveOptions::default(), 1)
+    }
+
+    /// Save steps `1..=steps` of one evolving state under `opts`; returns
+    /// the last checkpoint's directory.
+    fn make_ckpts(
+        root: &Path,
+        units: Option<Vec<LayerUnit>>,
+        opts: &SaveOptions,
+        steps: u64,
+    ) -> (PathBuf, ModelConfig) {
         let cfg = ModelConfig::tiny_test();
         let mut model = Model::new(cfg.clone(), 3);
         let mut engine = ZeroEngine::new(
@@ -403,29 +325,29 @@ mod tests {
             AdamWHyper::default(),
         );
         let mut rng = Prng::seed_from_u64(7);
-        let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
-        let mut grads = ParamSet::zeros(&cfg);
-        model.loss_and_grad(&Batch::new(tokens, 2, 8), &mut grads);
-        engine.step(&mut model.params, &grads, 1e-3, true);
-        let ts = TrainerState {
-            global_step: 1,
-            ckpt_event: 0,
-            lr_schedule: LrSchedule::Constant { lr: 1e-3 },
-            last_lr: 1e-3,
-            loss_history: vec![],
-            data_rng: rng,
-            task: "verify-test".into(),
-            model_name: cfg.model_name.clone(),
-            micro_batch: 2,
-            grad_accum: 1,
-            seq_len: 8,
-        };
         let units = units.unwrap_or_else(|| LayerUnit::all(&cfg));
-        let dir = engine::save(
-            &[&LocalFs],
-            &SaveRequest {
+        let mut dir = PathBuf::new();
+        for step in 1..=steps {
+            let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
+            let mut grads = ParamSet::zeros(&cfg);
+            model.loss_and_grad(&Batch::new(tokens, 2, 8), &mut grads);
+            engine.step(&mut model.params, &grads, 1e-3, true);
+            let ts = TrainerState {
+                global_step: step,
+                ckpt_event: 0,
+                lr_schedule: LrSchedule::Constant { lr: 1e-3 },
+                last_lr: 1e-3,
+                loss_history: vec![],
+                data_rng: rng.clone(),
+                task: "verify-test".into(),
+                model_name: cfg.model_name.clone(),
+                micro_batch: 2,
+                grad_accum: 1,
+                seq_len: 8,
+            };
+            let req = SaveRequest {
                 root,
-                step: 1,
+                step,
                 source: &LiveState {
                     config: &cfg,
                     params: &model.params,
@@ -435,13 +357,13 @@ mod tests {
                 units: &units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
-            },
-            &SaveOptions::default(),
-        )
-        .unwrap()
-        .report
-        .paths
-        .dir;
+            };
+            dir = engine::save(&[&LocalFs], &req, opts)
+                .unwrap()
+                .report
+                .paths
+                .dir;
+        }
         (dir, cfg)
     }
 
@@ -490,14 +412,7 @@ mod tests {
             report.findings
         );
         // The full load paths surface typed errors instead of panicking.
-        let err = crate::restore::restore_checkpoint(
-            &dir,
-            &crate::restore::RestoreRequest {
-                require_committed: false,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let err = crate::restore::restore_checkpoint(&dir, &Default::default()).unwrap_err();
         assert!(matches!(err, CkptError::Format(_)), "{err}");
         let mut h = CheckpointHandle::open(&dir, LoadMode::EagerFull).unwrap();
         assert!(matches!(h.load_model().unwrap_err(), CkptError::Format(_)));
@@ -597,26 +512,39 @@ mod tests {
         let (dir, _) = make_ckpt(root.path(), None);
         let model_file = dir.join("model.safetensors");
         let bytes = std::fs::read(&model_file).unwrap();
-        // Truncate into the data section: lazy per-tensor reads may still
-        // see some tensors, but a full streamed restore cannot.
+        // Truncate into the data section: the file no longer decodes.
         std::fs::write(&model_file, &bytes[..bytes.len() - 8]).unwrap();
         let report = verify_checkpoint_on(Arc::new(LocalFs), &dir, true).unwrap();
         assert!(
             report
                 .findings
                 .iter()
-                .any(|f| f.subject == "restore" && f.problem.contains("deep restore failed")),
+                .any(|f| f.subject == "model weights" && f.problem.contains("unreadable")),
             "{:?}",
             report.findings
         );
     }
 
-    /// A [`Storage`] decorator that records every path read through it, so
-    /// the tests can prove no verification byte sneaks around the vfs.
+    /// A [`Storage`] decorator that counts the bytes read from every path
+    /// through it, so the tests can prove no verification byte sneaks
+    /// around the vfs and none is read twice.
     #[derive(Debug, Default)]
     struct RecordingFs {
         inner: LocalFs,
-        reads: std::sync::Mutex<Vec<PathBuf>>,
+        reads: std::sync::Mutex<BTreeMap<PathBuf, u64>>,
+    }
+
+    impl RecordingFs {
+        fn record(&self, path: &Path, read: std::io::Result<Vec<u8>>) -> std::io::Result<Vec<u8>> {
+            let bytes = read?;
+            *self
+                .reads
+                .lock()
+                .unwrap()
+                .entry(path.to_path_buf())
+                .or_default() += bytes.len() as u64;
+            Ok(bytes)
+        }
     }
 
     impl llmt_storage::vfs::Storage for RecordingFs {
@@ -633,12 +561,10 @@ mod tests {
             self.inner.rename(from, to)
         }
         fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-            self.reads.lock().unwrap().push(path.to_path_buf());
-            self.inner.read(path)
+            self.record(path, self.inner.read(path))
         }
         fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-            self.reads.lock().unwrap().push(path.to_path_buf());
-            self.inner.read_range(path, offset, len)
+            self.record(path, self.inner.read_range(path, offset, len))
         }
         fn list_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
             self.inner.list_dir(path)
@@ -673,54 +599,8 @@ mod tests {
         // injection. Every payload file must now show up in the storage's
         // read log.
         let root = tempfile::tempdir().unwrap();
-        let cfg = ModelConfig::tiny_test();
-        let mut model = Model::new(cfg.clone(), 3);
-        let mut engine = ZeroEngine::new(
-            &model.params,
-            build_groups(&cfg, GroupLayout::LayerWise),
-            2,
-            AdamWHyper::default(),
-        );
-        let mut rng = Prng::seed_from_u64(7);
-        let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
-        let mut grads = ParamSet::zeros(&cfg);
-        model.loss_and_grad(&Batch::new(tokens, 2, 8), &mut grads);
-        engine.step(&mut model.params, &grads, 1e-3, true);
-        let ts = TrainerState {
-            global_step: 1,
-            ckpt_event: 0,
-            lr_schedule: LrSchedule::Constant { lr: 1e-3 },
-            last_lr: 1e-3,
-            loss_history: vec![],
-            data_rng: rng,
-            task: "verify-test".into(),
-            model_name: cfg.model_name.clone(),
-            micro_batch: 2,
-            grad_accum: 1,
-            seq_len: 8,
-        };
+        let (dir, cfg) = make_ckpts(root.path(), None, &SaveOptions::dedup(true), 1);
         let units = LayerUnit::all(&cfg);
-        let dir = engine::save(
-            &[&LocalFs],
-            &SaveRequest {
-                root: root.path(),
-                step: 1,
-                source: &LiveState {
-                    config: &cfg,
-                    params: &model.params,
-                    engine: &engine,
-                },
-                trainer_state: &ts,
-                units: &units,
-                metrics: &MetricsRegistry::new(),
-                store: None,
-            },
-            &SaveOptions::dedup(true),
-        )
-        .unwrap()
-        .report
-        .paths
-        .dir;
 
         let fs = Arc::new(RecordingFs::default());
         let report = verify_checkpoint_on(fs.clone(), &dir, false).unwrap();
@@ -729,16 +609,96 @@ mod tests {
         for unit in &units {
             let link = dir.join(format!("units/{}.safetensors", unit.as_string()));
             assert!(
-                reads.iter().any(|p| p == &link),
+                reads.contains_key(&link),
                 "object link {} never read through the storage",
                 link.display()
             );
         }
         assert!(
-            reads.iter().any(|p| {
+            reads.keys().any(|p| {
                 p.to_string_lossy().contains("group") && p.to_string_lossy().contains("rank")
             }),
             "optimizer object links never read through the storage"
         );
+    }
+
+    /// The most bytes one pass over `dir` may read from each path that is
+    /// not simply "the file, once": an encoded link is only peeked at,
+    /// and a store object is read once per chain that visits it.
+    fn read_budget(root: &Path, dir: &Path) -> BTreeMap<PathBuf, u64> {
+        let h = CheckpointHandle::open(dir, LoadMode::EagerFull).unwrap();
+        let store = ObjectStore::for_run_root(root);
+        let info = |d| store.object_info(&LocalFs, d).unwrap();
+        let mut budget = BTreeMap::new();
+        for plan in &h.plans {
+            let Ok(Some((digest, _))) = plan.expect else {
+                continue;
+            };
+            if info(digest).kind == ObjectKind::LegacyRaw {
+                continue;
+            }
+            budget.insert(plan.path.clone(), OBJECT_MAGIC.len() as u64);
+            let mut hop = Some(digest);
+            while let Some(d) = hop {
+                *budget.entry(store.object_path(d)).or_default() += info(d).stored_len;
+                hop = match info(d).kind {
+                    ObjectKind::Delta { base, .. } => Some(base),
+                    _ => None,
+                };
+            }
+        }
+        budget
+    }
+
+    fn assert_every_byte_read_once(fs: &RecordingFs, root: &Path, dir: &Path, who: &str) {
+        let budget = read_budget(root, dir);
+        let reads = fs.reads.lock().unwrap();
+        assert!(reads
+            .keys()
+            .any(|p| p.extension().is_some_and(|e| e == "safetensors")));
+        for (path, bytes) in reads.iter() {
+            let len = std::fs::metadata(path).unwrap().len();
+            let allowed = budget
+                .get(path)
+                .copied()
+                .unwrap_or(len + OBJECT_MAGIC.len() as u64);
+            assert!(
+                *bytes <= allowed,
+                "{who} read {bytes} bytes of {} ({len} long, {allowed} allowed)",
+                path.display()
+            );
+        }
+    }
+
+    #[test]
+    fn every_payload_byte_is_read_once() {
+        let delta = SaveOptions {
+            dedup: true,
+            compress: true,
+            delta_chain: 4,
+            ..SaveOptions::default()
+        };
+        for (opts, steps) in [
+            (SaveOptions::default(), 1),
+            (SaveOptions::dedup(true), 1),
+            (delta, 2),
+        ] {
+            let root = tempfile::tempdir().unwrap();
+            let (dir, _) = make_ckpts(root.path(), None, &opts, steps);
+            let fs = Arc::new(RecordingFs::default());
+            let report = verify_checkpoint_on(fs.clone(), &dir, true).unwrap();
+            assert!(report.ok(), "{:?}", report.findings);
+            assert!(report.bytes_verified > 0);
+            assert_every_byte_read_once(&fs, root.path(), &dir, "deep verify");
+            if opts.delta_chain > 0 {
+                assert!(
+                    read_budget(root.path(), &dir).len() > 2,
+                    "fixture has no delta chains"
+                );
+                let fs = Arc::new(RecordingFs::default());
+                restore::restore_checkpoint_on(fs.clone(), &dir, &Default::default()).unwrap();
+                assert_every_byte_read_once(&fs, root.path(), &dir, "restore");
+            }
+        }
     }
 }

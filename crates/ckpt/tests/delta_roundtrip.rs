@@ -103,7 +103,7 @@ fn weight_image(model: &Model) -> Vec<(String, Vec<u8>)> {
         .params
         .iter()
         .map(|(spec, t)| {
-            let bytes = t.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+            let bytes = t.to_raw(llmt_tensor::DType::BF16).bytes().to_vec();
             (spec.name.clone(), bytes)
         })
         .collect()

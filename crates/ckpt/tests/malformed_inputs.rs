@@ -126,18 +126,30 @@ fn checkpoint_with_corrupt_config_json_errors_cleanly() {
 // must downgrade each of these to findings, never a panic or a hard error.
 // ---------------------------------------------------------------------------
 
+/// The three on-disk forms of a checkpoint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Layout {
+    /// `model.safetensors` plus one optimizer shard file per rank.
+    Conventional,
+    /// Deduplicated: every payload file a hard link to a raw store object.
+    RawCas,
+    /// Deduplicated, compressed and delta-chained: a second save whose
+    /// links hold encoded objects with bases in the first.
+    DeltaCas,
+}
+
 /// Write a full, committed checkpoint and return its directory.
 fn committed_ckpt(root: &Path) -> std::path::PathBuf {
-    committed_ckpt_impl(root, false)
+    committed_ckpt_impl(root, Layout::Conventional)
 }
 
 /// Write a full, committed, *deduplicated* (content-addressed) checkpoint
 /// and return its directory.
 fn committed_dedup_ckpt(root: &Path) -> std::path::PathBuf {
-    committed_ckpt_impl(root, true)
+    committed_ckpt_impl(root, Layout::RawCas)
 }
 
-fn committed_ckpt_impl(root: &Path, dedup: bool) -> std::path::PathBuf {
+fn committed_ckpt_impl(root: &Path, layout: Layout) -> std::path::PathBuf {
     use llmt_ckpt::engine::{self, LiveState, SaveOptions};
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
     use llmt_obs::MetricsRegistry;
@@ -154,38 +166,58 @@ fn committed_ckpt_impl(root: &Path, dedup: bool) -> std::path::PathBuf {
         AdamWHyper::default(),
     );
     let mut rng = llmt_tensor::rng::Prng::seed_from_u64(5);
-    let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
-    let mut grads = ParamSet::zeros(&cfg);
-    model.loss_and_grad(&Batch::new(tokens, 2, 8), &mut grads);
-    engine.step(&mut model.params, &grads, 1e-3, true);
-    let ts = llmt_ckpt::TrainerState {
-        global_step: 1,
-        ckpt_event: 0,
-        lr_schedule: LrSchedule::Constant { lr: 1e-3 },
-        last_lr: 1e-3,
-        loss_history: vec![],
-        data_rng: rng,
-        task: "malformed-test".into(),
-        model_name: cfg.model_name.clone(),
-        micro_batch: 2,
-        grad_accum: 1,
-        seq_len: 8,
+    let (opts, steps) = match layout {
+        Layout::Conventional => (SaveOptions::default(), 1),
+        Layout::RawCas => (SaveOptions::dedup(true), 1),
+        Layout::DeltaCas => (
+            SaveOptions {
+                dedup: true,
+                compress: true,
+                delta_chain: 4,
+                ..SaveOptions::default()
+            },
+            2,
+        ),
     };
-    let req = llmt_ckpt::SaveRequest {
-        root,
-        step: 1,
-        source: &LiveState {
-            config: &cfg,
-            params: &model.params,
-            engine: &engine,
-        },
-        trainer_state: &ts,
-        units: &LayerUnit::all(&cfg),
-        metrics: &MetricsRegistry::new(),
-        store: None,
-    };
-    let placed = engine::save(&[&LocalFs], &req, &SaveOptions::dedup(dedup)).unwrap();
-    placed.report.paths.dir
+    let mut dir = std::path::PathBuf::new();
+    for step in 1..=steps {
+        let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
+        let mut grads = ParamSet::zeros(&cfg);
+        model.loss_and_grad(&Batch::new(tokens, 2, 8), &mut grads);
+        engine.step(&mut model.params, &grads, 1e-3, true);
+        let ts = llmt_ckpt::TrainerState {
+            global_step: step,
+            ckpt_event: 0,
+            lr_schedule: LrSchedule::Constant { lr: 1e-3 },
+            last_lr: 1e-3,
+            loss_history: vec![],
+            data_rng: rng.clone(),
+            task: "malformed-test".into(),
+            model_name: cfg.model_name.clone(),
+            micro_batch: 2,
+            grad_accum: 1,
+            seq_len: 8,
+        };
+        let req = llmt_ckpt::SaveRequest {
+            root,
+            step,
+            source: &LiveState {
+                config: &cfg,
+                params: &model.params,
+                engine: &engine,
+            },
+            trainer_state: &ts,
+            units: &LayerUnit::all(&cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        };
+        dir = engine::save(&[&LocalFs], &req, &opts)
+            .unwrap()
+            .report
+            .paths
+            .dir;
+    }
+    dir
 }
 
 #[test]
@@ -338,4 +370,226 @@ fn manifest_digest_mismatch_is_a_finding() {
         "{:?}",
         report.findings
     );
+}
+
+// ---------------------------------------------------------------------------
+// One verdict per problem: the restore engine, the checkpoint handle and
+// verification execute the same file plan, so they cannot disagree about
+// a malformed manifest or a damaged payload.
+// ---------------------------------------------------------------------------
+
+/// Rewrite a committed checkpoint's manifest and seal it again, so the
+/// edit is what the readers judge and not a stale `COMMIT` marker.
+fn edit_manifest(dir: &Path, edit: impl FnOnce(&mut llmt_ckpt::PartialManifest)) {
+    let path = dir.join("partial_manifest.json");
+    let mut manifest = llmt_ckpt::PartialManifest::load(&path).unwrap();
+    edit(&mut manifest);
+    let text = serde_json::to_string_pretty(&manifest).unwrap();
+    std::fs::write(&path, &text).unwrap();
+    let marker = llmt_ckpt::layout::commit_marker_contents(manifest.step, text.as_bytes());
+    std::fs::write(dir.join("COMMIT"), marker).unwrap();
+}
+
+fn restore(dir: &Path) -> llmt_ckpt::Result<llmt_ckpt::RestoredState> {
+    llmt_ckpt::restore_checkpoint(dir, &llmt_ckpt::RestoreRequest::default())
+}
+
+#[test]
+fn malformed_object_reference_gets_one_verdict_from_every_reader() {
+    // (edit, the key every message must name, how a handle reaches the file)
+    type Edit = fn(&mut llmt_ckpt::PartialManifest);
+    type Read = fn(&mut CheckpointHandle) -> llmt_ckpt::Result<()>;
+    let rename_key = |m: &mut llmt_ckpt::PartialManifest| {
+        let optim = &mut m.objects.as_mut().unwrap().optim;
+        let object = optim.remove("rank0/group1").unwrap();
+        optim.insert("rankX/group1".into(), object);
+    };
+    let break_digest = |m: &mut llmt_ckpt::PartialManifest| {
+        let weights = &mut m.objects.as_mut().unwrap().weights;
+        weights.get_mut("embed_tokens").unwrap().digest = "not-hex".into();
+    };
+    let cases: [(Edit, &str, Read); 2] = [
+        (rename_key, "rankX/group1", |h| {
+            h.group_shard(0, 1).map(drop)
+        }),
+        (break_digest, "embed_tokens", |h| {
+            h.weight("model.embed_tokens.weight").map(drop)
+        }),
+    ];
+    for (edit, key, read) in cases {
+        let root = tempfile::tempdir().unwrap();
+        let dir = committed_dedup_ckpt(root.path());
+        edit_manifest(&dir, edit);
+
+        let err = restore(&dir).map(drop).unwrap_err();
+        assert!(
+            matches!(&err, CkptError::Format(m) if m.contains(key)),
+            "{key}: {err}"
+        );
+        for mode in [LoadMode::EagerFull, LoadMode::LazyRange] {
+            let mut h = CheckpointHandle::open(&dir, mode).unwrap();
+            let err = read(&mut h).unwrap_err();
+            assert!(
+                matches!(&err, CkptError::Format(m) if m.contains(key)),
+                "{key} {mode:?}: {err}"
+            );
+            // Every other file still reads.
+            h.group_shard(1, 1).unwrap();
+            h.weight("model.norm.weight").unwrap();
+        }
+        let report = llmt_ckpt::verify_checkpoint(&dir).unwrap();
+        let clean_root = tempfile::tempdir().unwrap();
+        let clean = llmt_ckpt::verify_checkpoint(&committed_dedup_ckpt(clean_root.path())).unwrap();
+        assert_eq!(report.findings.len(), 1, "{key}: {:?}", report.findings);
+        assert!(report.findings[0].problem.contains(key), "{report:?}");
+        // ... and verification went on past it.
+        assert_eq!(
+            report.weights_checked + report.shards_checked + 1,
+            clean.weights_checked + clean.shards_checked,
+            "{key}"
+        );
+    }
+}
+
+/// Decoded tensors of a payload file, whatever form its object takes.
+fn payload_tensors(
+    root: &Path,
+    file: &Path,
+    digest: Option<&str>,
+) -> safetensors::TensorsAndMetadata {
+    let mut image = std::fs::read(file).unwrap();
+    if llmt_cas::codec::is_encoded(&image) {
+        let digest = llmt_cas::Digest::parse_hex(digest.unwrap()).unwrap();
+        image = llmt_cas::ObjectStore::for_run_root(root)
+            .materialize(&llmt_storage::vfs::LocalFs, digest)
+            .unwrap();
+    }
+    safetensors::decode_image(file, &image).unwrap()
+}
+
+#[test]
+fn restore_and_verify_cannot_disagree() {
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        Pristine,
+        BitFlip,
+        Truncated,
+        TensorRenamed,
+        MissingLink,
+        MissingStoreObject,
+        ManifestLengthOffByOne,
+    }
+    use Damage::*;
+    for layout in [Layout::Conventional, Layout::RawCas, Layout::DeltaCas] {
+        for damage in [
+            Pristine,
+            BitFlip,
+            Truncated,
+            TensorRenamed,
+            MissingLink,
+            MissingStoreObject,
+            ManifestLengthOffByOne,
+        ] {
+            let cas = layout != Layout::Conventional;
+            if !cas && matches!(damage, MissingStoreObject | ManifestLengthOffByOne) {
+                continue; // a conventional checkpoint has neither
+            }
+            let case = format!("{layout:?}/{damage:?}");
+            let root = tempfile::tempdir().unwrap();
+            let dir = committed_ckpt_impl(root.path(), layout);
+            let paths = llmt_ckpt::CheckpointPaths::open(&dir).unwrap();
+            let manifest =
+                llmt_ckpt::PartialManifest::load(&dir.join("partial_manifest.json")).unwrap();
+            // The victims: one weights file and one shard file, with the
+            // subject both readers file their problems under.
+            let (weights, shard) = if cas {
+                (
+                    (paths.unit_weights("layers.0"), "unit layers.0".to_string()),
+                    (paths.optim_group(1, 2), "rank 1 group 2 shard".to_string()),
+                )
+            } else {
+                (
+                    (paths.model(), "model weights".to_string()),
+                    (paths.optim_shard(1), "rank 1 shards".to_string()),
+                )
+            };
+            let refs = manifest.objects.as_ref();
+            let shard_ref = refs.map(|r| r.optim["rank1/group2"].clone());
+            let (victim, subject) = match damage {
+                Pristine => (std::path::PathBuf::new(), String::new()),
+                BitFlip => {
+                    let mut bytes = std::fs::read(&weights.0).unwrap();
+                    let n = bytes.len();
+                    bytes[n - 3] ^= 0x40;
+                    std::fs::write(&weights.0, bytes).unwrap();
+                    weights
+                }
+                Truncated => {
+                    let bytes = std::fs::read(&shard.0).unwrap();
+                    std::fs::write(&shard.0, &bytes[..bytes.len() - 8]).unwrap();
+                    shard
+                }
+                TensorRenamed => {
+                    let digest = shard_ref.as_ref().map(|r| r.digest.as_str());
+                    let (mut tensors, meta) = payload_tensors(root.path(), &shard.0, digest);
+                    tensors[0].0.push_str(".renamed");
+                    safetensors::write_file(&shard.0, &tensors, &meta).unwrap();
+                    shard
+                }
+                MissingLink => {
+                    std::fs::remove_file(&weights.0).unwrap();
+                    weights
+                }
+                MissingStoreObject => {
+                    let hex = &shard_ref.as_ref().unwrap().digest;
+                    let object = root.path().join("objects").join(&hex[..2]);
+                    std::fs::remove_file(object.join(format!("{hex}.obj"))).unwrap();
+                    shard
+                }
+                ManifestLengthOffByOne => {
+                    edit_manifest(&dir, |m| {
+                        let weights = &mut m.objects.as_mut().unwrap().weights;
+                        weights.get_mut("layers.0").unwrap().bytes += 1;
+                    });
+                    weights
+                }
+            };
+            let _ = victim;
+
+            let restored = restore(&dir).map(drop);
+            let report = llmt_ckpt::verify_checkpoint_on(
+                std::sync::Arc::new(llmt_storage::vfs::LocalFs),
+                &dir,
+                true,
+            )
+            .unwrap();
+            match (damage, restored) {
+                (Pristine, restored) => {
+                    restored.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert!(report.ok(), "{case}: {:?}", report.findings);
+                }
+                (_, Ok(())) => {
+                    // Only a store object whose raw link still holds the
+                    // bytes can go missing without the restore noticing.
+                    assert!(matches!(damage, MissingStoreObject), "{case}");
+                    assert!(!report.ok(), "{case}");
+                }
+                (_, Err(e)) => {
+                    // The restore stopped at its first problem; verify
+                    // reports that problem, or another, for the same file.
+                    let text = e.to_string();
+                    let mine: Vec<_> = report
+                        .findings
+                        .iter()
+                        .filter(|f| f.subject == subject)
+                        .collect();
+                    assert!(!mine.is_empty(), "{case}: {e} vs {:?}", report.findings);
+                    assert!(
+                        text.contains(&subject) || mine.iter().any(|f| f.problem == text),
+                        "{case}: restore says '{text}', verify says {mine:?}"
+                    );
+                }
+            }
+        }
+    }
 }

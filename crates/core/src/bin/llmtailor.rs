@@ -80,9 +80,9 @@ USAGE:
       ZeRO metadata consistency, shard lengths and finiteness. Exits
       non-zero on any finding, including quarantined (torn or tampered)
       checkpoints.
-      --deep  additionally stream every payload byte through the restore
-              engine, recomputing manifest SHA-256 digests on read and
-              proving the checkpoint actually loads end to end
+      --deep  additionally bind the optimizer shards into rank states,
+              proving the checkpoint loads end to end, and report the
+              bytes and digests verified
 
   llmtailor prune --run-root <DIR> [--keep-last <N>] [--dry-run]
       Delete checkpoints that are not load-bearing: every unit's most
@@ -144,8 +144,8 @@ USAGE:
   llmtailor resume --daemon <SOCKET> --run <RUN_ID> [--deep]
       Client mode: open a reader session pinning the store epoch, locate
       the run's newest committed checkpoint, verify it through the
-      daemon (--deep streams every payload byte), and print the step to
-      resume from.
+      daemon (--deep also binds the shards into rank states), and print
+      the step to resume from.
 
 ";
 

@@ -171,8 +171,7 @@ pub fn execute_plan(plan: &MergePlan, mode: LoadMode, pattern: LoadPattern) -> R
             });
             match reusable {
                 Some((r, d, copied)) => {
-                    fs.hard_link(&store.object_path(d), &dest)
-                        .map_err(io_as_tailor(&dest))?;
+                    store.link(&fs, d, &dest).map_err(io_as_tailor(&dest))?;
                     digests.extend(copied);
                     refs.weights.insert(key, r);
                     objects_linked += 1;
@@ -309,8 +308,7 @@ pub fn execute_plan(plan: &MergePlan, mode: LoadMode, pattern: LoadPattern) -> R
                     });
                     match reusable {
                         Some((r, d)) => {
-                            fs.hard_link(&store.object_path(d), &dest)
-                                .map_err(io_as_tailor(&dest))?;
+                            store.link(&fs, d, &dest).map_err(io_as_tailor(&dest))?;
                             rank_refs.push((refkey, r));
                             linked += 1;
                         }

@@ -9,11 +9,19 @@ cargo build --release
 # type-check every target: a removed API must not leave one stale.
 cargo check --workspace --all-targets
 # Deleted-name guard: the save entry points, snapshot ring and fault knob
-# that `engine::save` and `Trainer::with_storage` replaced stay deleted.
-# (Each pattern ends in a bracket expression so this line matches nothing.)
-if git grep -nE 'save_source_wit[h]|save_checkpoint_dedu[p]|MemoryTie[r]|crash_during_sav[e]' -- . \
+# that `engine::save` and `Trainer::with_storage` replaced, and the reader
+# helpers and restore option that the shared file plan replaced, stay
+# deleted. (Each pattern ends in a bracket expression so this line
+# matches nothing.)
+if git grep -nE 'save_source_wit[h]|save_checkpoint_dedu[p]|MemoryTie[r]|crash_during_sav[e]|parse_optim_ke[y]|materialize_encode[d]|fetch_file_o[n]|require_committe[d]' -- . \
   ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!crates/ledger'; then
   echo "a deleted name is back (see the matches above)"; exit 1
+fi
+# One payload fetch: outside the save engine's delta-base read, exactly
+# one line of the checkpoint crate decodes a store object.
+if [ "$(git grep -n '\.materialize(' -- crates/ckpt/src ':!crates/ckpt/src/engine.rs' | wc -l)" -ne 1 ]; then
+  git grep -n '\.materialize(' -- crates/ckpt/src ':!crates/ckpt/src/engine.rs' || true
+  echo "expected exactly one .materialize( call outside engine.rs"; exit 1
 fi
 cargo test -q
 cargo clippy --workspace -- -D warnings
