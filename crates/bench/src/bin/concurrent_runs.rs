@@ -28,7 +28,7 @@
 
 use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{scan_run_root, TrainerState};
+use llmt_ckpt::{scan_run_root, CheckpointPaths, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_daemon::{Daemon, DaemonClient, DaemonConfig};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
@@ -117,7 +117,7 @@ fn contend(cfg: &ModelConfig, root: &Path, runs: usize, saves: u64) -> Outcome {
                         let report = session
                             .save(
                                 &SaveRequest {
-                                    root: session.run_root(),
+                                    dir: &CheckpointPaths::under(session.run_root(), step).dir,
                                     step,
                                     source: &LiveState {
                                         config: &cfg,
@@ -190,7 +190,7 @@ fn contend_daemon(cfg: &ModelConfig, root: &Path, runs: usize, saves: u64) -> Ou
                     let mut physical = 0u64;
                     for step in 1..=saves {
                         let req = SaveRequest {
-                            root: Path::new(""), // the daemon session grants the real one
+                            dir: Path::new(""), // the daemon session grants the real one
                             step,
                             source: &LiveState {
                                 config: &cfg,

@@ -18,7 +18,7 @@
 //! move each element exactly once (total elements == total group numel).
 
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
-use llmt_ckpt::{restore_checkpoint, RestoreRequest, SaveRequest, TrainerState};
+use llmt_ckpt::{restore_checkpoint, CheckpointPaths, RestoreRequest, SaveRequest, TrainerState};
 use llmt_model::{LayerUnit, Model, ModelConfig};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -62,7 +62,7 @@ fn build_checkpoint(root: &Path, cfg: &ModelConfig, topo: Topology) -> PathBuf {
     engine::save(
         &[&LocalFs],
         &SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, 1).dir,
             step: 1,
             source: &LiveState {
                 config: cfg,

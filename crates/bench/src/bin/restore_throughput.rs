@@ -17,7 +17,8 @@
 
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::{
-    restore_checkpoint, Parallelism, RestoreRequest, RestoredState, SaveRequest, TrainerState,
+    restore_checkpoint, CheckpointPaths, Parallelism, RestoreRequest, RestoredState, SaveRequest,
+    TrainerState,
 };
 use llmt_model::{LayerUnit, Model, ModelConfig};
 use llmt_obs::MetricsRegistry;
@@ -62,7 +63,7 @@ fn build_checkpoint(root: &Path, cfg: &ModelConfig) -> PathBuf {
     engine::save(
         &[&LocalFs],
         &SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, 1).dir,
             step: 1,
             source: &LiveState {
                 config: cfg,

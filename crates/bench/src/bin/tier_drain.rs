@@ -19,7 +19,7 @@
 
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{RestoreRequest, TrainerState};
+use llmt_ckpt::{CheckpointPaths, RestoreRequest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -98,8 +98,12 @@ fn main() {
         engine: &engine,
     };
     let registry = MetricsRegistry::new();
-    let req_under = |root| SaveRequest {
-        root,
+    let tier_dir = tempfile::tempdir().expect("tempdir");
+    let root = tier_dir.path();
+    let base_ckpt = CheckpointPaths::under(base_dir.path(), step).dir;
+    let tier_ckpt = CheckpointPaths::under(root, step).dir;
+    let req_in = |dir| SaveRequest {
+        dir,
         step,
         source: &live,
         trainer_state: &ts,
@@ -107,19 +111,13 @@ fn main() {
         metrics: &registry,
         store: None,
     };
-    let report = engine::save(
-        &[&lustre],
-        &req_under(base_dir.path()),
-        &SaveOptions::default(),
-    )
-    .expect("baseline save")
-    .report;
+    let report = engine::save(&[&lustre], &req_in(&base_ckpt), &SaveOptions::default())
+        .expect("baseline save")
+        .report;
     let baseline_unblock_s = base_clock.slept_nanos() as f64 / 1e9;
 
     // ---- Tiered: commit on DRAM, drain to local fs + modeled object
     // store in the background. Same state, same clock discipline.
-    let tier_dir = tempfile::tempdir().expect("tempdir");
-    let root = tier_dir.path();
     let clock = Arc::new(ManualClock::default());
     let tier_cfg = TierConfig {
         mem_capacity: Some(1 << 30),
@@ -136,7 +134,7 @@ fn main() {
         .expect("open tier manager");
     let before_save = clock.slept_nanos();
     let placed = mgr
-        .save(&req_under(root), &SaveOptions::default())
+        .save(&req_in(&tier_ckpt), &SaveOptions::default())
         .expect("tiered save");
     let tiered_unblock_s = (clock.slept_nanos() - before_save) as f64 / 1e9;
 

@@ -11,16 +11,20 @@
 //!   ([`LiveState`]); async saves hand the engine a copy-on-write
 //!   snapshot captured by the trainer. The engine itself never clones
 //!   model or optimizer state.
-//! * *Encode*: tensor payloads are traversed exactly once, in bounded
-//!   chunks, feeding both the file write and an incremental SHA-256
-//!   ([`llmt_cas::Hasher`]) — there is no whole-checkpoint `Vec<u8>`
-//!   anywhere on this path, and the streamed bytes are guaranteed
-//!   identical to what the whole-buffer [`crate::safetensors::encode`]
-//!   would produce (they share header construction).
+//! * *Encode*: tensor payloads are traversed in bounded chunks — there is
+//!   no whole-checkpoint `Vec<u8>` anywhere on this path, and the streamed
+//!   bytes are guaranteed identical to what the whole-buffer
+//!   [`crate::safetensors::encode`] would produce (they share header
+//!   construction). A SHA-256 ([`llmt_cas::Hasher`]) is computed exactly
+//!   when it names or checks a store object; a conventional
+//!   `model.safetensors` or shard file, whose digest no manifest records,
+//!   is written unhashed.
 //! * *Place*: conventional saves stream into staging files; dedup saves
 //!   hash first (zero storage ops) and only stream payloads the
 //!   content-addressed store does not already hold, hard-linking objects
-//!   into the checkpoint directory.
+//!   into the checkpoint directory. A payload the source already knows as
+//!   a stored object ([`StateSource::stored_object`] — a merge whose
+//!   donor checkpoint shares the store) is linked without being read.
 //! * *Commit*: metadata, the `COMMIT` marker sealing the manifest, the
 //!   atomic rename, and the run-root fsync — unchanged from the
 //!   two-phase protocol documented in [`crate::writer`].
@@ -31,7 +35,7 @@
 //! it). Tier, coordinator and daemon fronts are one call to it each.
 //!
 //! The engine also owns the **single failure path**: any error *or panic*
-//! inside the staged phase removes the `checkpoint-<N>.tmp` staging
+//! inside the staged phase removes the `<destination>.tmp` staging
 //! directory best-effort before surfacing, so no caller — in particular
 //! not the async writer thread — can leak `.tmp` debris on a live
 //! filesystem. (If the storage handle itself is dead, removal fails too;
@@ -126,8 +130,9 @@ impl SaveOptions {
 
 /// Where checkpoint state comes from. Sync saves borrow the live model
 /// and optimizer ([`LiveState`]); async saves present a copy-on-write
-/// snapshot. The engine is written against this trait, which is what
-/// collapses the sync/async split into one code path.
+/// snapshot; a merge presents the checkpoints it assembles from. The
+/// engine is written against this trait, which is what collapses the
+/// sync/async/merge split into one code path.
 pub trait StateSource: Sync {
     /// Model configuration.
     fn model_config(&self) -> &ModelConfig;
@@ -155,7 +160,19 @@ pub trait StateSource: Sync {
     /// One unit's BF16 weight tensors in canonical spec order.
     fn unit_weight_tensors(&self, unit: LayerUnit) -> Result<Vec<(String, RawTensor)>>;
     /// The three Adam state vectors of the `(rank, gid)` shard.
-    fn shard_tensors(&self, rank: usize, gid: usize) -> Vec<(String, RawTensor)>;
+    fn shard_tensors(&self, rank: usize, gid: usize) -> Result<Vec<(String, RawTensor)>>;
+    /// Asked once per logical key of a dedup save (`unit.as_string()` for
+    /// a unit's weights, [`CasRefs::optim_key`] for a `(rank, gid)` shard)
+    /// before its tensors are fetched: is there an object the target store
+    /// already holds whose image is exactly this payload? An answer is
+    /// linked as is and the tensors are never requested, so a source must
+    /// only name objects it has checked the store contains; for a weight
+    /// unit the answer carries the per-tensor FNV digests the manifest
+    /// records. The default — live state knows no stored objects — is no.
+    fn stored_object(&self, key: &str) -> Option<(ObjectRef, BTreeMap<String, u64>)> {
+        let _ = key;
+        None
+    }
 }
 
 /// [`StateSource`] over borrowed live trainer state (sync saves).
@@ -202,8 +219,11 @@ impl StateSource for LiveState<'_> {
         unit_weight_tensors(self.config, self.params, unit)
     }
 
-    fn shard_tensors(&self, rank: usize, gid: usize) -> Vec<(String, RawTensor)> {
-        shard_state_tensors(&self.engine.ranks[rank].shards[gid], gid)
+    fn shard_tensors(&self, rank: usize, gid: usize) -> Result<Vec<(String, RawTensor)>> {
+        Ok(shard_state_tensors(
+            &self.engine.ranks[rank].shards[gid],
+            gid,
+        ))
     }
 }
 
@@ -253,7 +273,7 @@ pub fn shard_state_tensors(shard: &ShardState, gid: usize) -> Vec<(String, RawTe
 /// the object at `dest`. Hash-first: the image is digested in one
 /// bounded-memory pass (zero storage ops), and only a store miss streams
 /// the payload — so a dedup hit costs exactly one counted op (the link).
-pub fn place_tensors_object(
+fn place_tensors_object(
     storage: &dyn Storage,
     store: &ObjectStore,
     tensors: &[(String, RawTensor)],
@@ -478,8 +498,10 @@ pub fn is_admission_error(e: &CkptError) -> bool {
 /// spans (`ckpt.save.encode` / `.place` / `.commit`) are recorded into
 /// `req.metrics` in addition to the report's [`StageTimings`].
 ///
-/// Unless `req.store` names one, the place stage's object store is
-/// resolved from the run root on each placement
+/// The checkpoint lands in `req.dir`; its parent is the run root, where
+/// the staging directory (`<dir>.tmp`), the object store and the run-root
+/// sync live. Unless `req.store` names one, the place stage's object
+/// store is resolved from the run root on each placement
 /// ([`ObjectStore::resolve`]): a root carrying a `CASROOT` redirect
 /// places objects into the shared store, a standalone root into its own
 /// `<root>/objects`. Conventional (non-dedup) saves never touch it.
@@ -526,19 +548,38 @@ pub fn save(
         .map(|g| g.id)
         .collect();
 
-    let staging = CheckpointPaths::staging_under(req.root, req.step);
+    let (Some(root), Some(name)) = (req.dir.parent(), req.dir.file_name()) else {
+        return Err(CkptError::Incompatible(format!(
+            "{} cannot hold a checkpoint: it has no parent directory to stage in",
+            req.dir.display()
+        )));
+    };
+    // A bare relative destination (`output: merged`) lives in the
+    // working directory.
+    let root = if root.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        root
+    };
+    let mut staging_name = name.to_os_string();
+    staging_name.push(".tmp");
+    let staging = CheckpointPaths {
+        dir: req.dir.with_file_name(staging_name),
+        step: req.step,
+    };
     for (i, storage) in placements.iter().enumerate() {
         let resolved;
         let store = match req.store {
             Some(store) => store,
             None => {
-                resolved = ObjectStore::resolve(*storage, req.root).with_metrics(req.metrics);
+                resolved = ObjectStore::resolve(*storage, root).with_metrics(req.metrics);
                 &resolved
             }
         };
         let plan = StagePlan {
             req,
             opts,
+            root,
             staging: &staging,
             units: &units,
             present: &present,
@@ -590,6 +631,8 @@ fn cleanup_staging(storage: &dyn Storage, staging: &CheckpointPaths) {
 struct StagePlan<'a> {
     req: &'a SaveRequest<'a>,
     opts: &'a SaveOptions,
+    /// The run root: parent of the destination and of `staging`.
+    root: &'a Path,
     staging: &'a CheckpointPaths,
     /// Canonical (sorted, deduplicated) unit selection.
     units: &'a [LayerUnit],
@@ -650,7 +693,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     // Delta bases come from the newest committed predecessor's manifest;
     // resolving it is one read pair, done once per save.
     let prev_refs = (dedup && plan.opts.delta_chain > 0)
-        .then(|| previous_refs_on(storage, req.root, req.step))
+        .then(|| previous_refs_on(storage, plan.root, req.step))
         .flatten();
     let policy = PlacePolicy {
         compress: plan.opts.compress,
@@ -661,32 +704,50 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     let mut st_meta = BTreeMap::new();
     st_meta.insert("format".to_string(), "pt".to_string());
 
-    // 1. Model weights (BF16), selected units only. Conventional saves
-    //    stream one consolidated `model.safetensors`; dedup saves emit one
-    //    object per unit — the layer-wise dedup granule — hard-linked
-    //    under `units/`.
+    // 1 + 2. Payload. Conventional: one consolidated `model.safetensors`
+    //    (BF16, selected units only) and per-rank shard files, streamed,
+    //    the shard files optionally in parallel. Dedup: one object per unit
+    //    — the layer-wise dedup granule, hard-linked under `units/` — and
+    //    one per (rank, group), always sequential, so the fault injector's
+    //    op schedule stays deterministic and identical shards across ranks
+    //    dedup instead of racing.
     let mut digests = BTreeMap::new();
-    let model_bytes: u64 = if let Some(refs) = refs.as_mut() {
-        let mut total = 0u64;
-        for unit in plan.units {
+    let (model_bytes, optim_bytes): (u64, u64) = if let Some(refs) = refs.as_mut() {
+        // One logical key -> one store object at `dest`: linked unread when
+        // the source already names a stored object for it, otherwise
+        // fetched, encoded under the policy and placed. Weight units are
+        // stamped with `st_meta` and record per-tensor digests in the
+        // manifest; shards carry neither.
+        let no_meta = BTreeMap::new();
+        let mut place = |key: &str,
+                         dest: &Path,
+                         weights: bool,
+                         fetch: &dyn Fn() -> Result<Vec<(String, RawTensor)>>|
+         -> Result<ObjectRef> {
+            files_written += 1;
+            if let Some((object, fnv)) = req.source.stored_object(key) {
+                let sp = req.metrics.span("ckpt.save.place");
+                let digest = Digest::parse_hex(&object.digest)
+                    .map_err(|e| CkptError::Format(format!("stored object for {key}: {e}")))?;
+                store.link(storage, digest, dest).map_err(io_err(dest))?;
+                timings.place_ns += sp.finish();
+                dedup_bytes += object.bytes;
+                digests.extend(fnv);
+                return Ok(object);
+            }
             let sp = req.metrics.span("ckpt.save.encode");
-            let tensors = req.source.unit_weight_tensors(*unit)?;
-            for (name, t) in &tensors {
-                digests.insert(name.clone(), t.digest());
+            let tensors = fetch()?;
+            if weights {
+                for (name, t) in &tensors {
+                    digests.insert(name.clone(), t.digest());
+                }
             }
             timings.encode_ns += sp.finish();
 
             let sp = req.metrics.span("ckpt.save.place");
-            let key = unit.as_string();
+            let metadata = if weights { &st_meta } else { &no_meta };
             let out = place_tensors_encoded(
-                storage,
-                store,
-                &tensors,
-                &st_meta,
-                chunk,
-                &staging.unit_weights(&key),
-                &key,
-                &policy,
+                storage, store, &tensors, metadata, chunk, dest, key, &policy,
             )?;
             timings.place_ns += sp.finish();
             tally(&out);
@@ -695,17 +756,31 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
             } else {
                 dedup_bytes += out.len;
             }
-            refs.weights.insert(
-                key,
-                ObjectRef {
-                    digest: out.digest.to_hex(),
-                    bytes: out.len,
-                },
-            );
-            total += out.len;
-            files_written += 1;
+            Ok(ObjectRef {
+                digest: out.digest.to_hex(),
+                bytes: out.len,
+            })
+        };
+        let mut model = 0u64;
+        for unit in plan.units {
+            let key = unit.as_string();
+            let object = place(&key, &staging.unit_weights(&key), true, &|| {
+                req.source.unit_weight_tensors(*unit)
+            })?;
+            model += object.bytes;
+            refs.weights.insert(key, object);
         }
-        total
+        let mut optim = 0u64;
+        for rank in 0..world {
+            for gid in plan.present {
+                let key = CasRefs::optim_key(rank, *gid);
+                let dest = staging.optim_group(rank, *gid);
+                let object = place(&key, &dest, false, &|| req.source.shard_tensors(rank, *gid))?;
+                optim += object.bytes;
+                refs.optim.insert(key, object);
+            }
+        }
+        (model, optim)
     } else {
         let sp = req.metrics.span("ckpt.save.encode");
         let mut weight_tensors: Vec<(String, RawTensor)> = Vec::new();
@@ -719,7 +794,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         timings.encode_ns += sp.finish();
 
         let sp = req.metrics.span("ckpt.save.place");
-        let (n, _digest) = safetensors::stream_file_on(
+        let model = safetensors::stream_file_on(
             storage,
             &staging.model(),
             &weight_tensors,
@@ -727,69 +802,23 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
             chunk,
         )?;
         timings.place_ns += sp.finish();
-        files_written += 1;
-        n
-    };
+        // The consolidated weights are on disk; do not hold them through
+        // the shard phase.
+        drop(weight_tensors);
 
-    // 2. Optimizer state. Conventional: per-rank shard files, streamed,
-    //    optionally in parallel. Dedup: one object per (rank, group) —
-    //    always sequential, so the fault injector's op schedule stays
-    //    deterministic and identical shards across ranks dedup instead of
-    //    racing.
-    let optim_bytes: u64 = if let Some(refs) = refs.as_mut() {
-        let mut total = 0u64;
-        for rank in 0..world {
-            for gid in plan.present {
-                let sp = req.metrics.span("ckpt.save.encode");
-                let tensors = req.source.shard_tensors(rank, *gid);
-                timings.encode_ns += sp.finish();
-
-                let sp = req.metrics.span("ckpt.save.place");
-                let key = CasRefs::optim_key(rank, *gid);
-                let out = place_tensors_encoded(
-                    storage,
-                    store,
-                    &tensors,
-                    &BTreeMap::new(),
-                    chunk,
-                    &staging.optim_group(rank, *gid),
-                    &key,
-                    &policy,
-                )?;
-                timings.place_ns += sp.finish();
-                tally(&out);
-                if out.written {
-                    physical_payload += out.stored_len;
-                } else {
-                    dedup_bytes += out.len;
-                }
-                refs.optim.insert(
-                    key,
-                    ObjectRef {
-                        digest: out.digest.to_hex(),
-                        bytes: out.len,
-                    },
-                );
-                total += out.len;
-                files_written += 1;
-            }
-        }
-        total
-    } else {
         let sp = req.metrics.span("ckpt.save.place");
         let write_rank = |rank: usize| -> Result<u64> {
             let mut tensors: Vec<(String, RawTensor)> = Vec::with_capacity(plan.present.len() * 3);
             for gid in plan.present {
-                tensors.extend(req.source.shard_tensors(rank, *gid));
+                tensors.extend(req.source.shard_tensors(rank, *gid)?);
             }
-            let (n, _digest) = safetensors::stream_file_on(
+            safetensors::stream_file_on(
                 storage,
                 &staging.optim_shard(rank),
                 &tensors,
                 &BTreeMap::new(),
                 chunk,
-            )?;
-            Ok(n)
+            )
         };
         let totals: Vec<u64> = match plan.opts.parallelism {
             Parallelism::Rayon => (0..world)
@@ -799,8 +828,8 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
             Parallelism::Sequential => (0..world).map(write_rank).collect::<Result<Vec<u64>>>()?,
         };
         timings.place_ns += sp.finish();
-        files_written += world;
-        totals.into_iter().sum()
+        files_written += 1 + world;
+        (model, totals.into_iter().sum())
     };
 
     let sp_commit = req.metrics.span("ckpt.save.commit");
@@ -871,7 +900,10 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     files_written += 1;
 
     // 6. Swap into place atomically and persist the rename.
-    let paths = CheckpointPaths::under(req.root, req.step);
+    let paths = CheckpointPaths {
+        dir: req.dir.to_path_buf(),
+        step: req.step,
+    };
     if storage.exists(&paths.dir) {
         storage
             .remove_dir_all(&paths.dir)
@@ -880,7 +912,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
     storage
         .rename(&staging.dir, &paths.dir)
         .map_err(io_err(&staging.dir))?;
-    storage.sync(req.root).map_err(io_err(req.root))?;
+    storage.sync(plan.root).map_err(io_err(plan.root))?;
     timings.commit_ns += sp_commit.finish();
 
     let total_bytes = model_bytes + optim_bytes + meta_bytes;
@@ -953,7 +985,7 @@ mod tests {
         opts: &SaveOptions,
     ) -> Result<CheckpointReport> {
         let req = SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, step).dir,
             step,
             source,
             trainer_state: ts,
@@ -987,7 +1019,7 @@ mod tests {
         fn unit_weight_tensors(&self, unit: LayerUnit) -> Result<Vec<(String, RawTensor)>> {
             self.0.unit_weight_tensors(unit)
         }
-        fn shard_tensors(&self, _rank: usize, _gid: usize) -> Vec<(String, RawTensor)> {
+        fn shard_tensors(&self, _rank: usize, _gid: usize) -> Result<Vec<(String, RawTensor)>> {
             panic!("injected writer panic");
         }
     }
@@ -1111,7 +1143,7 @@ mod tests {
         let (model, engine, ts) = make_state(&cfg, 1);
         let dir = tempfile::tempdir().unwrap();
         let req = SaveRequest {
-            root: dir.path(),
+            dir: &dir.path().join("checkpoint-1"),
             step: 1,
             source: &LiveState {
                 config: &cfg,

@@ -58,5 +58,5 @@ pub use restore::{
 };
 pub use trainer_state::TrainerState;
 pub use verify::{verify_checkpoint, verify_checkpoint_on, VerifyReport};
-pub use writer::{commit_checkpoint_on, CheckpointReport, SaveRequest};
+pub use writer::{CheckpointReport, SaveRequest};
 pub use zero_meta::ZeroMeta;

@@ -85,12 +85,6 @@ pub struct PartialManifest {
 }
 
 impl PartialManifest {
-    /// Write to `partial_manifest.json`.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let json = serde_json::to_string_pretty(self)?;
-        std::fs::write(path, json).map_err(io_err(path))
-    }
-
     /// Read from `partial_manifest.json`.
     pub fn load(path: &Path) -> Result<Self> {
         let text = std::fs::read_to_string(path).map_err(io_err(path))?;
@@ -233,7 +227,7 @@ mod tests {
             objects: None,
             topology: None,
         };
-        m.save(&p).unwrap();
+        std::fs::write(&p, serde_json::to_string_pretty(&m).unwrap()).unwrap();
         let back = PartialManifest::load(&p).unwrap();
         assert_eq!(back, m);
         assert!(back.has_unit(LayerUnit::Transformer(1)));
@@ -279,7 +273,7 @@ mod tests {
                 objects: None,
                 topology: None,
             };
-            m.save(&cp.manifest()).unwrap();
+            std::fs::write(cp.manifest(), serde_json::to_string_pretty(&m).unwrap()).unwrap();
             if committed {
                 let bytes = std::fs::read(cp.manifest()).unwrap();
                 std::fs::write(cp.commit_marker(), commit_marker_contents(step, &bytes)).unwrap();
@@ -317,7 +311,7 @@ mod tests {
             objects: None,
             topology: None,
         };
-        m.save(&cp.manifest()).unwrap();
+        std::fs::write(cp.manifest(), serde_json::to_string_pretty(&m).unwrap()).unwrap();
         let bytes = std::fs::read(cp.manifest()).unwrap();
         std::fs::write(cp.commit_marker(), commit_marker_contents(5, &bytes)).unwrap();
 

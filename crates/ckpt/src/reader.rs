@@ -400,7 +400,7 @@ mod tests {
         engine::save(
             &[&LocalFs],
             &SaveRequest {
-                root: dir,
+                dir: &CheckpointPaths::under(dir, step).dir,
                 step,
                 source: &LiveState {
                     config: cfg,
@@ -588,7 +588,7 @@ mod tests {
         engine::save(
             &[&LocalFs],
             &SaveRequest {
-                root: dir.path(),
+                dir: &CheckpointPaths::under(dir.path(), 20).dir,
                 step: 20,
                 source: &LiveState {
                     config: &cfg,

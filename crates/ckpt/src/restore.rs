@@ -836,7 +836,7 @@ mod tests {
             seq_len: 8,
         };
         let req = SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, step).dir,
             step,
             source: &LiveState {
                 config: cfg,

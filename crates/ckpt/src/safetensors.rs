@@ -124,42 +124,31 @@ pub fn image_digest(
 }
 
 /// Streaming variant of [`write_file_on`]: tensor bytes go through a
-/// [`Storage`] write stream in `chunk_bytes` chunks, and every byte is
-/// also fed to an incremental SHA-256 — one bounded-memory traversal
-/// shared by the file write and the content digest. The digest equals
-/// `Digest::of(&encode(..))` of the same tensors, and the file is
-/// byte-identical to what [`write_file_on`] produces.
+/// [`Storage`] write stream in `chunk_bytes` chunks — one bounded-memory
+/// traversal, no whole-file buffer. The file is byte-identical to what
+/// [`write_file_on`] produces. Nothing is hashed here: no manifest records
+/// a digest for a conventional `model.safetensors` or shard file, and a
+/// SHA-256 is computed on the write path only where it names or checks a
+/// store object ([`image_digest`], the store's `put_stream`). Returns the
+/// file length in bytes.
 pub fn stream_file_on(
     storage: &dyn Storage,
     path: &Path,
     tensors: &[(String, RawTensor)],
     metadata: &BTreeMap<String, String>,
     chunk_bytes: usize,
-) -> Result<(u64, llmt_cas::Digest)> {
+) -> Result<u64> {
     let (prefix, data_len) = image_prefix(tensors, metadata)?;
     let chunk_bytes = chunk_bytes.max(1);
-    let mut h = llmt_cas::Hasher::new();
     let mut stream = storage.create_stream(path).map_err(io_err(path))?;
-    h.update(&prefix);
     stream.write_chunk(&prefix).map_err(io_err(path))?;
     for (_, t) in tensors {
         for chunk in t.bytes().chunks(chunk_bytes) {
-            h.update(chunk);
             stream.write_chunk(chunk).map_err(io_err(path))?;
         }
     }
     stream.finish().map_err(io_err(path))?;
-    Ok((prefix.len() as u64 + data_len, h.finalize()))
-}
-
-/// [`stream_file_on`] against the local filesystem.
-pub fn stream_file(
-    path: &Path,
-    tensors: &[(String, RawTensor)],
-    metadata: &BTreeMap<String, String>,
-    chunk_bytes: usize,
-) -> Result<(u64, llmt_cas::Digest)> {
-    stream_file_on(&LocalFs, path, tensors, metadata, chunk_bytes)
+    Ok(prefix.len() as u64 + data_len)
 }
 
 /// Serialize tensors (with optional metadata) to a safetensors file.
@@ -467,10 +456,9 @@ mod tests {
         // Chunk sizes straddling none/one/many chunk boundaries.
         for chunk in [1usize, 7, 64, 1 << 20] {
             let path = dir.path().join(format!("s{chunk}.safetensors"));
-            let (len, digest) = stream_file(&path, &tensors, &meta, chunk).unwrap();
+            let len = stream_file_on(&LocalFs, &path, &tensors, &meta, chunk).unwrap();
             assert_eq!(len, whole.len() as u64);
             assert_eq!(std::fs::read(&path).unwrap(), whole, "chunk={chunk}");
-            assert_eq!(digest, llmt_cas::Digest::of(&whole), "chunk={chunk}");
         }
         let (prefix, total, digest) = image_digest(&tensors, &meta).unwrap();
         assert_eq!(total, whole.len() as u64);

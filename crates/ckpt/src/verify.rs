@@ -346,7 +346,7 @@ mod tests {
                 seq_len: 8,
             };
             let req = SaveRequest {
-                root,
+                dir: &CheckpointPaths::under(root, step).dir,
                 step,
                 source: &LiveState {
                     config: &cfg,
@@ -484,7 +484,11 @@ mod tests {
         let paths = CheckpointPaths::open(&dir).unwrap();
         let mut meta = crate::ZeroMeta::load(&paths.zero_meta()).unwrap();
         meta.groups[0].shard_len += 1;
-        meta.save(&paths.zero_meta()).unwrap();
+        std::fs::write(
+            paths.zero_meta(),
+            serde_json::to_string_pretty(&meta).unwrap(),
+        )
+        .unwrap();
         let report = verify_checkpoint(&dir).unwrap();
         assert!(report
             .findings

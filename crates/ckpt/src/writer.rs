@@ -23,13 +23,11 @@
 //! nothing can be removed anyway).
 
 use crate::engine::StateSource;
-use crate::error::{io_err, Result};
-use crate::layout::{commit_marker_contents, CheckpointPaths};
+use crate::layout::CheckpointPaths;
 use crate::trainer_state::TrainerState;
 use llmt_cas::ObjectStore;
 use llmt_model::LayerUnit;
 use llmt_obs::MetricsRegistry;
-use llmt_storage::vfs::Storage;
 use llmt_storage::StageTimings;
 use std::path::Path;
 
@@ -38,12 +36,18 @@ use std::path::Path;
 /// [`crate::engine::SaveOptions`]; which storages may take it is the
 /// placement list.
 pub struct SaveRequest<'a> {
-    /// Run root; the checkpoint lands in `<root>/checkpoint-<step>`.
-    pub root: &'a Path,
+    /// Directory the committed checkpoint lands in: `<run
+    /// root>/checkpoint-<step>` for a training save
+    /// ([`CheckpointPaths::under`]), a recipe's `output:` for a merge. Its
+    /// parent is the run root — the save stages in `<dir>.tmp` beside it,
+    /// resolves the object store and the delta bases there, and syncs it
+    /// after the commit rename.
+    pub dir: &'a Path,
     /// Global step of the save.
     pub step: u64,
     /// Where model and optimizer state come from: borrowed live state
-    /// ([`crate::engine::LiveState`]) or an async save's snapshot.
+    /// ([`crate::engine::LiveState`]), an async save's snapshot, or a
+    /// merge's source checkpoints.
     pub source: &'a dyn StateSource,
     /// Trainer state (step, RNG, losses).
     pub trainer_state: &'a TrainerState,
@@ -95,33 +99,16 @@ pub struct CheckpointReport {
     pub timings: StageTimings,
 }
 
-/// Seal an already-written checkpoint directory (e.g. a merge output) with
-/// a `COMMIT` marker derived from its manifest on `storage`. Returns the
-/// marker length in bytes.
-pub fn commit_checkpoint_on(storage: &dyn Storage, paths: &CheckpointPaths) -> Result<u64> {
-    let manifest = storage
-        .read(&paths.manifest())
-        .map_err(io_err(paths.manifest()))?;
-    let marker = commit_marker_contents(paths.step, &manifest);
-    storage
-        .write(&paths.commit_marker(), marker.as_bytes())
-        .map_err(io_err(paths.commit_marker()))?;
-    storage
-        .sync(&paths.commit_marker())
-        .map_err(io_err(paths.commit_marker()))?;
-    Ok(marker.len() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{self, LiveState, SaveOptions};
-    use crate::error::CkptError;
+    use crate::error::{CkptError, Result};
     use crate::manifest::PartialManifest;
     use crate::zero_meta::ZeroMeta;
     use llmt_model::{Model, ModelConfig, ParamSet};
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
-    use llmt_storage::vfs::LocalFs;
+    use llmt_storage::vfs::{LocalFs, Storage};
     use llmt_tensor::rng::Prng;
     use llmt_zero::ZeroEngine;
 
@@ -140,7 +127,7 @@ mod tests {
             engine: zero,
         };
         let req = SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, step).dir,
             step,
             source: &source,
             trainer_state: ts,
@@ -360,28 +347,6 @@ mod tests {
         assert!(report.paths.commit_status().is_committed());
         assert!(!staging.dir.exists());
         assert!(!report.paths.dir.join("stale-garbage").exists());
-    }
-
-    #[test]
-    fn commit_checkpoint_seals_a_directory() {
-        let cfg = ModelConfig::tiny_test();
-        let (model, engine, ts) = make_state(&cfg, 1, GroupLayout::LayerWise);
-        let dir = tempfile::tempdir().unwrap();
-        let report = save_on(
-            &LocalFs,
-            dir.path(),
-            3,
-            (&model, &engine, &ts),
-            &LayerUnit::all(&cfg),
-            false,
-        )
-        .unwrap();
-        // Strip the marker, then re-seal via commit_checkpoint_on.
-        std::fs::remove_file(report.paths.commit_marker()).unwrap();
-        assert!(!report.paths.commit_status().is_committed());
-        let n = commit_checkpoint_on(&LocalFs, &report.paths).unwrap();
-        assert!(n > 0);
-        assert!(report.paths.commit_status().is_committed());
     }
 
     #[test]

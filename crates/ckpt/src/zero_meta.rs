@@ -99,19 +99,6 @@ impl ZeroMeta {
         self.groups_present.binary_search(&id).is_ok()
     }
 
-    /// Write to `zero_meta.json`.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let json = serde_json::to_string_pretty(self)?;
-        std::fs::write(path, json).map_err(io_err(path))
-    }
-
-    /// [`ZeroMeta::save`] through a `Storage`, synced for durability.
-    pub fn save_on(&self, storage: &dyn llmt_storage::vfs::Storage, path: &Path) -> Result<()> {
-        let json = serde_json::to_string_pretty(self)?;
-        storage.write(path, json.as_bytes()).map_err(io_err(path))?;
-        storage.sync(path).map_err(io_err(path))
-    }
-
     /// Read from `zero_meta.json`.
     pub fn load(path: &Path) -> Result<Self> {
         let text = std::fs::read_to_string(path).map_err(io_err(path))?;
@@ -157,7 +144,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let p = dir.path().join("zero_meta.json");
         let m = sample();
-        m.save(&p).unwrap();
+        std::fs::write(&p, serde_json::to_string_pretty(&m).unwrap()).unwrap();
         assert_eq!(ZeroMeta::load(&p).unwrap(), m);
     }
 

@@ -79,7 +79,7 @@ fn save_step(
     save(
         &[&LocalFs],
         &SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, step).dir,
             step,
             source: &LiveState {
                 config: cfg,

@@ -199,7 +199,7 @@ fn committed_ckpt_impl(root: &Path, layout: Layout) -> std::path::PathBuf {
             seq_len: 8,
         };
         let req = llmt_ckpt::SaveRequest {
-            root,
+            dir: &llmt_ckpt::CheckpointPaths::under(root, step).dir,
             step,
             source: &LiveState {
                 config: &cfg,

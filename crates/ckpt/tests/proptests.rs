@@ -1,6 +1,7 @@
 //! Property tests: safetensors round trips and checkpoint-layout laws.
 
 use llmt_ckpt::safetensors;
+use llmt_storage::vfs::LocalFs;
 use llmt_tensor::{DType, RawTensor};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -45,9 +46,9 @@ proptest! {
     }
 
     /// The streaming writer is a drop-in for the whole-buffer encoder:
-    /// for arbitrary dtypes, shapes and chunk sizes the file bytes are
-    /// identical to `encode`'s image and the incremental digest equals
-    /// the digest of that image.
+    /// for arbitrary dtypes, shapes and chunk sizes the file read back is
+    /// byte-identical to `encode`'s image, and the hash-first pass the
+    /// dedup path uses digests exactly that image.
     #[test]
     fn streaming_writer_matches_whole_buffer_encoder(
         tensors in prop::collection::btree_map("[a-z]{1,8}", arb_tensor(), 1..6),
@@ -59,14 +60,12 @@ proptest! {
         let list: Vec<(String, RawTensor)> =
             tensors.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         let whole = safetensors::encode(&list, &meta).unwrap();
-        let (len, digest) = safetensors::stream_file(&path, &list, &meta, chunk).unwrap();
+        let len = safetensors::stream_file_on(&LocalFs, &path, &list, &meta, chunk).unwrap();
         prop_assert_eq!(len, whole.len() as u64);
         prop_assert_eq!(std::fs::read(&path).unwrap(), whole.clone());
-        prop_assert_eq!(digest, llmt_cas::Digest::of(&whole));
-        // And the zero-op hash pass agrees with both.
-        let (prefix, total, d2) = safetensors::image_digest(&list, &meta).unwrap();
+        let (prefix, total, digest) = safetensors::image_digest(&list, &meta).unwrap();
         prop_assert_eq!(total, whole.len() as u64);
-        prop_assert_eq!(d2, digest);
+        prop_assert_eq!(digest, llmt_cas::Digest::of(&whole));
         prop_assert_eq!(&whole[..prefix.len()], &prefix[..]);
     }
 

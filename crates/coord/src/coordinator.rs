@@ -60,7 +60,7 @@ use crate::ledger::{EpochLedger, ReaderTicket};
 use llmt_cas::{Digest, ObjectStore, PutObserver, PutOutcome, SweepMark, SweepReport};
 use llmt_ckpt::engine::{self, SaveOptions};
 use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
-use llmt_ckpt::{scan_run_root, PartialManifest, VerifyReport};
+use llmt_ckpt::{scan_run_root, CheckpointPaths, PartialManifest, VerifyReport};
 use llmt_obs::{MetricsRegistry, RunEvent};
 use llmt_storage::vfs::{Clock, LocalFs, RetryPolicy, Storage, SystemClock};
 use std::collections::BTreeSet;
@@ -588,10 +588,11 @@ impl PublisherSession {
         &self.run_root
     }
 
-    /// Save a checkpoint through the shared store. The request's `root`,
+    /// Save a checkpoint through the shared store. The request's `dir`,
     /// `metrics` and `store` are replaced by this session's — unlike
-    /// `TierManager::save`, which rejects a foreign root, the session
-    /// *grants* the root, so the checkpoint always lands under it. Dedup
+    /// `TierManager::save`, which rejects a foreign destination, the
+    /// session *grants* the run root, so the checkpoint always lands in
+    /// `checkpoint-<step>` under it. Dedup
     /// is forced on — that is the point of the shared CAS — and every
     /// placed object is pinned until the next census. On success the
     /// committed manifest's digests are published into the epoch ledger
@@ -607,7 +608,7 @@ impl PublisherSession {
             .with_observer(self.shared.pins.clone() as Arc<dyn PutObserver>)
             .with_read_retry(RetryPolicy::default(), self.shared.clock.clone());
         let req = SaveRequest {
-            root: &self.run_root,
+            dir: &CheckpointPaths::under(&self.run_root, req.step).dir,
             metrics: &self.shared.metrics,
             store: Some(&store),
             ..*req

@@ -20,7 +20,7 @@
 use llmt_cas::{Digest, ObjectStore};
 use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{scan_run_root, PartialManifest, TrainerState};
+use llmt_ckpt::{scan_run_root, CheckpointPaths, PartialManifest, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
@@ -143,7 +143,7 @@ fn publish(
     session
         .save(
             &SaveRequest {
-                root: session.run_root(),
+                dir: &CheckpointPaths::under(session.run_root(), step).dir,
                 step,
                 source: &LiveState {
                     config: cfg,
@@ -408,7 +408,7 @@ fn kill_points_in_one_publisher_never_damage_other_runs() {
                 let units = LayerUnit::all(&cfg);
                 session.save(
                     &SaveRequest {
-                        root: session.run_root(),
+                        dir: &CheckpointPaths::under(session.run_root(), 1).dir,
                         step: 1,
                         source: &LiveState {
                             config: &cfg,

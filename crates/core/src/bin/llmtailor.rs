@@ -746,7 +746,7 @@ fn cmd_save(args: &[String]) -> Result<(), String> {
             seq_len: 8,
         };
         let req = SaveRequest {
-            root: Path::new(""), // the daemon session grants the real one
+            dir: Path::new(""), // the daemon session grants the real one
             step,
             source: &LiveState {
                 config: &cfg,

@@ -128,15 +128,19 @@ pub fn convert_checkpoint_on(
 /// Rebuild the optimizer group composition a checkpoint was saved with.
 /// The layout enum is not recorded on disk; it is recovered by matching
 /// the candidates against the saved group inventory (count, ids, sizes).
-fn groups_for_meta(config: &ModelConfig, meta: &ZeroMeta) -> Result<Vec<GroupSpec>> {
+/// Each group keeps the weight decay the checkpoint recorded for it.
+pub(crate) fn groups_for_meta(config: &ModelConfig, meta: &ZeroMeta) -> Result<Vec<GroupSpec>> {
     for layout in [GroupLayout::LayerWise, GroupLayout::Stock] {
-        let groups = build_groups(config, layout);
+        let mut groups = build_groups(config, layout);
         let matches = groups.len() == meta.groups.len()
             && groups
                 .iter()
                 .zip(&meta.groups)
                 .all(|(g, m)| g.id == m.id && g.numel == m.numel);
         if matches {
+            for (g, m) in groups.iter_mut().zip(&meta.groups) {
+                g.weight_decay = m.weight_decay;
+            }
             return Ok(groups);
         }
     }
@@ -235,7 +239,7 @@ fn save_sharded(
     trainer_state: &TrainerState,
 ) -> Result<CheckpointReport> {
     let req = SaveRequest {
-        root: out,
+        dir: &CheckpointPaths::under(out, step).dir,
         step,
         source: &LiveState {
             config,

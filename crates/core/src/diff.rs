@@ -105,7 +105,7 @@ mod tests {
     use super::*;
     use llmt_ckpt::engine::{self, LiveState, SaveOptions};
     use llmt_ckpt::writer::SaveRequest;
-    use llmt_ckpt::TrainerState;
+    use llmt_ckpt::{CheckpointPaths, TrainerState};
     use llmt_model::{Batch, Model, ModelConfig, ParamSet};
     use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -150,7 +150,7 @@ mod tests {
                 engine::save(
                     &[&LocalFs],
                     &SaveRequest {
-                        root,
+                        dir: &CheckpointPaths::under(root, step).dir,
                         step,
                         source: &LiveState {
                             config: cfg,

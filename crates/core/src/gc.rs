@@ -304,7 +304,7 @@ pub fn du_run(run_root: &Path) -> Result<DuReport> {
 mod tests {
     use super::*;
     use llmt_ckpt::engine::{self, LiveState, SaveOptions};
-    use llmt_ckpt::{SaveRequest, TrainerState};
+    use llmt_ckpt::{CheckpointPaths, SaveRequest, TrainerState};
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
     use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -339,7 +339,7 @@ mod tests {
         engine::save(
             &[&LocalFs],
             &SaveRequest {
-                root,
+                dir: &CheckpointPaths::under(root, step).dir,
                 step,
                 source: &LiveState {
                     config: cfg,

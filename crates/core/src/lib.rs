@@ -13,11 +13,12 @@
 //! Pipeline: a [`recipe::MergeRecipe`] (hand-written YAML or auto-generated
 //! from a partial-checkpointing [`llmt_ckpt::manifest::SaveLog`] by
 //! [`autorecipe`]) is resolved against the source checkpoints into a
-//! validated [`plan::MergePlan`], which [`merge`] executes — copying unit
-//! weights, locating each unit's optimizer groups via the arithmetic
+//! validated [`plan::MergePlan`], which [`merge`] executes as one
+//! [`llmt_ckpt::engine::save`] over the sources — fetching unit weights,
+//! locating each unit's optimizer groups via the arithmetic
 //! [`llmt_optim::GroupIndexMap`], assembling per-rank shard files in
-//! parallel, and carrying the config files over from the most recent
-//! source (§4.4). [`strategy`] provides the paper's two selective
+//! parallel, and carrying the config over from the most recent source
+//! (§4.4). [`strategy`] provides the paper's two selective
 //! checkpointing policies (parity, §5.2; filtered, §5.3) plus the full
 //! baseline.
 

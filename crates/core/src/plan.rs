@@ -151,13 +151,4 @@ impl MergePlan {
             sources,
         })
     }
-
-    /// Units donated by each source, in canonical order.
-    pub fn units_from(&self, source: &Path) -> Vec<LayerUnit> {
-        self.assignments
-            .iter()
-            .filter(|(_, p)| p == source)
-            .map(|(u, _)| *u)
-            .collect()
-    }
 }

@@ -196,7 +196,7 @@ mod tests {
             seq_len: 8,
         };
         let req = llmt_ckpt::SaveRequest {
-            root,
+            dir: &llmt_ckpt::CheckpointPaths::under(root, step).dir,
             step,
             source: &LiveState {
                 config: cfg,

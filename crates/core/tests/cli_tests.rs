@@ -3,7 +3,7 @@
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::manifest::SaveLog;
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::TrainerState;
+use llmt_ckpt::{CheckpointPaths, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -57,7 +57,7 @@ fn build_run(root: &Path, cfg: &ModelConfig) {
         engine::save(
             &[&LocalFs],
             &SaveRequest {
-                root,
+                dir: &CheckpointPaths::under(root, step).dir,
                 step,
                 source: &LiveState {
                     config: cfg,

@@ -12,7 +12,7 @@
 
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::TrainerState;
+use llmt_ckpt::{CheckpointPaths, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -83,7 +83,7 @@ impl Fixture {
         engine::save(
             &[&LocalFs],
             &SaveRequest {
-                root,
+                dir: &CheckpointPaths::under(root, self.step).dir,
                 step: self.step,
                 source: &LiveState {
                     config: &self.cfg,

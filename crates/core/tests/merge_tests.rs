@@ -2,7 +2,7 @@
 
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{CheckpointHandle, LoadMode, PartialManifest, TrainerState};
+use llmt_ckpt::{CheckpointHandle, CheckpointPaths, LoadMode, PartialManifest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -80,7 +80,7 @@ impl Fixture {
         engine::save(
             &[&LocalFs],
             &SaveRequest {
-                root,
+                dir: &CheckpointPaths::under(root, self.step).dir,
                 step: self.step,
                 source: &LiveState {
                     config: &self.cfg,
@@ -392,24 +392,20 @@ fn parity_pattern_multiplies_eager_io() {
     let c1 = fx.save(&dir.path().join("r1"), &LayerUnit::all(&cfg));
     fx.train(1);
     let c2 = fx.save(&dir.path().join("r2"), &LayerUnit::all(&cfg));
-    let recipe = |out: &str| MergeRecipe {
-        merge_method: "passthrough".into(),
-        base_checkpoint: c2.clone(),
-        output: dir.path().join(out),
-        slices: vec![SliceSpec {
-            checkpoint: c1.clone(),
-            units: vec!["layers.0".into(), "embed_tokens".into()],
-        }],
+    let merge = |out: &str, mode: LoadMode, pattern: LoadPattern| {
+        let recipe = MergeRecipe {
+            merge_method: "passthrough".into(),
+            base_checkpoint: c2.clone(),
+            output: dir.path().join(out),
+            slices: vec![SliceSpec {
+                checkpoint: c1.clone(),
+                units: vec!["layers.0".into(), "embed_tokens".into()],
+            }],
+        };
+        execute_plan(&MergePlan::resolve(&recipe).unwrap(), mode, pattern).unwrap()
     };
-    let plan_seq = MergePlan::resolve(&recipe("seq")).unwrap();
-    let seq = execute_plan(&plan_seq, LoadMode::EagerFull, LoadPattern::Sequential).unwrap();
-    let plan_par = MergePlan::resolve(&recipe("par")).unwrap();
-    let par = execute_plan(
-        &plan_par,
-        LoadMode::EagerFull,
-        LoadPattern::ParityInterleaved,
-    )
-    .unwrap();
+    let seq = merge("seq", LoadMode::EagerFull, LoadPattern::Sequential);
+    let par = merge("par", LoadMode::EagerFull, LoadPattern::ParityInterleaved);
     assert!(
         par.io.full_loads > 2 * seq.io.full_loads,
         "parity {} vs sequential {} full loads",
@@ -417,20 +413,142 @@ fn parity_pattern_multiplies_eager_io() {
         seq.io.full_loads
     );
     assert!(par.io.bytes_read > 2 * seq.io.bytes_read);
+    // Pinned by equality. Each source is one model file plus one shard
+    // file per rank. Reading by unit, the parity pattern loads and discards
+    // all of a unit's files once per unit; persistent handles load every
+    // touched file exactly once.
+    let units = LayerUnit::all(&cfg).len() as u64;
+    let files_per_source = 1 + WORLD as u64;
+    assert_eq!(par.io.full_loads, units * files_per_source);
+    assert_eq!(seq.io.full_loads, seq.sources as u64 * files_per_source);
+    assert_eq!(seq.io.files_opened, seq.io.full_loads);
     // Both produce identical outputs.
     checkpoints_bit_identical(&seq.output, &par.output, &cfg, WORLD);
 
     // Lazy loading makes the pattern nearly irrelevant (the future-work
-    // observation of §5.4).
-    let plan_lazy = MergePlan::resolve(&recipe("lazy_par")).unwrap();
-    let lazy_par = execute_plan(
-        &plan_lazy,
+    // observation of §5.4): no whole-file load under either pattern, the
+    // same tensor bytes, and the parity pattern pays only for the headers
+    // it re-reads after each discard.
+    let lazy_seq = merge("lazy_seq", LoadMode::LazyRange, LoadPattern::Sequential);
+    let lazy_par = merge(
+        "lazy_par",
         LoadMode::LazyRange,
         LoadPattern::ParityInterleaved,
-    )
-    .unwrap();
+    );
+    assert_eq!((lazy_seq.io.full_loads, lazy_par.io.full_loads), (0, 0));
+    assert_eq!(lazy_seq.io.tensor_reads, lazy_par.io.tensor_reads);
+    assert_eq!(lazy_seq.io.files_opened, seq.io.files_opened);
+    assert_eq!(lazy_par.io.files_opened, par.io.files_opened);
+    assert!(lazy_seq.io.bytes_read <= lazy_par.io.bytes_read);
     assert!(lazy_par.io.bytes_read < par.io.bytes_read / 2);
     checkpoints_bit_identical(&seq.output, &lazy_par.output, &cfg, WORLD);
+}
+
+/// Every file under `dir`, relative, sorted.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in std::fs::read_dir(&d).unwrap().flatten() {
+            let p = entry.path();
+            if p.is_dir() {
+                stack.push(p);
+            } else {
+                out.push(p.strip_prefix(dir).unwrap().to_path_buf());
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// A merge that fails half way leaves nothing where the caller asked for a
+/// checkpoint — no half-written output, no staging directory.
+#[test]
+fn failed_merge_leaves_nothing_behind() {
+    let cfg = ModelConfig::tiny_test();
+    let dir = tempfile::tempdir().unwrap();
+    let mut fx = Fixture::new(cfg.clone(), 9);
+    fx.train(1);
+    let c1 = fx.save(&dir.path().join("r1"), &LayerUnit::all(&cfg));
+    fx.train(1);
+    let c2 = fx.save(&dir.path().join("r2"), &LayerUnit::all(&cfg));
+    // The last rank's shard file of one source is cut short: everything
+    // before it (model file, earlier ranks) reads and writes fine.
+    let shard = CheckpointPaths::open(&c1).unwrap().optim_shard(WORLD - 1);
+    let len = std::fs::metadata(&shard).unwrap().len();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&shard)
+        .unwrap();
+    f.set_len(len / 2).unwrap();
+    drop(f);
+
+    let out_root = dir.path().join("out");
+    std::fs::create_dir_all(&out_root).unwrap();
+    let recipe = MergeRecipe {
+        merge_method: "passthrough".into(),
+        base_checkpoint: c2,
+        output: out_root.join("merged"),
+        slices: vec![SliceSpec {
+            checkpoint: c1,
+            units: vec!["layers.0".into(), "embed_tokens".into()],
+        }],
+    };
+    for pattern in [LoadPattern::Sequential, LoadPattern::ParityInterleaved] {
+        let err = merge_with_recipe(&recipe, LoadMode::EagerFull, pattern).unwrap_err();
+        assert!(matches!(err, TailorError::Ckpt(_)), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&out_root)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert!(left.is_empty(), "a failed merge left {left:?}");
+    }
+}
+
+/// Merging into a directory that already holds a checkpoint replaces it:
+/// nothing of the older merge (its `global_step<N>` tree, a stray payload
+/// file) survives into the new one.
+#[test]
+fn repeated_merge_replaces_the_output() {
+    let cfg = ModelConfig::tiny_test();
+    let dir = tempfile::tempdir().unwrap();
+    let mut fx = Fixture::new(cfg.clone(), 10);
+    fx.train(2);
+    let old = fx.save(dir.path(), &LayerUnit::all(&cfg)); // checkpoint-2
+    fx.train(2);
+    let new = fx.save(dir.path(), &LayerUnit::all(&cfg)); // checkpoint-4
+    let recipe = |base: &Path, out: &str| MergeRecipe {
+        merge_method: "passthrough".into(),
+        base_checkpoint: base.to_path_buf(),
+        output: dir.path().join(out),
+        slices: vec![SliceSpec {
+            checkpoint: old.clone(),
+            units: vec!["layers.1".into()],
+        }],
+    };
+    let mode = LoadMode::EagerFull;
+    let first = merge_with_recipe(&recipe(&old, "out"), mode, LoadPattern::Sequential).unwrap();
+    assert_eq!(first.step, 2);
+    std::fs::write(first.output.join("global_step2/stray.safetensors"), b"junk").unwrap();
+
+    let second = merge_with_recipe(&recipe(&new, "out"), mode, LoadPattern::Sequential).unwrap();
+    assert_eq!(second.step, 4);
+    let fresh = merge_with_recipe(&recipe(&new, "fresh"), mode, LoadPattern::Sequential).unwrap();
+    assert_eq!(files_under(&second.output), files_under(&fresh.output));
+    for f in files_under(&fresh.output) {
+        assert_eq!(
+            std::fs::read(second.output.join(&f)).unwrap(),
+            std::fs::read(fresh.output.join(&f)).unwrap(),
+            "{}",
+            f.display()
+        );
+    }
+    let report =
+        llmt_ckpt::verify_checkpoint_on(std::sync::Arc::new(LocalFs), &second.output, true)
+            .unwrap();
+    assert!(report.ok(), "{:?}", report.findings);
 }
 
 /// Base checkpoint fills every unit no slice claims.

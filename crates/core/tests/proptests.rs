@@ -3,7 +3,7 @@
 
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{CheckpointHandle, LoadMode, TrainerState};
+use llmt_ckpt::{CheckpointHandle, CheckpointPaths, LoadMode, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -47,7 +47,7 @@ fn save_at(root: &Path, cfg: &ModelConfig, seed: u64, steps: u64) -> PathBuf {
     engine::save(
         &[&LocalFs],
         &SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, steps).dir,
             step: steps,
             source: &LiveState {
                 config: cfg,

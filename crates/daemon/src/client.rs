@@ -4,7 +4,7 @@
 use crate::protocol::{write_message, LineReader, Request, Response};
 use llmt_ckpt::engine::{self, SaveOptions};
 use llmt_ckpt::error::io_err;
-use llmt_ckpt::{CheckpointReport, SaveRequest};
+use llmt_ckpt::{CheckpointPaths, CheckpointReport, SaveRequest};
 use llmt_storage::vfs::Storage;
 use std::io;
 use std::os::unix::net::UnixStream;
@@ -125,9 +125,9 @@ impl DaemonClient {
     ) -> llmt_ckpt::Result<(CheckpointReport, usize)> {
         let (session, run_root) = self
             .save_begin(run, declared_bytes, true)
-            .map_err(io_err(req.root))?;
+            .map_err(io_err(req.dir))?;
         let req = SaveRequest {
-            root: &run_root,
+            dir: &CheckpointPaths::under(&run_root, req.step).dir,
             ..*req
         };
         let opts = SaveOptions {

@@ -11,7 +11,7 @@
 use llmt_cas::{Digest, ObjectStore};
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{scan_run_root, PartialManifest, TrainerState};
+use llmt_ckpt::{scan_run_root, CheckpointPaths, PartialManifest, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_daemon::{Daemon, DaemonClient, DaemonConfig, Request, Response};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
@@ -90,7 +90,7 @@ fn save_via_daemon(
     let (session, run_root) = client.save_begin(run, 8 << 20, true)?;
     let units = LayerUnit::all(cfg);
     let req = SaveRequest {
-        root: &run_root,
+        dir: &CheckpointPaths::under(&run_root, step).dir,
         step,
         source: &LiveState {
             config: cfg,
@@ -351,7 +351,7 @@ fn daemon_resumes_an_interrupted_tier_drain() {
         let (model, engine, ts) = make_state(&cfg, step);
         mgr.save(
             &SaveRequest {
-                root: &run_root,
+                dir: &CheckpointPaths::under(&run_root, step).dir,
                 step,
                 source: &LiveState {
                     config: &cfg,

@@ -198,7 +198,7 @@ pub fn is_resumable(dir: &Path) -> bool {
 pub(crate) mod test_helpers {
     use llmt_ckpt::engine::{self, LiveState, SaveOptions};
     use llmt_ckpt::writer::SaveRequest;
-    use llmt_ckpt::TrainerState;
+    use llmt_ckpt::{CheckpointPaths, TrainerState};
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
     use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -238,7 +238,7 @@ pub(crate) mod test_helpers {
         engine::save(
             &[&LocalFs],
             &SaveRequest {
-                root,
+                dir: &CheckpointPaths::under(root, steps).dir,
                 step: steps,
                 source: &LiveState {
                     config: cfg,

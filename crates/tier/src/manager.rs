@@ -574,11 +574,12 @@ impl TierManager {
     /// trainer's unblock point. Spans and placement counters go to the
     /// manager's registry, not the request's.
     pub fn save(&self, req: &SaveRequest, opts: &SaveOptions) -> llmt_ckpt::Result<TierSaveReport> {
-        if req.root != self.root {
+        let dir = CheckpointPaths::under(&self.root, req.step).dir;
+        if req.dir != dir {
             return Err(CkptError::Incompatible(format!(
-                "TierManager::save: request root {} is not the manager's root {}",
-                req.root.display(),
-                self.root.display()
+                "TierManager::save: request destination {} is not the manager's {}",
+                req.dir.display(),
+                dir.display()
             )));
         }
         let mut placements: Vec<&dyn Storage> = Vec::new();
@@ -603,7 +604,6 @@ impl TierManager {
         // Enumerate the committed directory on the tier that holds it,
         // commit marker last — the drain copies in this exact order.
         let placement_storage: &dyn Storage = placements[placed.placement];
-        let dir = CheckpointPaths::under(&self.root, req.step).dir;
         let mut files = self
             .collect_files(placement_storage, &dir)
             .map_err(|e| CkptError::Io(dir.clone(), e))?;

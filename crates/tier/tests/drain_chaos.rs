@@ -15,7 +15,7 @@
 
 use llmt_ckpt::engine::{LiveState, Parallelism, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{RestoreRequest, TrainerState};
+use llmt_ckpt::{CheckpointPaths, RestoreRequest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -80,7 +80,7 @@ fn save_step(mgr: &TierManager, root: &Path, cfg: &ModelConfig, step: u64) {
     let units = LayerUnit::all(cfg);
     mgr.save(
         &SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, step).dir,
             step,
             source: &LiveState {
                 config: cfg,

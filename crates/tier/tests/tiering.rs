@@ -5,7 +5,7 @@
 use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::TrainerState;
-use llmt_ckpt::{CkptError, RestoreRequest};
+use llmt_ckpt::{CheckpointPaths, CkptError, RestoreRequest};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -64,7 +64,7 @@ fn try_save_step(
     let units = LayerUnit::all(cfg);
     mgr.save(
         &SaveRequest {
-            root,
+            dir: &CheckpointPaths::under(root, step).dir,
             step,
             source: &LiveState {
                 config: cfg,
@@ -516,7 +516,7 @@ fn drains_carry_delta_chains_to_every_tier() {
         let saved = mgr
             .save(
                 &SaveRequest {
-                    root,
+                    dir: &CheckpointPaths::under(root, step).dir,
                     step,
                     source: &LiveState {
                         config: &cfg,

@@ -35,7 +35,7 @@ use crate::snapshot::CowSnapshot;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use llmt_ckpt::engine::{self, SaveOptions};
 use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
-use llmt_ckpt::{CkptError, Result, TrainerState};
+use llmt_ckpt::{CheckpointPaths, CkptError, Result, TrainerState};
 use llmt_model::LayerUnit;
 use llmt_obs::{Counter, MetricsRegistry};
 use llmt_storage::vfs::{LocalFs, Storage};
@@ -112,7 +112,7 @@ impl AsyncCheckpointer {
             .spawn(move || {
                 while let Ok(Msg::Job(job)) = rx.recv() {
                     let req = SaveRequest {
-                        root: &job.root,
+                        dir: &CheckpointPaths::under(&job.root, job.step).dir,
                         step: job.step,
                         source: &job.snapshot,
                         trainer_state: &job.trainer_state,

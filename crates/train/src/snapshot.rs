@@ -320,20 +320,25 @@ impl StateSource for CowSnapshot {
         Ok(block.weights.clone())
     }
 
-    fn shard_tensors(&self, rank: usize, gid: usize) -> Vec<(String, RawTensor)> {
-        let unit = self.groups[gid]
-            .unit
-            .expect("capture() enforces the layer-wise layout");
+    fn shard_tensors(&self, rank: usize, gid: usize) -> Result<Vec<(String, RawTensor)>> {
+        let missing = |what: &str| {
+            CkptError::Incompatible(format!("rank {rank} group {gid}: {what} in this snapshot"))
+        };
+        let unit = self
+            .groups
+            .get(gid)
+            .and_then(|g| g.unit)
+            .ok_or_else(|| missing("the group belongs to no unit"))?;
         let block = self
             .blocks
             .get(&unit)
-            .expect("engine only asks for groups whose unit was captured");
+            .ok_or_else(|| missing(&format!("unit {unit} was not captured")))?;
         let (_, _, shard) = block
             .shards
             .iter()
             .find(|(r, g, _)| *r == rank && *g == gid)
-            .expect("captured block holds every rank's shard of its groups");
-        engine::shard_state_tensors(shard, gid)
+            .ok_or_else(|| missing(&format!("the shard is missing from unit {unit}'s block")))?;
+        Ok(engine::shard_state_tensors(shard, gid))
     }
 }
 
@@ -425,7 +430,7 @@ mod tests {
         for gid in 0..zero.groups().len() {
             for rank in 0..2 {
                 let live = engine::shard_state_tensors(&zero.ranks[rank].shards[gid], gid);
-                let snapped = snap.shard_tensors(rank, gid);
+                let snapped = snap.shard_tensors(rank, gid).unwrap();
                 for ((an, at), (bn, bt)) in live.iter().zip(snapped.iter()) {
                     assert_eq!(an, bn);
                     assert_eq!(at.bytes(), bt.bytes());
@@ -460,5 +465,21 @@ mod tests {
             .unwrap();
         let err = StateSource::unit_weight_tensors(&snap, LayerUnit::EmbedTokens).unwrap_err();
         assert!(matches!(err, CkptError::Incompatible(_)));
+
+        // The shard side: a group of an uncaptured unit, a group id the
+        // layout does not have, and a rank the captured block lacks all
+        // name the rank and group instead of panicking.
+        let map = llmt_optim::GroupIndexMap::from_config(&cfg);
+        let embed = map.groups_for_unit(LayerUnit::EmbedTokens).unwrap()[0];
+        let norm = map.groups_for_unit(LayerUnit::FinalNorm).unwrap()[0];
+        for (rank, gid) in [(0, embed), (0, map.group_count()), (1, norm)] {
+            match snap.shard_tensors(rank, gid).unwrap_err() {
+                CkptError::Incompatible(msg) => {
+                    assert!(msg.contains(&format!("rank {rank} group {gid}")), "{msg}")
+                }
+                other => panic!("expected Incompatible, got {other}"),
+            }
+        }
+        assert!(snap.shard_tensors(0, norm).is_ok());
     }
 }

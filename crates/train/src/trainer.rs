@@ -6,7 +6,7 @@ use llmt_ckpt::engine::{self, LiveState, Parallelism, SaveOptions};
 use llmt_ckpt::error::io_err;
 use llmt_ckpt::manifest::SaveLog;
 use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
-use llmt_ckpt::{CkptError, Result, TrainerState};
+use llmt_ckpt::{CheckpointPaths, CkptError, Result, TrainerState};
 use llmt_data::{BatchSource, DataTask};
 use llmt_model::{Model, ModelConfig, ParamSet};
 use llmt_obs::{Journal, MetricsRegistry, RunEvent};
@@ -580,7 +580,7 @@ impl Trainer {
         let units = self.select_units();
         let ts = self.trainer_state();
         let report = save(&SaveRequest {
-            root: &self.config.run_root,
+            dir: &CheckpointPaths::under(&self.config.run_root, self.step).dir,
             step: self.step,
             source: &LiveState {
                 config: &self.config.model_config,

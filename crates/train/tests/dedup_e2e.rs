@@ -125,6 +125,69 @@ fn dedup_resume_is_bit_exact_with_plain_resume() {
     }
 }
 
+/// A merge inside a deduplicated run is pure metadata: every unit and every
+/// `(rank, group)` shard its sources' manifests already name as stored
+/// objects is linked by reference, nothing is read, and the assembled
+/// checkpoint verifies deep and resumes exactly like the checkpoint whose
+/// state it reassembles.
+#[test]
+fn merge_in_a_dedup_run_links_every_object_and_reads_nothing() {
+    let dir = tempfile::tempdir().unwrap();
+    let mut cfg = dedup_config(dir.path());
+    // Frozen units hold the same state at steps 2 and 4, so taking them
+    // from checkpoint-2 reassembles checkpoint-4's state from two sources.
+    cfg.frozen_units = vec![LayerUnit::EmbedTokens, LayerUnit::Transformer(0)];
+    let mut t = Trainer::new(cfg.clone());
+    t.train_until(4, None).unwrap();
+    drop(t);
+
+    let recipe = llmtailor::MergeRecipe {
+        merge_method: "passthrough".into(),
+        base_checkpoint: dir.path().join("checkpoint-4"),
+        output: dir.path().join("merged"),
+        slices: vec![llmtailor::SliceSpec {
+            checkpoint: dir.path().join("checkpoint-2"),
+            units: cfg.frozen_units.iter().map(|u| u.as_string()).collect(),
+        }],
+    };
+    let report = llmtailor::merge_with_recipe(
+        &recipe,
+        llmt_ckpt::LoadMode::EagerFull,
+        llmtailor::LoadPattern::Sequential,
+    )
+    .unwrap();
+    assert_eq!(report.sources, 2);
+    let units = LayerUnit::all(&cfg.model_config).len();
+    let groups = llmt_optim::GroupIndexMap::from_config(&cfg.model_config).group_count();
+    assert_eq!(report.objects_linked, units + cfg.world_size * groups);
+    assert_eq!(report.io.bytes_read, 0);
+    assert_eq!(report.io.files_opened, 0);
+
+    let v = llmt_ckpt::verify_checkpoint_on(std::sync::Arc::new(LocalFs), &report.output, true)
+        .unwrap();
+    assert!(v.ok(), "{:?}", v.findings);
+
+    let finish = |from: &Path| {
+        let mut cfg = cfg.clone();
+        cfg.ckpt_interval = 0;
+        let mut t = resume_trainer(from, cfg).unwrap();
+        t.train_until(8, None).unwrap();
+        t
+    };
+    let a = finish(&dir.path().join("checkpoint-4"));
+    let b = finish(&report.output);
+    assert_eq!(a.loss_history, b.loss_history, "loss history diverged");
+    for ((spec, x), (_, y)) in a.model.params.iter().zip(b.model.params.iter()) {
+        assert_eq!(x.data(), y.data(), "tensor {} diverged", spec.name);
+    }
+    for rank in 0..a.engine.world_size {
+        assert_eq!(
+            a.engine.ranks[rank].shards, b.engine.ranks[rank].shards,
+            "rank {rank} optimizer shards diverged"
+        );
+    }
+}
+
 /// Two dedup checkpoints, then checkpoint-2 is deleted out from under the
 /// run: its exclusive objects are garbage, checkpoint-4's are live.
 fn build_garbage_run(root: &Path) {

@@ -1,7 +1,8 @@
 //! `engine::save` is one pipeline behind every placement — a plain
 //! directory, the content-addressed store, an async copy-on-write
-//! snapshot, a tier manager, a coordinator publisher session — and the
-//! placements must be observationally equivalent:
+//! snapshot, a tier manager, a coordinator publisher session, a merge of
+//! checkpoints already on disk — and the placements must be
+//! observationally equivalent:
 //!
 //! 1. The same trainer step saved through each placement yields identical
 //!    manifest digests and restores to bit-identical unit weights and
@@ -12,15 +13,16 @@
 
 use llmt_cas::{Digest, ObjectStore};
 use llmt_ckpt::{
-    restore_checkpoint, safetensors, CheckpointPaths, CkptError, PartialManifest, RestoreRequest,
-    RestoredState, SaveOptions,
+    restore_checkpoint, safetensors, CheckpointPaths, CkptError, LoadMode, PartialManifest,
+    RestoreRequest, RestoredState, SaveOptions,
 };
 use llmt_coord::Coordinator;
 use llmt_obs::MetricsRegistry;
 use llmt_storage::vfs::{LocalFs, SystemClock};
 use llmt_tier::{TierConfig, TierLevel, TierManager};
 use llmt_train::{Trainer, TrainerConfig};
-use std::path::Path;
+use llmtailor::{merge_with_recipe, LoadPattern, MergeRecipe};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const STEP: u64 = 3;
@@ -39,10 +41,46 @@ fn run(root: &Path, async_ckpt: bool, dedup: bool) {
 /// The committed `checkpoint-STEP` under `root` on the local filesystem:
 /// its manifest and everything it restores to.
 fn committed(root: &Path) -> (PartialManifest, RestoredState) {
-    let paths = CheckpointPaths::under(root, STEP);
-    let manifest = PartialManifest::load(&paths.manifest()).unwrap();
-    let state = restore_checkpoint(&paths.dir, &RestoreRequest::default()).unwrap();
+    committed_at(&CheckpointPaths::under(root, STEP).dir)
+}
+
+fn committed_at(dir: &Path) -> (PartialManifest, RestoredState) {
+    let manifest = PartialManifest::load(&dir.join("partial_manifest.json")).unwrap();
+    let state = restore_checkpoint(dir, &RestoreRequest::default()).unwrap();
     (manifest, state)
+}
+
+/// A passthrough merge of `root`'s `checkpoint-STEP` into `root/merged`,
+/// asserting every payload file comes out byte-identical to the source's.
+fn merged(root: &Path) -> PathBuf {
+    let base = CheckpointPaths::under(root, STEP);
+    let recipe = MergeRecipe {
+        merge_method: "passthrough".into(),
+        base_checkpoint: base.dir.clone(),
+        output: root.join("merged"),
+        slices: vec![],
+    };
+    let out = merge_with_recipe(&recipe, LoadMode::EagerFull, LoadPattern::Sequential)
+        .unwrap()
+        .output;
+    let mut payload = 0;
+    for sub in [base.dir.clone(), base.units_dir(), base.global_step_dir()] {
+        for entry in std::fs::read_dir(&sub).into_iter().flatten().flatten() {
+            let src = entry.path();
+            if src.extension().is_some_and(|e| e == "safetensors") {
+                let dst = out.join(src.strip_prefix(&base.dir).unwrap());
+                assert_eq!(
+                    std::fs::read(&src).unwrap(),
+                    std::fs::read(&dst).unwrap(),
+                    "{}",
+                    dst.display()
+                );
+                payload += 1;
+            }
+        }
+    }
+    assert!(payload > 0);
+    out
 }
 
 #[test]
@@ -94,12 +132,18 @@ fn every_placement_saves_the_same_step_bit_for_bit() {
     let (cas_manifest, cas) = committed(cas_dir.path());
     let (async_manifest, asyn) = committed(async_dir.path());
     let (coord_manifest, published) = committed(session.run_root());
+    // A merge is a sixth front: the plain checkpoint passed through into a
+    // plain root, the CAS one into its store-backed root.
+    let (merge_manifest, merge) = committed_at(&merged(plain_dir.path()));
+    let (cas_merge_manifest, cas_merge) = committed_at(&merged(cas_dir.path()));
 
     for (name, manifest) in [
         ("cas", &cas_manifest),
         ("async", &async_manifest),
         ("tier", &tier_manifest),
         ("coord", &coord_manifest),
+        ("merge", &merge_manifest),
+        ("cas merge", &cas_merge_manifest),
     ] {
         assert_eq!(manifest.units, want_manifest.units, "{name}");
         assert_eq!(
@@ -110,6 +154,8 @@ fn every_placement_saves_the_same_step_bit_for_bit() {
     // The two content-addressed placements name the same objects.
     assert!(cas_manifest.objects.is_some());
     assert_eq!(coord_manifest.objects, cas_manifest.objects);
+    assert_eq!(merge_manifest.objects, None);
+    assert_eq!(cas_merge_manifest.objects, cas_manifest.objects);
 
     for (name, got) in [
         ("cas", &cas),
@@ -117,6 +163,8 @@ fn every_placement_saves_the_same_step_bit_for_bit() {
         ("tier mem", &in_mem),
         ("tier drained", &drained),
         ("coord", &published),
+        ("merge", &merge),
+        ("cas merge", &cas_merge),
     ] {
         assert_eq!(got.weights, want.weights, "{name}: weights");
         assert_eq!(got.ranks, want.ranks, "{name}: optimizer shards");

@@ -9,7 +9,7 @@
 
 use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{RestoreRequest, TrainerState};
+use llmt_ckpt::{CheckpointPaths, RestoreRequest, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -76,7 +76,7 @@ fn main() {
         let placed = mgr
             .save(
                 &SaveRequest {
-                    root,
+                    dir: &CheckpointPaths::under(root, step).dir,
                     step,
                     source: &LiveState {
                         config: &cfg,

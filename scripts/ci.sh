@@ -9,13 +9,23 @@ cargo build --release
 # type-check every target: a removed API must not leave one stale.
 cargo check --workspace --all-targets
 # Deleted-name guard: the save entry points, snapshot ring and fault knob
-# that `engine::save` and `Trainer::with_storage` replaced, and the reader
-# helpers and restore option that the shared file plan replaced, stay
+# that `engine::save` and `Trainer::with_storage` replaced, the reader
+# helpers and restore option that the shared file plan replaced, and the
+# second writer's helpers that the merge `StateSource` replaced, stay
 # deleted. (Each pattern ends in a bracket expression so this line
 # matches nothing.)
-if git grep -nE 'save_source_wit[h]|save_checkpoint_dedu[p]|MemoryTie[r]|crash_during_sav[e]|parse_optim_ke[y]|materialize_encode[d]|fetch_file_o[n]|require_committe[d]' -- . \
+if git grep -nE 'save_source_wit[h]|save_checkpoint_dedu[p]|MemoryTie[r]|crash_during_sav[e]|parse_optim_ke[y]|materialize_encode[d]|fetch_file_o[n]|require_committe[d]|commit_checkpoint_o[n]|units_fro[m]|safetensors::stream_fil[e]\(' -- . \
   ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!crates/ledger'; then
   echo "a deleted name is back (see the matches above)"; exit 1
+fi
+# One checkpoint writer: the merge driver hands its sources to
+# `engine::save` and performs no checkpoint write of its own, and no
+# write path computes a digest only to drop it.
+if grep -nE 'create_dir_all|stream_file|commit_marker|fs\.write\(' crates/core/src/merge.rs; then
+  echo "crates/core/src/merge.rs writes checkpoint files itself"; exit 1
+fi
+if git grep -n '_digest) =' -- crates/ckpt/src crates/core/src; then
+  echo "a write path computes a digest nobody reads"; exit 1
 fi
 # One payload fetch: outside the save engine's delta-base read, exactly
 # one line of the checkpoint crate decodes a store object.
