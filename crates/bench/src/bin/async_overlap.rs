@@ -39,7 +39,6 @@ fn run(strategy: StrategyKind, async_ckpt: bool) -> (f64, f64, u64) {
         sequential_ckpt_io: false,
         ckpt_compress: false,
         ckpt_delta_chain: 0,
-        session_label: None,
     });
     let report = t.train_until(18, None).unwrap();
     (

@@ -17,7 +17,7 @@
 //! bytes and deep-verification verdict.
 
 use llmt_cas::ObjectStore;
-use llmt_ckpt::{restore_checkpoint, PartialManifest, RestoreRequest};
+use llmt_ckpt::{restore_checkpoint, RestoreRequest};
 use llmt_model::{LayerUnit, ModelConfig};
 use llmt_storage::vfs::{
     FaultKind, FaultSpec, FaultyFs, LocalFs, ManualClock, RetryPolicy, RetryingStorage,
@@ -54,8 +54,8 @@ fn check(ok: bool, what: &str) {
 /// Longest delta chain under any object the checkpoint references.
 fn max_chain_of(root: &Path, step: u64) -> usize {
     let store = ObjectStore::resolve(&LocalFs, root);
-    let manifest = llmt_ckpt::CheckpointPaths::under(root, step).manifest();
-    let Ok(manifest) = PartialManifest::load(&manifest) else {
+    let paths = llmt_ckpt::CheckpointPaths::under(root, step);
+    let Ok(manifest) = llmt_ckpt::read_seal(&LocalFs, &paths).manifest else {
         return 0;
     };
     let Some(refs) = manifest.objects else {

@@ -42,7 +42,6 @@ fn main() {
         sequential_ckpt_io: false,
         ckpt_compress: false,
         ckpt_delta_chain: 0,
-        session_label: None,
     };
     eprintln!("training 40 steps with full checkpoints every 10...");
     let mut t = Trainer::new(cfg.clone());

@@ -42,7 +42,6 @@ fn main() {
         sequential_ckpt_io: false,
         ckpt_compress: false,
         ckpt_delta_chain: 0,
-        session_label: None,
     };
     eprintln!("training 120 steps with checkpoints at 60 and 120...");
     let mut t = Trainer::new(tconf.clone());

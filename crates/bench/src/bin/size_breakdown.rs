@@ -7,6 +7,7 @@
 use llmt_bench::fixtures::CkptFactory;
 use llmt_bench::tables::print_table;
 use llmt_model::{LayerUnit, ModelConfig};
+use llmt_storage::vfs::LocalFs;
 
 fn main() {
     // Real files at simulation scale.
@@ -19,12 +20,12 @@ fn main() {
         let dir = tempfile::tempdir().unwrap();
         let factory = CkptFactory::new(cfg.clone(), 4, 5, 1);
         let ckpt = factory.save(dir.path(), &LayerUnit::all(&cfg));
-        let paths = llmt_ckpt::CheckpointPaths::open(&ckpt).unwrap();
+        let paths = llmt_ckpt::CheckpointPaths::open_on(&LocalFs, &ckpt).unwrap();
         let model = std::fs::metadata(paths.model()).unwrap().len();
         let optim: u64 = (0..4)
             .map(|r| std::fs::metadata(paths.optim_shard(r)).unwrap().len())
             .sum();
-        let total = paths.total_bytes().unwrap();
+        let total = paths.total_bytes_on(&LocalFs).unwrap();
         rows.push(vec![
             cfg.model_name.clone(),
             model.to_string(),

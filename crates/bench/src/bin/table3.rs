@@ -36,7 +36,6 @@ fn measured(model: ModelConfig, task: DataTask, strategy: StrategyKind) -> (u64,
         sequential_ckpt_io: false,
         ckpt_compress: false,
         ckpt_delta_chain: 0,
-        session_label: None,
     });
     let report = t.train_until(24, None).unwrap();
     (

@@ -107,7 +107,6 @@ fn main() {
                 sequential_ckpt_io: false,
                 ckpt_compress: false,
                 ckpt_delta_chain: 0,
-                session_label: None,
             });
             let report = t.train_until(30, None).unwrap();
             (report.ckpt_io.bytes, report.measured_proportion())

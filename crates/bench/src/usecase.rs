@@ -87,7 +87,6 @@ impl UseCaseSpec {
             sequential_ckpt_io: false,
             ckpt_compress: false,
             ckpt_delta_chain: 0,
-            session_label: None,
         }
     }
 }

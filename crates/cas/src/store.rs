@@ -1123,10 +1123,15 @@ impl ObjectStore {
         let mut fanouts = self.read_op(|| storage.list_dir(&self.root))?;
         fanouts.sort();
         for fanout in fanouts {
-            if !fanout.is_dir() {
-                continue;
-            }
-            let mut entries = self.read_op(|| storage.list_dir(&fanout))?;
+            // `Storage` has no `is_dir`: a fan-out is an entry that lists.
+            // A stray file (or a fan-out a concurrent sweep removed) is
+            // skipped; real I/O errors still surface.
+            use io::ErrorKind::{NotADirectory, NotFound};
+            let mut entries = match self.read_op(|| storage.list_dir(&fanout)) {
+                Ok(entries) => entries,
+                Err(e) if matches!(e.kind(), NotADirectory | NotFound) => continue,
+                Err(e) => return Err(e),
+            };
             entries.sort();
             for entry in entries {
                 f(&entry)?;

@@ -46,7 +46,7 @@
 //! [`llmt_storage::IoTally`] by the trainer.
 
 use crate::error::{io_err, CkptError, Result};
-use crate::layout::{commit_marker_contents, CheckpointPaths, CommitStatus};
+use crate::layout::{commit_marker_contents, read_seal, CheckpointPaths};
 use crate::manifest::{CasRefs, ObjectRef, PartialManifest};
 use crate::safetensors;
 use crate::writer::{CheckpointReport, SaveRequest};
@@ -63,7 +63,7 @@ use llmt_zero::{ShardState, Topology, ZeroEngine};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Default streaming chunk size for tensor payloads. Large enough that
 /// chunking cost is noise, small enough to bound buffer residency; the
@@ -327,29 +327,26 @@ impl PlacePolicy<'_> {
 /// policy bases XOR diffs on; `None` when there is no committed
 /// predecessor or it was not deduplicated.
 pub fn previous_refs_on(storage: &dyn Storage, root: &Path, step: u64) -> Option<CasRefs> {
-    let mut best: Option<u64> = None;
-    for p in storage.list_dir(root).ok()? {
-        if CheckpointPaths::is_staging_dir(&p) {
-            continue;
-        }
-        let name = p.file_name()?.to_str()?;
-        let Some(s) = name.strip_prefix("checkpoint-") else {
-            continue;
-        };
-        let Ok(n) = s.parse::<u64>() else { continue };
-        if n < step && best.is_none_or(|b| n > b) {
-            best = Some(n);
-        }
-    }
-    let paths = CheckpointPaths::under(root, best?);
-    let marker = storage.read(&paths.commit_marker()).ok()?;
-    let manifest_bytes = storage.read(&paths.manifest()).ok()?;
-    if CommitStatus::evaluate(Some(&marker), Some(&manifest_bytes)) != CommitStatus::Committed {
+    // Pick the predecessor by *name* and read only its seal: a save must
+    // not scan every checkpoint already on disk.
+    let numbered = |p: &PathBuf| -> Option<u64> {
+        p.file_name()?
+            .to_str()?
+            .strip_prefix("checkpoint-")?
+            .parse()
+            .ok()
+    };
+    let dirs = storage.list_dir(root).ok()?;
+    let prev = dirs
+        .iter()
+        .filter_map(numbered)
+        .filter(|n| *n < step)
+        .max()?;
+    let seal = read_seal(storage, &CheckpointPaths::under(root, prev));
+    if !seal.status.is_committed() {
         return None;
     }
-    serde_json::from_slice::<PartialManifest>(&manifest_bytes)
-        .ok()?
-        .objects
+    seal.manifest.ok()?.objects
 }
 
 /// Encode `image` with every byte codec and keep the smallest payload.

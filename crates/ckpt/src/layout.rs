@@ -19,8 +19,18 @@
 //! torn mid-save, renamed but digest-tampered, or leftover `.tmp` staging —
 //! is *quarantined*: [`scan_run_root`] reports it but recovery, resume and
 //! retention never count it as a checkpoint.
+//!
+//! Only this module knows what a committed checkpoint is: [`read_seal`]
+//! reads one directory's marker and manifest through a [`Storage`] and is
+//! the sole caller of [`CommitStatus::evaluate`]; [`scan_run_root_on`] is
+//! `list_dir` + the same read per entry and keeps the sealed manifests for
+//! recovery, retention and [`crate::manifest::census_run_roots`].
 
+use crate::error::{io_err, CkptError, Result};
+use crate::manifest::PartialManifest;
+use llmt_storage::vfs::{LocalFs, Storage};
 use llmt_tensor::raw::Fnv1a;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File name of the commit marker inside a checkpoint directory.
@@ -65,10 +75,11 @@ impl CheckpointPaths {
     }
 
     /// Wrap an existing checkpoint directory, inferring the step from its
-    /// name (`checkpoint-123` -> 123) or from the `latest` file. Staging
+    /// name (`checkpoint-123` -> 123) or from the `latest` file read
+    /// through `storage` (a merge output such as `merged-5`). Staging
     /// directories (`checkpoint-123.tmp`) are never opened: an interrupted
     /// save's `latest` file must not smuggle it in as a real checkpoint.
-    pub fn open(dir: &Path) -> Option<Self> {
+    pub fn open_on(storage: &dyn Storage, dir: &Path) -> Option<Self> {
         if CheckpointPaths::is_staging_dir(dir) {
             return None;
         }
@@ -76,8 +87,9 @@ impl CheckpointPaths {
         let step = if let Some(s) = name.strip_prefix("checkpoint-") {
             s.parse::<u64>().ok()?
         } else {
-            let latest = std::fs::read_to_string(dir.join("latest")).ok()?;
-            latest
+            let latest = storage.read(&dir.join("latest")).ok()?;
+            std::str::from_utf8(&latest)
+                .ok()?
                 .trim()
                 .strip_prefix("global_step")?
                 .parse::<u64>()
@@ -119,16 +131,6 @@ impl CheckpointPaths {
         self.dir.join(COMMIT_FILE)
     }
 
-    /// Evaluate this checkpoint's commit status from the local filesystem.
-    pub fn commit_status(&self) -> CommitStatus {
-        if CheckpointPaths::is_staging_dir(&self.dir) {
-            return CommitStatus::Staging;
-        }
-        let marker = std::fs::read(self.commit_marker()).ok();
-        let manifest = std::fs::read(self.manifest()).ok();
-        CommitStatus::evaluate(marker.as_deref(), manifest.as_deref())
-    }
-
     /// The DeepSpeed-style `global_step<N>` subdirectory.
     pub fn global_step_dir(&self) -> PathBuf {
         self.dir.join(format!("global_step{}", self.step))
@@ -165,40 +167,29 @@ impl CheckpointPaths {
             .join(format!("rank{rank}_group{gid}_optim_states.safetensors"))
     }
 
-    /// Total on-disk size of the checkpoint (recursive), in bytes.
-    pub fn total_bytes(&self) -> std::io::Result<u64> {
-        fn walk(dir: &Path) -> std::io::Result<u64> {
-            let mut total = 0;
-            for entry in std::fs::read_dir(dir)? {
-                let entry = entry?;
-                let meta = entry.metadata()?;
-                total += if meta.is_dir() {
-                    walk(&entry.path())?
-                } else {
-                    meta.len()
-                };
-            }
-            Ok(total)
-        }
-        walk(&self.dir)
-    }
-
-    /// Enumerate all `checkpoint-*` directories under a run root, sorted
-    /// by step.
-    pub fn list(root: &Path) -> Vec<CheckpointPaths> {
-        let mut out = Vec::new();
-        if let Ok(rd) = std::fs::read_dir(root) {
-            for entry in rd.flatten() {
-                let p = entry.path();
-                if p.is_dir() {
-                    if let Some(cp) = CheckpointPaths::open(&p) {
-                        out.push(cp);
+    /// Every file of the checkpoint (recursive) with its length, as
+    /// `storage` holds it. `Storage` has no `is_dir`: a directory is an
+    /// entry that lists.
+    pub fn files_on(&self, storage: &dyn Storage) -> io::Result<Vec<(PathBuf, u64)>> {
+        let mut files = Vec::new();
+        let mut stack = vec![storage.list_dir(&self.dir)?];
+        while let Some(entries) = stack.pop() {
+            for entry in entries {
+                match storage.list_dir(&entry) {
+                    Ok(children) => stack.push(children),
+                    Err(_) => {
+                        let len = storage.file_len(&entry)?;
+                        files.push((entry, len));
                     }
                 }
             }
         }
-        out.sort_by_key(|c| c.step);
-        out
+        Ok(files)
+    }
+
+    /// Total size of the checkpoint on `storage` (recursive), in bytes.
+    pub fn total_bytes_on(&self, storage: &dyn Storage) -> io::Result<u64> {
+        Ok(self.files_on(storage)?.iter().map(|(_, len)| len).sum())
     }
 }
 
@@ -301,6 +292,74 @@ impl CommitStatus {
     }
 }
 
+/// What one read of a checkpoint directory's seal found.
+#[derive(Debug)]
+pub struct Seal {
+    /// The commit verdict.
+    pub status: CommitStatus,
+    /// The manifest, parsed from the bytes the verdict hashed: `Io` when
+    /// the file was absent or unreadable, `Json` when it does not parse,
+    /// `Quarantined` for a staging directory.
+    pub manifest: Result<PartialManifest>,
+}
+
+/// Read `COMMIT` and `partial_manifest.json` of a checkpoint directory
+/// through `storage`, once each. A failed read counts as an absent file —
+/// "not committed", never an error — and a staging directory is
+/// [`CommitStatus::Staging`] unread.
+pub fn read_seal(storage: &dyn Storage, paths: &CheckpointPaths) -> Seal {
+    let (status, bytes) = seal_bytes(storage, paths);
+    Seal {
+        status,
+        manifest: bytes.and_then(|bytes| parse_manifest(paths, &bytes)),
+    }
+}
+
+/// [`read_seal`] short of parsing: the verdict and the manifest bytes.
+fn seal_bytes(storage: &dyn Storage, paths: &CheckpointPaths) -> (CommitStatus, Result<Vec<u8>>) {
+    if CheckpointPaths::is_staging_dir(&paths.dir) {
+        let status = CommitStatus::Staging;
+        let unread = CkptError::Quarantined(paths.dir.clone(), status.describe());
+        return (status, Err(unread));
+    }
+    let marker = storage.read(&paths.commit_marker()).ok();
+    let manifest = storage.read(&paths.manifest());
+    let status = CommitStatus::evaluate(marker.as_deref(), manifest.as_deref().ok());
+    (status, manifest.map_err(io_err(paths.manifest())))
+}
+
+fn parse_manifest(paths: &CheckpointPaths, bytes: &[u8]) -> Result<PartialManifest> {
+    serde_json::from_slice(bytes)
+        .map_err(|e| CkptError::Json(format!("{}: {e}", paths.manifest().display())))
+}
+
+/// One committed checkpoint a scan found, with its sealed manifest.
+#[derive(Debug, Clone)]
+pub struct SealedCheckpoint {
+    /// The `checkpoint-<step>` directory.
+    pub dir: PathBuf,
+    /// Global step the checkpoint was taken at.
+    pub step: u64,
+    manifest_bytes: Vec<u8>,
+}
+
+impl SealedCheckpoint {
+    /// Path builder for this checkpoint.
+    pub fn paths(&self) -> CheckpointPaths {
+        CheckpointPaths {
+            dir: self.dir.clone(),
+            step: self.step,
+        }
+    }
+
+    /// Parse the manifest bytes the scan read and the marker vouches for
+    /// (on demand: listings need only steps). An error means this build
+    /// cannot parse them: fail, do not guess.
+    pub fn manifest(&self) -> Result<PartialManifest> {
+        parse_manifest(&self.paths(), &self.manifest_bytes)
+    }
+}
+
 /// One directory a scan refused to treat as a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedDir {
@@ -317,7 +376,7 @@ pub struct QuarantinedDir {
 #[derive(Debug, Clone, Default)]
 pub struct ScanReport {
     /// Fully committed checkpoints, ascending by step.
-    pub committed: Vec<CheckpointPaths>,
+    pub committed: Vec<SealedCheckpoint>,
     /// Torn, tampered, or staging directories. Recovery and retention must
     /// neither trust nor delete these automatically.
     pub quarantined: Vec<QuarantinedDir>,
@@ -330,51 +389,50 @@ impl ScanReport {
     }
 
     /// The newest committed checkpoint, if any.
-    pub fn newest_committed(&self) -> Option<&CheckpointPaths> {
+    pub fn newest_committed(&self) -> Option<&SealedCheckpoint> {
         self.committed.last()
     }
 }
 
-/// Scan a run root, classifying every `checkpoint-*` directory (including
-/// `.tmp` staging leftovers) as committed or quarantined.
-pub fn scan_run_root(root: &Path) -> ScanReport {
+/// Scan a run root through `storage`, classifying every `checkpoint-*`
+/// entry (including `.tmp` staging leftovers) as committed or quarantined:
+/// one `list_dir`, then one seal read per candidate. (`Storage` has no
+/// `is_dir`: a stray *file* so named is quarantined as an unsealed dir.)
+pub fn scan_run_root_on(storage: &dyn Storage, root: &Path) -> ScanReport {
     let mut report = ScanReport::default();
-    let Ok(rd) = std::fs::read_dir(root) else {
-        return report;
-    };
-    for entry in rd.flatten() {
-        let p = entry.path();
-        if !p.is_dir() {
+    for dir in storage.list_dir(root).unwrap_or_default() {
+        let Some(rest) = dir
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.strip_prefix("checkpoint-"))
+        else {
             continue;
-        }
-        let name = match p.file_name().and_then(|n| n.to_str()) {
-            Some(n) if n.starts_with("checkpoint-") => n.to_string(),
-            _ => continue,
         };
-        if CheckpointPaths::is_staging_dir(&p) {
-            let step = name
-                .strip_prefix("checkpoint-")
-                .and_then(|s| s.strip_suffix(".tmp"))
-                .and_then(|s| s.parse().ok());
+        if let Some(stem) = rest.strip_suffix(".tmp") {
             report.quarantined.push(QuarantinedDir {
-                dir: p,
-                step,
+                step: stem.parse().ok(),
+                dir,
                 status: CommitStatus::Staging,
             });
             continue;
         }
-        let Some(cp) = CheckpointPaths::open(&p) else {
+        let Ok(step) = rest.parse::<u64>() else {
             continue;
         };
-        let status = cp.commit_status();
-        if status.is_committed() {
-            report.committed.push(cp);
-        } else {
-            report.quarantined.push(QuarantinedDir {
-                dir: p,
-                step: Some(cp.step),
+        let paths = CheckpointPaths { dir, step };
+        match seal_bytes(storage, &paths) {
+            (CommitStatus::Committed, Ok(manifest_bytes)) => {
+                report.committed.push(SealedCheckpoint {
+                    dir: paths.dir,
+                    step,
+                    manifest_bytes,
+                })
+            }
+            (status, _) => report.quarantined.push(QuarantinedDir {
+                dir: paths.dir,
+                step: Some(step),
                 status,
-            });
+            }),
         }
     }
     report.committed.sort_by_key(|c| c.step);
@@ -382,9 +440,19 @@ pub fn scan_run_root(root: &Path) -> ScanReport {
     report
 }
 
+/// [`scan_run_root_on`] on the local filesystem.
+pub fn scan_run_root(root: &Path) -> ScanReport {
+    scan_run_root_on(&LocalFs, root)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{previous_refs_on, SaveOptions};
+    use crate::reader::{CheckpointHandle, LoadMode};
+    use crate::verify::tests::make_ckpts;
+    use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs};
+    use std::sync::Arc;
 
     #[test]
     fn path_names_match_deepspeed_convention() {
@@ -396,11 +464,32 @@ mod tests {
         assert!(cp.zero_meta().ends_with("global_step100/zero_meta.json"));
     }
 
+    /// Write a sealed checkpoint that holds nothing but its seal.
+    fn seal_bare(root: &Path, step: u64) {
+        let cp = CheckpointPaths::under(root, step);
+        std::fs::create_dir_all(&cp.dir).unwrap();
+        let manifest = PartialManifest {
+            step,
+            units: vec![],
+            weight_digests: Default::default(),
+            full: false,
+            objects: None,
+            topology: None,
+        };
+        let bytes = serde_json::to_string_pretty(&manifest).unwrap();
+        std::fs::write(cp.manifest(), &bytes).unwrap();
+        std::fs::write(
+            cp.commit_marker(),
+            commit_marker_contents(step, bytes.as_bytes()),
+        )
+        .unwrap();
+    }
+
     #[test]
     fn open_parses_step_from_dirname() {
-        let cp = CheckpointPaths::open(Path::new("/a/b/checkpoint-250")).unwrap();
+        let cp = CheckpointPaths::open_on(&LocalFs, Path::new("/a/b/checkpoint-250")).unwrap();
         assert_eq!(cp.step, 250);
-        assert!(CheckpointPaths::open(Path::new("/a/b/ckpt")).is_none());
+        assert!(CheckpointPaths::open_on(&LocalFs, Path::new("/a/b/ckpt")).is_none());
     }
 
     #[test]
@@ -409,7 +498,7 @@ mod tests {
         let oddly_named = dir.path().join("resume_me");
         std::fs::create_dir(&oddly_named).unwrap();
         std::fs::write(oddly_named.join("latest"), "global_step77\n").unwrap();
-        let cp = CheckpointPaths::open(&oddly_named).unwrap();
+        let cp = CheckpointPaths::open_on(&LocalFs, &oddly_named).unwrap();
         assert_eq!(cp.step, 77);
     }
 
@@ -417,12 +506,12 @@ mod tests {
     fn list_sorts_by_step() {
         let dir = tempfile::tempdir().unwrap();
         for s in [300u64, 100, 200] {
-            std::fs::create_dir(dir.path().join(format!("checkpoint-{s}"))).unwrap();
+            seal_bare(dir.path(), s);
         }
         std::fs::create_dir(dir.path().join("not-a-checkpoint")).unwrap();
-        let found = CheckpointPaths::list(dir.path());
-        let steps: Vec<u64> = found.iter().map(|c| c.step).collect();
-        assert_eq!(steps, vec![100, 200, 300]);
+        let found = scan_run_root(dir.path());
+        assert_eq!(found.committed_steps(), vec![100, 200, 300]);
+        assert!(found.quarantined.is_empty());
     }
 
     #[test]
@@ -434,8 +523,8 @@ mod tests {
         std::fs::create_dir_all(&staging.dir).unwrap();
         // Even with a plausible `latest` file inside, open() refuses.
         std::fs::write(staging.dir.join("latest"), "global_step9\n").unwrap();
-        assert!(CheckpointPaths::open(&staging.dir).is_none());
-        assert!(CheckpointPaths::list(dir.path()).is_empty());
+        assert!(CheckpointPaths::open_on(&LocalFs, &staging.dir).is_none());
+        assert!(scan_run_root(dir.path()).committed.is_empty());
     }
 
     #[test]
@@ -473,6 +562,140 @@ mod tests {
         );
     }
 
+    /// The verdict table again, as damage done to a real checkpoint:
+    /// (case, how to damage `checkpoint-1`, the verdict it must get).
+    type Damage = (
+        &'static str,
+        fn(&CheckpointPaths),
+        fn(&CommitStatus) -> bool,
+    );
+    const DAMAGE: [Damage; 9] = [
+        ("pristine", |_| {}, |s| s.is_committed()),
+        (
+            "marker missing",
+            |p| std::fs::remove_file(p.commit_marker()).unwrap(),
+            |s| *s == CommitStatus::Missing,
+        ),
+        (
+            "marker empty",
+            |p| std::fs::write(p.commit_marker(), b"").unwrap(),
+            |s| matches!(s, CommitStatus::Corrupt(_)),
+        ),
+        (
+            "marker non-UTF-8",
+            |p| std::fs::write(p.commit_marker(), b"\xff\xfe").unwrap(),
+            |s| matches!(s, CommitStatus::Corrupt(_)),
+        ),
+        (
+            "wrong magic",
+            |p| std::fs::write(p.commit_marker(), b"other-magic deadbeef step=1").unwrap(),
+            |s| matches!(s, CommitStatus::Corrupt(_)),
+        ),
+        (
+            "bad hex",
+            |p| std::fs::write(p.commit_marker(), b"llmt-commit-v1 nothex step=1").unwrap(),
+            |s| matches!(s, CommitStatus::Corrupt(_)),
+        ),
+        (
+            // Still parses, no longer hashes to what the marker recorded.
+            "digest mismatch",
+            |p| {
+                let mut bytes = std::fs::read(p.manifest()).unwrap();
+                bytes.push(b'\n');
+                std::fs::write(p.manifest(), bytes).unwrap();
+            },
+            |s| matches!(s, CommitStatus::DigestMismatch { .. }),
+        ),
+        (
+            "manifest unreadable",
+            |p| std::fs::remove_file(p.manifest()).unwrap(),
+            |s| *s == CommitStatus::NoManifest,
+        ),
+        (
+            "staging dir",
+            |p| std::fs::rename(&p.dir, p.dir.with_extension("tmp")).unwrap(),
+            |s| *s == CommitStatus::Staging,
+        ),
+    ];
+
+    /// The three readers of a seal, each reduced to the verdict it acts
+    /// on (`None`: it found nothing to judge).
+    fn by_scan(storage: &dyn Storage, root: &Path) -> Option<CommitStatus> {
+        let scan = scan_run_root_on(storage, root);
+        assert!(scan.committed.len() + scan.quarantined.len() <= 1);
+        let quarantined = scan.quarantined.first().map(|q| q.status.clone());
+        quarantined.or(scan.committed.first().map(|_| CommitStatus::Committed))
+    }
+    fn by_handle(storage: Arc<dyn Storage>, dir: &Path) -> Option<CommitStatus> {
+        let h = CheckpointHandle::open_on(storage, dir, LoadMode::LazyRange).ok()?;
+        Some(h.commit_status().clone())
+    }
+    fn by_delta_base(storage: &dyn Storage, root: &Path) -> Option<CommitStatus> {
+        previous_refs_on(storage, root, 2).map(|_| CommitStatus::Committed)
+    }
+
+    #[test]
+    fn one_verdict_table_three_consumers() {
+        for (case, damage, expected) in DAMAGE {
+            let root = tempfile::tempdir().unwrap();
+            let (dir, _) = make_ckpts(root.path(), None, &SaveOptions::dedup(true), 1);
+            let paths = CheckpointPaths::under(root.path(), 1);
+            assert_eq!(dir, paths.dir);
+            damage(&paths);
+            let pristine = case == "pristine";
+            let run = root.path();
+            let dir = match case {
+                "staging dir" => CheckpointPaths::staging_under(run, 1).dir,
+                _ => dir,
+            };
+
+            // Fault-free, all three agree with the table.
+            let scan = by_scan(&LocalFs, run).unwrap();
+            assert!(expected(&scan), "{case}: scan says {scan:?}");
+            match by_handle(Arc::new(LocalFs), &dir) {
+                Some(handle) => assert_eq!(handle, scan, "{case}"),
+                // A staging directory does not open at all.
+                None => assert_eq!(scan, CommitStatus::Staging, "{case}"),
+            }
+            assert_eq!(by_delta_base(&LocalFs, run).is_some(), pristine, "{case}");
+
+            // With the k-th storage op failing, for every k a reader
+            // performs: no panic, and "committed" only for the pristine
+            // directory — and there only when the failed op was not one
+            // the verdict rests on (for the scan and the delta base,
+            // every op is).
+            type Reader = fn(Arc<dyn Storage>, &Path, &Path) -> Option<CommitStatus>;
+            let readers: [(Reader, bool); 3] = [
+                (|s, run, _| by_scan(&*s, run), true),
+                (|s, _, dir| by_handle(s, dir), false),
+                (|s, run, _| by_delta_base(&*s, run), true),
+            ];
+            for (reader, every_op_counts) in readers {
+                for k in 0.. {
+                    let spec = FaultSpec {
+                        at_op: k,
+                        kind: FaultKind::Transient { failures: 1 },
+                    };
+                    let fs = Arc::new(FaultyFs::new(LocalFs, spec));
+                    let verdict = reader(fs.clone(), run, &dir);
+                    let committed = verdict.is_some_and(|s| s.is_committed());
+                    let fired = fs.ops_attempted() > k;
+                    assert!(
+                        !committed || pristine,
+                        "{case}: op {k} failed, got committed"
+                    );
+                    assert!(
+                        !(committed && fired && every_op_counts),
+                        "{case}: op {k} failed and the verdict is still committed"
+                    );
+                    if !fired {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn scan_classifies_committed_quarantined_and_staging() {
         let dir = tempfile::tempdir().unwrap();
@@ -494,6 +717,12 @@ mod tests {
         let report = scan_run_root(dir.path());
         assert_eq!(report.committed_steps(), vec![10]);
         assert_eq!(report.newest_committed().unwrap().step, 10);
+        // Sealed bytes this build cannot parse stay committed; whoever
+        // needs the manifest gets a typed error, not a guess.
+        assert!(matches!(
+            report.committed[0].manifest(),
+            Err(CkptError::Json(_))
+        ));
         assert_eq!(report.quarantined.len(), 2);
         let steps: Vec<Option<u64>> = report.quarantined.iter().map(|q| q.step).collect();
         assert!(steps.contains(&Some(20)));
@@ -511,6 +740,6 @@ mod tests {
         std::fs::create_dir_all(cp.global_step_dir()).unwrap();
         std::fs::write(cp.config(), b"{}").unwrap();
         std::fs::write(cp.optim_shard(0), vec![0u8; 100]).unwrap();
-        assert_eq!(cp.total_bytes().unwrap(), 102);
+        assert_eq!(cp.total_bytes_on(&LocalFs).unwrap(), 102);
     }
 }

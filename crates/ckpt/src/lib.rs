@@ -49,8 +49,13 @@ pub use engine::{
     DEFAULT_CHUNK_BYTES,
 };
 pub use error::{CkptError, Result};
-pub use layout::{scan_run_root, CheckpointPaths, CommitStatus, QuarantinedDir, ScanReport};
-pub use manifest::{effective_save_log, CasRefs, ObjectRef, PartialManifest};
+pub use layout::{
+    read_seal, scan_run_root, scan_run_root_on, CheckpointPaths, CommitStatus, QuarantinedDir,
+    ScanReport, Seal, SealedCheckpoint,
+};
+pub use manifest::{
+    census_run_roots, effective_save_log, CasRefs, Census, ObjectRef, PartialManifest,
+};
 pub use reader::{CheckpointHandle, LoadMode};
 pub use restore::{
     restore_checkpoint, restore_checkpoint_on, restore_checkpoint_with, RestoreReport,

@@ -7,11 +7,16 @@
 //! partial checkpointing decisions"): for every unit, the steps at which it
 //! was saved — exactly what LLMTailor needs to auto-generate a merge recipe
 //! for a given failure step.
+//!
+//! Both folds over [`scan_run_root_on`]'s sealed manifests live here:
+//! [`effective_save_log`] (units held) and [`census_run_roots`] (store
+//! objects referenced — the GC liveness census).
 
 use crate::error::{io_err, CkptError, Result};
-use crate::layout::{scan_run_root, ScanReport};
+use crate::layout::{scan_run_root_on, ScanReport};
+use llmt_cas::Digest;
 use llmt_model::LayerUnit;
-use llmt_storage::vfs::Storage;
+use llmt_storage::vfs::{LocalFs, Storage};
 use llmt_zero::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,11 +58,6 @@ impl CasRefs {
     pub fn iter_all(&self) -> impl Iterator<Item = (&String, &ObjectRef)> {
         self.weights.iter().chain(self.optim.iter())
     }
-
-    /// Total logical payload bytes across all references.
-    pub fn total_bytes(&self) -> u64 {
-        self.iter_all().map(|(_, r)| r.bytes).sum()
-    }
 }
 
 /// Manifest of one (possibly partial) checkpoint.
@@ -78,28 +78,15 @@ pub struct PartialManifest {
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub objects: Option<CasRefs>,
     /// dp×tp topology the checkpoint was saved at. Absent in pre-topology
-    /// manifests, which are pure data-parallel; use
-    /// [`PartialManifest::topology_or`] which folds the default in.
+    /// manifests, which are pure data-parallel.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub topology: Option<Topology>,
 }
 
 impl PartialManifest {
-    /// Read from `partial_manifest.json`.
-    pub fn load(path: &Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path).map_err(io_err(path))?;
-        Ok(serde_json::from_str(&text)?)
-    }
-
     /// Does the manifest contain a unit?
     pub fn has_unit(&self, unit: LayerUnit) -> bool {
         self.units.contains(&unit)
-    }
-
-    /// The saved topology, treating a pre-topology manifest as pure
-    /// data-parallel over `world` ranks.
-    pub fn topology_or(&self, world: usize) -> Topology {
-        self.topology.unwrap_or_else(|| Topology::dp_only(world))
     }
 }
 
@@ -134,23 +121,17 @@ impl SaveLog {
             .collect()
     }
 
-    /// Write to a JSON file.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let json = serde_json::to_string_pretty(self)?;
-        std::fs::write(path, json).map_err(io_err(path))
-    }
-
-    /// [`SaveLog::save`] through a [`Storage`], synced for durability.
+    /// Write to a JSON file through a [`Storage`], synced for durability.
     pub fn save_on(&self, storage: &dyn Storage, path: &Path) -> Result<()> {
         let json = serde_json::to_string_pretty(self)?;
         storage.write(path, json.as_bytes()).map_err(io_err(path))?;
         storage.sync(path).map_err(io_err(path))
     }
 
-    /// Read from a JSON file.
-    pub fn load(path: &Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path).map_err(io_err(path))?;
-        Ok(serde_json::from_str(&text)?)
+    /// Read from a JSON file through a [`Storage`].
+    pub fn load_on(storage: &dyn Storage, path: &Path) -> Result<Self> {
+        let bytes = storage.read(path).map_err(io_err(path))?;
+        Ok(serde_json::from_slice(&bytes)?)
     }
 }
 
@@ -168,17 +149,18 @@ impl SaveLog {
 ///   covers a missing `save_log.json` entirely).
 ///
 /// Returns the reconciled log plus the scan so callers can surface
-/// quarantined directories.
+/// quarantined directories. Reads `LocalFs`, like the resume, recovery and
+/// retention passes that call it.
 pub fn effective_save_log(run_root: &Path) -> Result<(SaveLog, ScanReport)> {
-    let scan = scan_run_root(run_root);
+    let scan = scan_run_root_on(&LocalFs, run_root);
     let committed_steps: BTreeSet<u64> = scan.committed.iter().map(|c| c.step).collect();
 
     // Sets, not Vecs, while merging: log order + manifest absorption could
     // otherwise interleave steps out of order.
     let mut merged: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
     let log_path = run_root.join("save_log.json");
-    if log_path.exists() {
-        let logged = SaveLog::load(&log_path)?;
+    if LocalFs.exists(&log_path) {
+        let logged = SaveLog::load_on(&LocalFs, &log_path)?;
         for (unit, steps) in &logged.saved_at {
             let kept: BTreeSet<u64> = steps
                 .iter()
@@ -191,7 +173,7 @@ pub fn effective_save_log(run_root: &Path) -> Result<(SaveLog, ScanReport)> {
         }
     }
     for cp in &scan.committed {
-        let manifest = PartialManifest::load(&cp.manifest())?;
+        let manifest = cp.manifest()?;
         for unit in &manifest.units {
             merged
                 .entry(unit.as_string())
@@ -207,6 +189,49 @@ pub fn effective_save_log(run_root: &Path) -> Result<(SaveLog, ScanReport)> {
             .collect(),
     };
     Ok((log, scan))
+}
+
+/// GC liveness census: the store objects committed checkpoints reference.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Census {
+    /// Committed checkpoints whose references were counted.
+    pub checkpoints: usize,
+    /// Reference count per object digest.
+    pub refs: BTreeMap<Digest, usize>,
+}
+
+impl Census {
+    /// Count the references of checkpoint `dir`'s manifest — the only code
+    /// that turns manifest refs into liveness digests. A malformed digest
+    /// is an error, never a skipped entry.
+    pub fn absorb(&mut self, dir: &Path, manifest: &PartialManifest) -> Result<()> {
+        self.checkpoints += 1;
+        for (key, object) in manifest.objects.iter().flat_map(CasRefs::iter_all) {
+            let digest = Digest::parse_hex(&object.digest).map_err(|e| {
+                CkptError::Format(format!(
+                    "{} references malformed digest for '{key}': {e}; \
+                     refusing to GC with unknown liveness",
+                    dir.display()
+                ))
+            })?;
+            *self.refs.entry(digest).or_insert(0) += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Census every committed checkpoint under `run_roots` through `storage`
+/// — the storage the caller's sweep must then run on. One scan per root,
+/// every seal read once; a sealed manifest that does not parse or carries
+/// a malformed digest is an error, not a guess.
+pub fn census_run_roots(storage: &dyn Storage, run_roots: &[impl AsRef<Path>]) -> Result<Census> {
+    let mut census = Census::default();
+    for root in run_roots {
+        for cp in &scan_run_root_on(storage, root.as_ref()).committed {
+            census.absorb(&cp.dir, &cp.manifest()?)?;
+        }
+    }
+    Ok(census)
 }
 
 #[cfg(test)]
@@ -228,7 +253,7 @@ mod tests {
             topology: None,
         };
         std::fs::write(&p, serde_json::to_string_pretty(&m).unwrap()).unwrap();
-        let back = PartialManifest::load(&p).unwrap();
+        let back: PartialManifest = serde_json::from_slice(&std::fs::read(&p).unwrap()).unwrap();
         assert_eq!(back, m);
         assert!(back.has_unit(LayerUnit::Transformer(1)));
         assert!(!back.has_unit(LayerUnit::FinalNorm));
@@ -287,7 +312,8 @@ mod tests {
         let mut log = SaveLog::default();
         log.record(LayerUnit::FinalNorm, 10);
         log.record(LayerUnit::FinalNorm, 20);
-        log.save(&dir.path().join("save_log.json")).unwrap();
+        log.save_on(&LocalFs, &dir.path().join("save_log.json"))
+            .unwrap();
 
         let (eff, scan) = effective_save_log(dir.path()).unwrap();
         assert_eq!(eff.saved_at["norm"], vec![10, 30]);
@@ -327,8 +353,8 @@ mod tests {
         let mut log = SaveLog::default();
         log.record(LayerUnit::EmbedTokens, 50);
         log.record(LayerUnit::Transformer(3), 50);
-        log.save(&p).unwrap();
-        let back = SaveLog::load(&p).unwrap();
+        log.save_on(&LocalFs, &p).unwrap();
+        let back = SaveLog::load_on(&LocalFs, &p).unwrap();
         assert_eq!(back, log);
         let mut units = back.units().unwrap();
         units.sort();

@@ -11,7 +11,7 @@
 //! the "load and discard" behaviour of the interleaved parity pattern.
 
 use crate::error::{io_err, CkptError, Result};
-use crate::layout::{CheckpointPaths, CommitStatus};
+use crate::layout::{read_seal, CheckpointPaths, CommitStatus};
 use crate::manifest::PartialManifest;
 use crate::restore::{
     encoded_object, fetch_payload, file_plans, validate_object, FileKind, FilePlan,
@@ -105,7 +105,7 @@ impl CheckpointHandle {
     /// exposes the verdict, and resume paths must check
     /// [`CheckpointHandle::is_committed`] before trusting the contents.
     pub fn open_on(storage: Arc<dyn Storage>, dir: &Path, mode: LoadMode) -> Result<Self> {
-        let paths = CheckpointPaths::open(dir).ok_or_else(|| {
+        let paths = CheckpointPaths::open_on(&*storage, dir).ok_or_else(|| {
             CkptError::Format(format!("{} is not a checkpoint dir", dir.display()))
         })?;
         let config_bytes = storage
@@ -120,25 +120,15 @@ impl CheckpointHandle {
             .read(&paths.trainer_state())
             .map_err(io_err(paths.trainer_state()))?;
         let trainer_state: TrainerState = serde_json::from_slice(&state_bytes)?;
-        let manifest_bytes = if storage.exists(&paths.manifest()) {
-            Some(
-                storage
-                    .read(&paths.manifest())
-                    .map_err(io_err(paths.manifest()))?,
-            )
-        } else {
-            None
+        let seal = read_seal(&*storage, &paths);
+        let commit = seal.status;
+        // No manifest: a conventional full checkpoint (and quarantined).
+        // One that is there but unreadable or unparseable is an error.
+        let manifest = match seal.manifest {
+            Ok(m) => Some(m),
+            Err(CkptError::Io(_, e)) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
         };
-        let manifest = match &manifest_bytes {
-            Some(bytes) => Some(serde_json::from_slice::<PartialManifest>(bytes)?),
-            None => None,
-        };
-        let marker_bytes = if storage.exists(&paths.commit_marker()) {
-            storage.read(&paths.commit_marker()).ok()
-        } else {
-            None
-        };
-        let commit = CommitStatus::evaluate(marker_bytes.as_deref(), manifest_bytes.as_deref());
         let plans = file_plans(&paths, &config, &zero_meta, manifest.as_ref());
         // A manifest with object refs marks a deduplicated checkpoint,
         // whose links may hold encoded objects only the store can decode.

@@ -289,7 +289,12 @@ pub fn verify_checkpoint_on(
 }
 
 #[cfg(test)]
-mod tests {
+#[path = "../../storage/tests/support/recording_fs.rs"]
+mod recording_fs;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::recording_fs::RecordingFs;
     use super::*;
     use crate::engine::{self, LiveState, SaveOptions};
     use crate::writer::SaveRequest;
@@ -310,7 +315,7 @@ mod tests {
 
     /// Save steps `1..=steps` of one evolving state under `opts`; returns
     /// the last checkpoint's directory.
-    fn make_ckpts(
+    pub(crate) fn make_ckpts(
         root: &Path,
         units: Option<Vec<LayerUnit>>,
         opts: &SaveOptions,
@@ -444,7 +449,7 @@ mod tests {
     fn truncated_shard_file_is_detected_or_errors() {
         let root = tempfile::tempdir().unwrap();
         let (dir, _) = make_ckpt(root.path(), None);
-        let paths = CheckpointPaths::open(&dir).unwrap();
+        let paths = CheckpointPaths::open_on(&LocalFs, &dir).unwrap();
         let shard = paths.optim_shard(1);
         let bytes = std::fs::read(&shard).unwrap();
         std::fs::write(&shard, &bytes[..bytes.len() - 8]).unwrap();
@@ -459,7 +464,7 @@ mod tests {
     fn nan_in_optimizer_state_is_detected() {
         let root = tempfile::tempdir().unwrap();
         let (dir, _) = make_ckpt(root.path(), None);
-        let paths = CheckpointPaths::open(&dir).unwrap();
+        let paths = CheckpointPaths::open_on(&LocalFs, &dir).unwrap();
         let shard = paths.optim_shard(0);
         // Overwrite four bytes inside the data section with a NaN pattern.
         let mut bytes = std::fs::read(&shard).unwrap();
@@ -481,7 +486,7 @@ mod tests {
     fn tampered_zero_meta_is_detected() {
         let root = tempfile::tempdir().unwrap();
         let (dir, _) = make_ckpt(root.path(), None);
-        let paths = CheckpointPaths::open(&dir).unwrap();
+        let paths = CheckpointPaths::open_on(&LocalFs, &dir).unwrap();
         let mut meta = crate::ZeroMeta::load(&paths.zero_meta()).unwrap();
         meta.groups[0].shard_len += 1;
         std::fs::write(
@@ -529,73 +534,6 @@ mod tests {
         );
     }
 
-    /// A [`Storage`] decorator that counts the bytes read from every path
-    /// through it, so the tests can prove no verification byte sneaks
-    /// around the vfs and none is read twice.
-    #[derive(Debug, Default)]
-    struct RecordingFs {
-        inner: LocalFs,
-        reads: std::sync::Mutex<BTreeMap<PathBuf, u64>>,
-    }
-
-    impl RecordingFs {
-        fn record(&self, path: &Path, read: std::io::Result<Vec<u8>>) -> std::io::Result<Vec<u8>> {
-            let bytes = read?;
-            *self
-                .reads
-                .lock()
-                .unwrap()
-                .entry(path.to_path_buf())
-                .or_default() += bytes.len() as u64;
-            Ok(bytes)
-        }
-    }
-
-    impl llmt_storage::vfs::Storage for RecordingFs {
-        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.create_dir_all(path)
-        }
-        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-            self.inner.write(path, bytes)
-        }
-        fn sync(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.sync(path)
-        }
-        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            self.inner.rename(from, to)
-        }
-        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
-            self.record(path, self.inner.read(path))
-        }
-        fn read_range(&self, path: &Path, offset: u64, len: usize) -> std::io::Result<Vec<u8>> {
-            self.record(path, self.inner.read_range(path, offset, len))
-        }
-        fn list_dir(&self, path: &Path) -> std::io::Result<Vec<PathBuf>> {
-            self.inner.list_dir(path)
-        }
-        fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.remove_dir_all(path)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            self.inner.exists(path)
-        }
-        fn file_len(&self, path: &Path) -> std::io::Result<u64> {
-            self.inner.file_len(path)
-        }
-        fn hard_link(&self, from: &Path, to: &Path) -> std::io::Result<()> {
-            self.inner.hard_link(from, to)
-        }
-        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
-            self.inner.remove_file(path)
-        }
-        fn create_stream<'a>(
-            &'a self,
-            path: &Path,
-        ) -> std::io::Result<Box<dyn llmt_storage::vfs::WriteStream + 'a>> {
-            self.inner.create_stream(path)
-        }
-    }
-
     #[test]
     fn verification_reads_flow_through_storage() {
         // Deduplicated checkpoints are the regression case: object-link
@@ -606,10 +544,10 @@ mod tests {
         let (dir, cfg) = make_ckpts(root.path(), None, &SaveOptions::dedup(true), 1);
         let units = LayerUnit::all(&cfg);
 
-        let fs = Arc::new(RecordingFs::default());
+        let fs = Arc::new(RecordingFs::new(LocalFs));
         let report = verify_checkpoint_on(fs.clone(), &dir, false).unwrap();
         assert!(report.ok(), "{:?}", report.findings);
-        let reads = fs.reads.lock().unwrap();
+        let reads = fs.seen();
         for unit in &units {
             let link = dir.join(format!("units/{}.safetensors", unit.as_string()));
             assert!(
@@ -654,13 +592,14 @@ mod tests {
         budget
     }
 
-    fn assert_every_byte_read_once(fs: &RecordingFs, root: &Path, dir: &Path, who: &str) {
+    fn assert_every_byte_read_once(fs: &RecordingFs<LocalFs>, root: &Path, dir: &Path, who: &str) {
         let budget = read_budget(root, dir);
-        let reads = fs.reads.lock().unwrap();
+        let reads = fs.seen();
         assert!(reads
             .keys()
             .any(|p| p.extension().is_some_and(|e| e == "safetensors")));
-        for (path, bytes) in reads.iter() {
+        for (path, seen) in reads.iter().filter(|(_, seen)| seen.reads > 0) {
+            let bytes = &seen.bytes;
             let len = std::fs::metadata(path).unwrap().len();
             let allowed = budget
                 .get(path)
@@ -689,7 +628,7 @@ mod tests {
         ] {
             let root = tempfile::tempdir().unwrap();
             let (dir, _) = make_ckpts(root.path(), None, &opts, steps);
-            let fs = Arc::new(RecordingFs::default());
+            let fs = Arc::new(RecordingFs::new(LocalFs));
             let report = verify_checkpoint_on(fs.clone(), &dir, true).unwrap();
             assert!(report.ok(), "{:?}", report.findings);
             assert!(report.bytes_verified > 0);
@@ -699,7 +638,7 @@ mod tests {
                     read_budget(root.path(), &dir).len() > 2,
                     "fixture has no delta chains"
                 );
-                let fs = Arc::new(RecordingFs::default());
+                let fs = Arc::new(RecordingFs::new(LocalFs));
                 restore::restore_checkpoint_on(fs.clone(), &dir, &Default::default()).unwrap();
                 assert_every_byte_read_once(&fs, root.path(), &dir, "restore");
             }

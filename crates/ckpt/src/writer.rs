@@ -104,7 +104,7 @@ mod tests {
     use super::*;
     use crate::engine::{self, LiveState, SaveOptions};
     use crate::error::{CkptError, Result};
-    use crate::manifest::PartialManifest;
+    use crate::layout::read_seal;
     use crate::zero_meta::ZeroMeta;
     use llmt_model::{Model, ModelConfig, ParamSet};
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -198,12 +198,15 @@ mod tests {
         // 1 model + 2 shards + zero_meta + config + trainer_state + latest
         // + manifest + COMMIT
         assert_eq!(report.files_written, 9);
-        assert_eq!(report.total_bytes, report.paths.total_bytes().unwrap());
+        assert_eq!(
+            report.total_bytes,
+            report.paths.total_bytes_on(&LocalFs).unwrap()
+        );
         let meta = ZeroMeta::load(&report.paths.zero_meta()).unwrap();
         assert!(meta.is_full());
         assert_eq!(meta.optimizer_step, 1);
         // Committed: marker digest matches the manifest, staging is gone.
-        assert!(report.paths.commit_status().is_committed());
+        assert!(read_seal(&LocalFs, &report.paths).status.is_committed());
         assert!(!CheckpointPaths::staging_under(dir.path(), 10).dir.exists());
     }
 
@@ -232,7 +235,7 @@ mod tests {
         )
         .unwrap();
         assert!(partial.total_bytes < full.total_bytes / 2);
-        let manifest = PartialManifest::load(&partial.paths.manifest()).unwrap();
+        let manifest = read_seal(&LocalFs, &partial.paths).manifest.unwrap();
         assert!(!manifest.full);
         assert_eq!(manifest.units, partial_units);
         let meta = ZeroMeta::load(&partial.paths.zero_meta()).unwrap();
@@ -344,7 +347,7 @@ mod tests {
             false,
         )
         .unwrap();
-        assert!(report.paths.commit_status().is_committed());
+        assert!(read_seal(&LocalFs, &report.paths).status.is_committed());
         assert!(!staging.dir.exists());
         assert!(!report.paths.dir.join("stale-garbage").exists());
     }
@@ -367,13 +370,13 @@ mod tests {
         };
 
         let r1 = save_at(10).unwrap();
-        assert!(r1.paths.commit_status().is_committed());
+        assert!(read_seal(&LocalFs, &r1.paths).status.is_committed());
         assert!(r1.paths.units_dir().exists());
         assert!(
             !r1.paths.model().exists(),
             "dedup saves have no model.safetensors"
         );
-        let m1 = PartialManifest::load(&r1.paths.manifest()).unwrap();
+        let m1 = read_seal(&LocalFs, &r1.paths).manifest.unwrap();
         let refs1 = m1.objects.as_ref().expect("dedup manifest has object refs");
         assert_eq!(refs1.weights.len(), LayerUnit::all(&cfg).len());
         let store = ObjectStore::for_run_root(dir.path());
@@ -390,14 +393,14 @@ mod tests {
                 store.get(&LocalFs, d).unwrap()
             );
         }
-        assert_eq!(r1.total_bytes, r1.paths.total_bytes().unwrap());
+        assert_eq!(r1.total_bytes, r1.paths.total_bytes_on(&LocalFs).unwrap());
         assert_eq!(r1.dedup_bytes, 0);
 
         // Same state at a later step: every payload byte dedups, only
         // metadata is written, and the store still holds each object once.
         let objects_before = store.list(&LocalFs).unwrap();
         let r2 = save_at(20).unwrap();
-        assert!(r2.paths.commit_status().is_committed());
+        assert!(read_seal(&LocalFs, &r2.paths).status.is_committed());
         assert_eq!(r2.dedup_bytes, r2.model_bytes + r2.optim_bytes);
         assert!(
             r2.physical_bytes < r2.total_bytes / 4,
@@ -406,7 +409,7 @@ mod tests {
             r2.total_bytes
         );
         assert_eq!(store.list(&LocalFs).unwrap(), objects_before);
-        let m2 = PartialManifest::load(&r2.paths.manifest()).unwrap();
+        let m2 = read_seal(&LocalFs, &r2.paths).manifest.unwrap();
         assert_eq!(m2.objects, m1.objects, "identical state, identical refs");
     }
 

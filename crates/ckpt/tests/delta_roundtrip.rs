@@ -8,8 +8,8 @@
 use llmt_cas::ObjectStore;
 use llmt_ckpt::engine::{save, LiveState, SaveOptions};
 use llmt_ckpt::{
-    restore_checkpoint, verify_checkpoint_on, CheckpointHandle, CheckpointPaths, LoadMode,
-    PartialManifest, RestoreRequest, SaveRequest, TrainerState,
+    read_seal, restore_checkpoint, verify_checkpoint_on, CheckpointHandle, CheckpointPaths,
+    LoadMode, RestoreRequest, SaveRequest, TrainerState,
 };
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
@@ -133,7 +133,9 @@ fn deep_verify(dir: &Path) {
 /// Longest delta chain under any object a checkpoint references.
 fn max_chain(root: &Path, step: u64) -> usize {
     let store = ObjectStore::for_run_root(root);
-    let manifest = PartialManifest::load(&CheckpointPaths::under(root, step).manifest()).unwrap();
+    let manifest = read_seal(&LocalFs, &CheckpointPaths::under(root, step))
+        .manifest
+        .unwrap();
     let refs = manifest.objects.expect("dedup save writes object refs");
     let mut deepest = 0;
     for (_, object) in refs.iter_all() {
@@ -324,8 +326,9 @@ fn sweep_with_tip_refs_keeps_chains_restorable() {
     // pruned): the sweep must retain every chain base transitively, and
     // the tip must stay restorable afterwards.
     let store = ObjectStore::for_run_root(dir.path());
-    let manifest =
-        PartialManifest::load(&CheckpointPaths::under(dir.path(), 4).manifest()).unwrap();
+    let manifest = read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), 4))
+        .manifest
+        .unwrap();
     let live: std::collections::BTreeSet<llmt_cas::Digest> = manifest
         .objects
         .unwrap()

@@ -4,7 +4,14 @@
 
 use llmt_ckpt::safetensors;
 use llmt_ckpt::{CheckpointHandle, CkptError, LoadMode};
+use llmt_storage::vfs::LocalFs;
 use std::path::Path;
+
+/// The manifest of checkpoint `dir`, as the sealed reader parses it.
+fn manifest_of(dir: &Path) -> llmt_ckpt::PartialManifest {
+    let paths = llmt_ckpt::CheckpointPaths::open_on(&LocalFs, dir).unwrap();
+    llmt_ckpt::read_seal(&LocalFs, &paths).manifest.unwrap()
+}
 
 fn write(path: &Path, bytes: &[u8]) {
     std::fs::write(path, bytes).unwrap();
@@ -154,7 +161,6 @@ fn committed_ckpt_impl(root: &Path, layout: Layout) -> std::path::PathBuf {
     use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
     use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
-    use llmt_storage::vfs::LocalFs;
     use llmt_zero::ZeroEngine;
 
     let cfg = ModelConfig::tiny_test();
@@ -274,7 +280,7 @@ fn bit_flipped_cas_object_is_a_finding() {
     // the same inode, so the corruption is visible through every reference.
     let root = tempfile::tempdir().unwrap();
     let dir = committed_dedup_ckpt(root.path());
-    let manifest = llmt_ckpt::PartialManifest::load(&dir.join("partial_manifest.json")).unwrap();
+    let manifest = manifest_of(&dir);
     let refs = manifest.objects.expect("dedup checkpoint has object refs");
     let (_, object) = refs.iter_all().next().unwrap();
     let hex = &object.digest;
@@ -306,7 +312,7 @@ fn missing_cas_object_and_dangling_reference_are_findings() {
     // silently skipping the tensor payload it was supposed to cover.
     let root = tempfile::tempdir().unwrap();
     let dir = committed_dedup_ckpt(root.path());
-    let manifest = llmt_ckpt::PartialManifest::load(&dir.join("partial_manifest.json")).unwrap();
+    let manifest = manifest_of(&dir);
     let refs = manifest.objects.expect("dedup checkpoint has object refs");
     let (key, object) = refs
         .weights
@@ -382,7 +388,7 @@ fn manifest_digest_mismatch_is_a_finding() {
 /// edit is what the readers judge and not a stale `COMMIT` marker.
 fn edit_manifest(dir: &Path, edit: impl FnOnce(&mut llmt_ckpt::PartialManifest)) {
     let path = dir.join("partial_manifest.json");
-    let mut manifest = llmt_ckpt::PartialManifest::load(&path).unwrap();
+    let mut manifest = manifest_of(dir);
     edit(&mut manifest);
     let text = serde_json::to_string_pretty(&manifest).unwrap();
     std::fs::write(&path, &text).unwrap();
@@ -497,9 +503,8 @@ fn restore_and_verify_cannot_disagree() {
             let case = format!("{layout:?}/{damage:?}");
             let root = tempfile::tempdir().unwrap();
             let dir = committed_ckpt_impl(root.path(), layout);
-            let paths = llmt_ckpt::CheckpointPaths::open(&dir).unwrap();
-            let manifest =
-                llmt_ckpt::PartialManifest::load(&dir.join("partial_manifest.json")).unwrap();
+            let paths = llmt_ckpt::CheckpointPaths::open_on(&LocalFs, &dir).unwrap();
+            let manifest = manifest_of(&dir);
             // The victims: one weights file and one shard file, with the
             // subject both readers file their problems under.
             let (weights, shard) = if cas {

@@ -60,7 +60,9 @@ use crate::ledger::{EpochLedger, ReaderTicket};
 use llmt_cas::{Digest, ObjectStore, PutObserver, PutOutcome, SweepMark, SweepReport};
 use llmt_ckpt::engine::{self, SaveOptions};
 use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
-use llmt_ckpt::{scan_run_root, CheckpointPaths, PartialManifest, VerifyReport};
+use llmt_ckpt::{
+    census_run_roots, read_seal, scan_run_root_on, Census, CheckpointPaths, VerifyReport,
+};
 use llmt_obs::{MetricsRegistry, RunEvent};
 use llmt_storage::vfs::{Clock, LocalFs, RetryPolicy, Storage, SystemClock};
 use std::collections::BTreeSet;
@@ -555,23 +557,6 @@ fn validate_run_id(run_id: &str) -> CoordResult<()> {
     }
 }
 
-fn manifest_digests(manifest_path: &Path) -> CoordResult<BTreeSet<Digest>> {
-    let manifest = PartialManifest::load(manifest_path)?;
-    let mut out = BTreeSet::new();
-    if let Some(refs) = manifest.objects {
-        for (key, object) in refs.iter_all() {
-            let digest = Digest::parse_hex(&object.digest).map_err(|e| {
-                CoordError::Ckpt(llmt_ckpt::CkptError::Format(format!(
-                    "{}: malformed digest for '{key}': {e}",
-                    manifest_path.display()
-                )))
-            })?;
-            out.insert(digest);
-        }
-    }
-    Ok(out)
-}
-
 /// A save session admitted by the coordinator. Holds one save slot and
 /// its declared byte budget until dropped.
 #[derive(Debug)]
@@ -586,6 +571,15 @@ impl PublisherSession {
     /// the shared store through the `CASROOT` redirect).
     pub fn run_root(&self) -> &Path {
         &self.run_root
+    }
+
+    /// Object digests this run's `checkpoint-<step>` manifest references.
+    fn checkpoint_digests(&self, step: u64) -> CoordResult<BTreeSet<Digest>> {
+        let paths = CheckpointPaths::under(&self.run_root, step);
+        let mut census = Census::default();
+        let seal = read_seal(&*self.shared.storage, &paths);
+        census.absorb(&paths.dir, &seal.manifest?)?;
+        Ok(census.refs.into_keys().collect())
     }
 
     /// Save a checkpoint through the shared store. The request's `dir`,
@@ -614,7 +608,7 @@ impl PublisherSession {
             ..*req
         };
         let report = engine::save(&[&*self.shared.storage], &req, &opts)?.report;
-        let digests = manifest_digests(&report.paths.manifest())?;
+        let digests = self.checkpoint_digests(req.step)?;
         self.shared
             .ledger
             .lock()
@@ -636,11 +630,7 @@ impl PublisherSession {
     /// re-dates objects, so the store-level mtime mark guard covers them
     /// until the census after this publish sees the manifest.
     pub fn publish_committed(&self, step: u64) -> CoordResult<usize> {
-        let manifest = self
-            .run_root
-            .join(format!("checkpoint-{step}"))
-            .join("partial_manifest.json");
-        let digests = manifest_digests(&manifest)?;
+        let digests = self.checkpoint_digests(step)?;
         self.shared
             .ledger
             .lock()
@@ -655,8 +645,8 @@ impl PublisherSession {
     /// reader can reach it. Its digests are retired in the epoch ledger.
     /// Retiring an already-retired checkpoint is a no-op.
     pub fn retire_checkpoint(&self, step: u64) -> CoordResult<()> {
-        let dir = self.run_root.join(format!("checkpoint-{step}"));
-        let digests = manifest_digests(&dir.join("partial_manifest.json"))?;
+        let dir = CheckpointPaths::under(&self.run_root, step).dir;
+        let digests = self.checkpoint_digests(step)?;
         let hexes: Vec<String> = digests.iter().map(|d| d.to_hex()).collect();
         let mut retired = self.shared.retired.lock().expect("coord retired lock");
         if retired.iter().any(|rc| rc.dir == dir) {
@@ -708,7 +698,7 @@ impl ReaderSession {
     pub fn committed_checkpoints(&self, run_id: &str) -> Vec<PathBuf> {
         let run_root = self.shared.root.join(RUNS_DIR).join(run_id);
         let retired = self.shared.retired.lock().expect("coord retired lock");
-        scan_run_root(&run_root)
+        scan_run_root_on(&*self.shared.storage, &run_root)
             .committed
             .iter()
             .map(|cp| cp.dir.clone())
@@ -836,21 +826,17 @@ impl CollectorSession {
         *retired = kept;
         drop(retired);
 
-        // --- Census: every attached run's committed manifests.
+        // --- Census: every attached run's committed manifests, through
+        // the storage the sweep below runs on (as a private root's GC).
         let runs_dir = shared.root.join(RUNS_DIR);
         let run_dirs = shared
             .storage
             .list_dir(&runs_dir)
             .map_err(io_err(&runs_dir))?;
-        let mut live = BTreeSet::new();
-        for run_dir in run_dirs {
-            for cp in &scan_run_root(&run_dir).committed {
-                let manifest_path = cp.manifest();
-                if shared.storage.exists(&manifest_path) {
-                    live.extend(manifest_digests(&manifest_path)?);
-                }
-            }
-        }
+        let live: BTreeSet<Digest> = census_run_roots(&*shared.storage, &run_dirs)?
+            .refs
+            .into_keys()
+            .collect();
         let live_count = live.len();
 
         // --- Keep-set: census-live ∪ publisher-pinned ∪ reader-pinned.

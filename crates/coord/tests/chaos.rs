@@ -20,7 +20,7 @@
 use llmt_cas::{Digest, ObjectStore};
 use llmt_ckpt::engine::{LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{scan_run_root, CheckpointPaths, PartialManifest, TrainerState};
+use llmt_ckpt::{scan_run_root, CheckpointPaths, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
@@ -84,8 +84,8 @@ fn committed_digests(root: &Path) -> BTreeSet<Digest> {
     };
     for entry in rd.flatten() {
         for cp in &scan_run_root(&entry.path()).committed {
-            let manifest = PartialManifest::load(&cp.manifest()).expect("manifest parses");
-            if let Some(refs) = manifest.objects {
+            let manifest = cp.manifest().expect("manifest parses");
+            if let Some(refs) = &manifest.objects {
                 for (_, obj) in refs.iter_all() {
                     out.insert(Digest::parse_hex(&obj.digest).expect("manifest digest"));
                 }
@@ -302,7 +302,8 @@ fn forced_progress_does_not_disturb_an_active_reader() {
     publish(&coord, "run-a", 1, &cfg, &model, &zero, &ts);
     let cp1 = coord.run_root("run-a").join("checkpoint-1");
     let pinned = {
-        let manifest = PartialManifest::load(&cp1.join("partial_manifest.json")).unwrap();
+        let paths = CheckpointPaths::under(&coord.run_root("run-a"), 1);
+        let manifest = llmt_ckpt::read_seal(&LocalFs, &paths).manifest.unwrap();
         manifest
             .objects
             .unwrap()

@@ -8,7 +8,7 @@
 //! llmtailor inspect CHECKPOINT_DIR
 //! ```
 
-use llmt_ckpt::{effective_save_log, scan_run_root, CheckpointHandle, CheckpointPaths, LoadMode};
+use llmt_ckpt::{effective_save_log, scan_run_root, CheckpointHandle, LoadMode};
 use llmtailor::autorecipe::recipe_from_log;
 use llmtailor::{merge_with_recipe, LoadPattern, MergeRecipe};
 use std::path::{Path, PathBuf};
@@ -221,7 +221,8 @@ fn cmd_autorecipe(args: &[String]) -> Result<(), String> {
     // (they all share it); use the newest.
     let newest = scan
         .newest_committed()
-        .ok_or_else(|| format!("no committed checkpoints under {}", run_root.display()))?;
+        .ok_or_else(|| format!("no committed checkpoints under {}", run_root.display()))?
+        .paths();
     let config_text = std::fs::read_to_string(newest.config())
         .map_err(|e| format!("{}: {e}", newest.config().display()))?;
     let config: llmt_model::ModelConfig =
@@ -282,10 +283,8 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         println!("    {u} ({names} weight tensors)");
     }
-    if let Some(cp) = CheckpointPaths::open(Path::new(dir)) {
-        if let Ok(bytes) = cp.total_bytes() {
-            println!("  on disk:    {bytes} bytes");
-        }
+    if let Ok(bytes) = h.paths.total_bytes_on(&llmt_storage::vfs::LocalFs) {
+        println!("  on disk:    {bytes} bytes");
     }
     Ok(())
 }
@@ -383,7 +382,7 @@ fn cmd_prune(args: &[String]) -> Result<(), String> {
         })
         .transpose()?
         .unwrap_or(1);
-    let scan = scan_run_root(&run_root);
+    let (log, scan) = effective_save_log(&run_root).map_err(|e| e.to_string())?;
     for q in &scan.quarantined {
         eprintln!(
             "warning: quarantined {} ({}) — left untouched",
@@ -393,13 +392,13 @@ fn cmd_prune(args: &[String]) -> Result<(), String> {
     }
     let newest = scan
         .newest_committed()
-        .ok_or_else(|| format!("no committed checkpoints under {}", run_root.display()))?;
+        .ok_or_else(|| format!("no committed checkpoints under {}", run_root.display()))?
+        .paths();
     let config_text = std::fs::read_to_string(newest.config())
         .map_err(|e| format!("{}: {e}", newest.config().display()))?;
     let config: llmt_model::ModelConfig =
         serde_json::from_str(&config_text).map_err(|e| e.to_string())?;
     if flag(args, "--dry-run") {
-        let (log, _) = effective_save_log(&run_root).map_err(|e| e.to_string())?;
         let steps = scan.committed_steps();
         let prunable = llmtailor::prunable_steps(&log, &config, &steps, keep_last)
             .map_err(|e| e.to_string())?;

@@ -85,7 +85,7 @@ enum SourceKind {
 }
 
 fn classify_source(storage: &dyn Storage, src: &Path) -> Result<SourceKind> {
-    if let Some(paths) = CheckpointPaths::open(src) {
+    if let Some(paths) = CheckpointPaths::open_on(storage, src) {
         if storage.exists(&paths.zero_meta()) {
             return Ok(SourceKind::Checkpoint(paths));
         }

@@ -8,6 +8,10 @@
 //! references count for nothing, exactly as their payloads count for
 //! nothing during recovery.
 //!
+//! The census is `llmt_ckpt::census_run_roots` — shared with the
+//! coordinator's pass — read through the very `Storage` the sweep then runs
+//! on, so the two can never disagree about which tree they are looking at.
+//!
 //! Crash safety: the census runs first and the sweep only deletes objects
 //! that were dead *at census time*, so a GC killed at any storage op has
 //! deleted only garbage. The next sweep finishes the job. The one ordering
@@ -18,7 +22,7 @@
 
 use crate::error::{Result, TailorError};
 use llmt_cas::{CompactReport, Digest, ObjectKind, ObjectStore, SweepMark, SweepReport};
-use llmt_ckpt::{scan_run_root, PartialManifest};
+use llmt_ckpt::{census_run_roots, scan_run_root_on};
 use llmt_obs::RunEvent;
 use llmt_storage::vfs::{LocalFs, Storage};
 use serde::{Deserialize, Serialize};
@@ -77,49 +81,9 @@ pub struct DuReport {
     pub tier: Option<llmt_tier::TierStatus>,
 }
 
-/// Digests referenced by committed, non-quarantined checkpoints under
-/// `run_root`, i.e. the live set for [`collect_garbage_on`].
-///
-/// Errors out — rather than guessing — if a committed checkpoint's
-/// manifest is unreadable or carries a malformed digest: deleting objects
-/// while liveness is unknown would be data loss.
-pub fn live_digests(run_root: &Path) -> Result<BTreeSet<Digest>> {
-    Ok(referenced_digests(run_root)?.into_keys().collect())
-}
-
-/// Reference counts per digest across all committed checkpoints.
-pub fn object_refcounts(run_root: &Path) -> Result<BTreeMap<Digest, usize>> {
-    referenced_digests(run_root)
-}
-
-fn referenced_digests(run_root: &Path) -> Result<BTreeMap<Digest, usize>> {
-    let scan = scan_run_root(run_root);
-    let mut counts = BTreeMap::new();
-    for cp in &scan.committed {
-        let manifest_path = cp.manifest();
-        if !manifest_path.exists() {
-            continue; // pre-manifest checkpoint: nothing content-addressed
-        }
-        let manifest = PartialManifest::load(&manifest_path)?;
-        let Some(refs) = manifest.objects else {
-            continue;
-        };
-        for (key, object) in refs.iter_all() {
-            let digest = Digest::parse_hex(&object.digest).map_err(|e| {
-                TailorError::Plan(format!(
-                    "committed {} references malformed digest for '{key}': {e}; \
-                     refusing to GC with unknown liveness",
-                    cp.dir.display()
-                ))
-            })?;
-            *counts.entry(digest).or_insert(0) += 1;
-        }
-    }
-    Ok(counts)
-}
-
 /// Garbage-collect the object store of `run_root` through `storage`:
-/// take a sweep mark, census live digests from committed manifests, then
+/// take a sweep mark, census live digests from committed manifests
+/// ([`census_run_roots`]: an unparseable one is an error, not a guess), then
 /// sweep everything else (dead objects and `.part` staging debris) that
 /// predates the mark. Objects published after the mark are pinned until
 /// the next pass, so a save racing this GC never loses a just-put object.
@@ -140,8 +104,8 @@ pub fn collect_garbage_on(storage: &dyn Storage, run_root: &Path) -> Result<GcRe
     // Mark *before* the census: anything put after this instant is pinned
     // by the sweep regardless of whether the census saw its reference.
     let mark = SweepMark::now();
-    let scan = scan_run_root(run_root);
-    let live = live_digests(run_root)?;
+    let census = census_run_roots(storage, &[run_root])?;
+    let live: BTreeSet<Digest> = census.refs.into_keys().collect();
     let store = ObjectStore::for_run_root(run_root);
     let sweep = store
         .sweep_with_mark(storage, &live, &mark)
@@ -156,7 +120,7 @@ pub fn collect_garbage_on(storage: &dyn Storage, run_root: &Path) -> Result<GcRe
     llmt_obs::append_event(storage, &events_path, &ev)
         .map_err(|e| TailorError::Ckpt(llmt_ckpt::error::io_err(&events_path)(e)))?;
     Ok(GcReport {
-        checkpoints_censused: scan.committed.len(),
+        checkpoints_censused: census.checkpoints,
         live_digests: live.len(),
         sweep,
     })
@@ -206,7 +170,7 @@ pub fn compact_run(run_root: &Path, max_chain: usize) -> Result<CompactReport> {
 /// For a run redirected into a shared store, the object tallies cover the
 /// *shared* store (all tenants), while checkpoint tallies stay per-run.
 pub fn du_run(run_root: &Path) -> Result<DuReport> {
-    let scan = scan_run_root(run_root);
+    let scan = scan_run_root_on(&LocalFs, run_root);
     let store = ObjectStore::resolve(&LocalFs, run_root);
     let objects = store
         .list(&LocalFs)
@@ -246,16 +210,11 @@ pub fn du_run(run_root: &Path) -> Result<DuReport> {
     let mut unit_objects: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     for cp in &scan.committed {
         let apparent = cp
-            .total_bytes()
+            .paths()
+            .total_bytes_on(&LocalFs)
             .map_err(|e| TailorError::Ckpt(llmt_ckpt::error::io_err(&cp.dir)(e)))?;
         report.logical_bytes += apparent;
-        let manifest_path = cp.manifest();
-        let refs = if manifest_path.exists() {
-            PartialManifest::load(&manifest_path)?.objects
-        } else {
-            None
-        };
-        match refs {
+        match &cp.manifest()?.objects {
             // Deduplicated checkpoint: its payload files are hard links
             // into the store, already counted once in `object_bytes`.
             // An *encoded* link appears at its encoded (on-disk) size in
@@ -309,8 +268,19 @@ mod tests {
     use llmt_obs::MetricsRegistry;
     use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
     use llmt_zero::ZeroEngine;
+    use std::sync::Arc;
 
     fn write_dedup_ckpt(root: &Path, cfg: &ModelConfig, step: u64, seed: u64) {
+        write_dedup_ckpt_on(&LocalFs, root, cfg, step, seed)
+    }
+
+    fn write_dedup_ckpt_on(
+        storage: &dyn Storage,
+        root: &Path,
+        cfg: &ModelConfig,
+        step: u64,
+        seed: u64,
+    ) {
         let mut model = Model::new(cfg.clone(), seed);
         let mut engine = ZeroEngine::new(
             &model.params,
@@ -337,7 +307,7 @@ mod tests {
             seq_len: 8,
         };
         engine::save(
-            &[&LocalFs],
+            &[storage],
             &SaveRequest {
                 dir: &CheckpointPaths::under(root, step).dir,
                 step,
@@ -384,6 +354,45 @@ mod tests {
     }
 
     #[test]
+    fn gc_censuses_the_storage_it_sweeps() {
+        // Nothing of this run exists on the local disk: a census that read
+        // it there would find no references and sweep every object.
+        let mem: Arc<dyn Storage> = Arc::new(llmt_tier::MemStorage::new(1 << 30));
+        let root = Path::new("/runs/in-memory");
+        let cfg = ModelConfig::tiny_test();
+        write_dedup_ckpt_on(&*mem, root, &cfg, 1, 3);
+        write_dedup_ckpt_on(&*mem, root, &cfg, 2, 4);
+        let store = ObjectStore::for_run_root(root);
+        let before = store.list(&*mem).unwrap().len();
+
+        let report = collect_garbage_on(&*mem, root).unwrap();
+        assert_eq!(report.sweep.deleted_objects, 0);
+        assert_eq!(report.checkpoints_censused, 2);
+        assert_eq!(report.live_digests, before);
+        for step in [1, 2] {
+            let dir = CheckpointPaths::under(root, step).dir;
+            let verify = llmt_ckpt::verify_checkpoint_on(mem.clone(), &dir, true).unwrap();
+            assert!(verify.ok(), "step {step}: {:?}", verify.findings);
+        }
+
+        // Drop checkpoint-1 through the same storage: exactly its
+        // exclusive objects go, checkpoint-2 still verifies.
+        let survivor = CheckpointPaths::under(root, 2);
+        mem.remove_dir_all(&CheckpointPaths::under(root, 1).dir)
+            .unwrap();
+        let report = collect_garbage_on(&*mem, root).unwrap();
+        assert_eq!(report.checkpoints_censused, 1);
+        assert!(report.sweep.deleted_objects > 0);
+        assert_eq!(
+            report.sweep.deleted_objects + report.live_digests,
+            before,
+            "swept something other than checkpoint-1's exclusive objects"
+        );
+        let verify = llmt_ckpt::verify_checkpoint_on(mem.clone(), &survivor.dir, true).unwrap();
+        assert!(verify.ok(), "{:?}", verify.findings);
+    }
+
+    #[test]
     fn gc_refuses_redirected_run_roots() {
         let dir = tempfile::tempdir().unwrap();
         let run = dir.path().join("runs/a");
@@ -406,7 +415,8 @@ mod tests {
         // Tamper with the marker: the checkpoint is quarantined and its
         // references no longer pin objects.
         std::fs::write(dir.path().join("checkpoint-1/COMMIT"), b"torn").unwrap();
-        assert!(live_digests(dir.path()).unwrap().is_empty());
+        let census = census_run_roots(&LocalFs, &[dir.path()]).unwrap();
+        assert!(census.refs.is_empty());
         let report = collect_garbage(dir.path()).unwrap();
         assert_eq!(report.live_digests, 0);
         assert!(report.sweep.deleted_objects > 0);
@@ -434,7 +444,7 @@ mod tests {
             assert_eq!(*n, 1, "unit {unit} has {n} objects");
         }
         // Refcounts: every object referenced twice.
-        for (d, n) in object_refcounts(dir.path()).unwrap() {
+        for (d, n) in census_run_roots(&LocalFs, &[dir.path()]).unwrap().refs {
             assert_eq!(n, 2, "object {d}");
         }
     }

@@ -40,8 +40,7 @@ pub use diff::{diff_checkpoints, UnitDiff};
 pub use dynamic::{MagnitudeStrategy, UnitDelta};
 pub use error::{PlanError, Result, TailorError};
 pub use gc::{
-    collect_garbage, collect_garbage_on, compact_run, compact_run_on, du_run, live_digests,
-    DuReport, GcReport,
+    collect_garbage, collect_garbage_on, compact_run, compact_run_on, du_run, DuReport, GcReport,
 };
 pub use merge::{execute_plan, merge_with_recipe, LoadPattern, MergeReport};
 pub use plan::MergePlan;

@@ -10,6 +10,7 @@
 use crate::error::{Result, TailorError};
 use llmt_ckpt::manifest::SaveLog;
 use llmt_model::{LayerUnit, ModelConfig};
+use llmt_storage::vfs::{LocalFs, Storage};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -58,12 +59,13 @@ pub fn prunable_steps(
 /// they never satisfy a unit's coverage, so the last committed copy of a
 /// unit survives even when newer torn copies exist.
 pub fn prune_run(run_root: &Path, config: &ModelConfig, keep_last: usize) -> Result<Vec<u64>> {
+    let fs = LocalFs;
     let (log, scan) = llmt_ckpt::effective_save_log(run_root)?;
     let existing = scan.committed_steps();
     let prunable = prunable_steps(&log, config, &existing, keep_last)?;
     for step in &prunable {
         let dir = run_root.join(format!("checkpoint-{step}"));
-        std::fs::remove_dir_all(&dir)
+        fs.remove_dir_all(&dir)
             .map_err(|e| TailorError::Ckpt(llmt_ckpt::error::io_err(&dir)(e)))?;
     }
     // Deduplicated runs: deleting checkpoints dropped references, so
@@ -72,10 +74,9 @@ pub fn prune_run(run_root: &Path, config: &ModelConfig, keep_last: usize) -> Res
     // from directories about to disappear. Runs redirected into a shared
     // store skip the GC: only the coordinator sees every tenant's
     // references, and it reclaims the dropped objects on its next pass.
-    let fs = llmt_storage::vfs::LocalFs;
     let store = llmt_cas::ObjectStore::for_run_root(run_root);
     if store.is_present(&fs) && !llmt_cas::is_redirected(&fs, run_root) {
-        crate::gc::collect_garbage(run_root)?;
+        crate::gc::collect_garbage_on(&fs, run_root)?;
     }
     Ok(prunable)
 }

@@ -76,7 +76,7 @@ fn build_run(root: &Path, cfg: &ModelConfig) {
             log.record(u, step);
         }
     }
-    log.save(&root.join("save_log.json")).unwrap();
+    log.save_on(&LocalFs, &root.join("save_log.json")).unwrap();
 }
 
 #[test]

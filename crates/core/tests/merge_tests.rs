@@ -2,7 +2,7 @@
 
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{CheckpointHandle, CheckpointPaths, LoadMode, PartialManifest, TrainerState};
+use llmt_ckpt::{CheckpointHandle, CheckpointPaths, LoadMode, TrainerState};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
 use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout, LrSchedule};
@@ -170,7 +170,8 @@ fn split_then_merge_is_identity() {
     let report = merge_with_recipe(&recipe, LoadMode::EagerFull, LoadPattern::Sequential).unwrap();
     assert_eq!(report.sources, 2);
     checkpoints_bit_identical(&report.output, &full_dir, &cfg, WORLD);
-    let manifest = PartialManifest::load(&report.output.join("partial_manifest.json")).unwrap();
+    let paths = CheckpointPaths::open_on(&LocalFs, &report.output).unwrap();
+    let manifest = llmt_ckpt::read_seal(&LocalFs, &paths).manifest.unwrap();
     assert!(manifest.full);
 }
 
@@ -475,7 +476,9 @@ fn failed_merge_leaves_nothing_behind() {
     let c2 = fx.save(&dir.path().join("r2"), &LayerUnit::all(&cfg));
     // The last rank's shard file of one source is cut short: everything
     // before it (model file, earlier ranks) reads and writes fine.
-    let shard = CheckpointPaths::open(&c1).unwrap().optim_shard(WORLD - 1);
+    let shard = CheckpointPaths::open_on(&LocalFs, &c1)
+        .unwrap()
+        .optim_shard(WORLD - 1);
     let len = std::fs::metadata(&shard).unwrap().len();
     let f = std::fs::OpenOptions::new()
         .write(true)

@@ -43,7 +43,7 @@
 use crate::protocol::{
     DaemonStatus, GcSummary, LineReader, Request, Response, TenantStatus, DEFAULT_SOCKET_FILE,
 };
-use llmt_ckpt::{scan_run_root, CheckpointPaths};
+use llmt_ckpt::{scan_run_root_on, CheckpointPaths};
 use llmt_coord::{CoordConfig, CoordError, Coordinator};
 use llmt_obs::MetricsRegistry;
 use llmt_storage::vfs::{Clock, LocalFs, Storage, SystemClock};
@@ -528,8 +528,8 @@ impl Inner {
                 self.metrics
                     .counter(&format!("daemon.tenant.{run}.saves"))
                     .incr();
-                let dir = run_root.join(format!("checkpoint-{step}"));
-                if let Some(bytes) = CheckpointPaths::open(&dir).and_then(|p| p.total_bytes().ok())
+                if let Ok(bytes) =
+                    CheckpointPaths::under(&run_root, step).total_bytes_on(&*self.storage)
                 {
                     self.metrics
                         .counter(&format!("daemon.tenant.{run}.published_bytes"))
@@ -644,7 +644,7 @@ impl Inner {
         let mut drain_pending = 0usize;
         for run in self.coord.attached_runs().unwrap_or_default() {
             let run_root = self.coord.run_root(&run);
-            let scan = scan_run_root(&run_root);
+            let scan = scan_run_root_on(&*self.storage, &run_root);
             // Prefer the live manager's view; fall back to the
             // persisted tier state for runs the daemon never drained.
             let tier = {

@@ -11,7 +11,7 @@
 use llmt_cas::{Digest, ObjectStore};
 use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
-use llmt_ckpt::{scan_run_root, CheckpointPaths, PartialManifest, TrainerState};
+use llmt_ckpt::{scan_run_root, CheckpointPaths, TrainerState};
 use llmt_coord::{CoordConfig, Coordinator};
 use llmt_daemon::{Daemon, DaemonClient, DaemonConfig, Request, Response};
 use llmt_model::{Batch, LayerUnit, Model, ModelConfig, ParamSet};
@@ -121,8 +121,8 @@ fn committed_digests(root: &Path) -> BTreeSet<Digest> {
     };
     for entry in rd.flatten() {
         for cp in &scan_run_root(&entry.path()).committed {
-            let manifest = PartialManifest::load(&cp.manifest()).expect("manifest parses");
-            if let Some(refs) = manifest.objects {
+            let manifest = cp.manifest().expect("manifest parses");
+            if let Some(refs) = &manifest.objects {
                 for (_, obj) in refs.iter_all() {
                     out.insert(Digest::parse_hex(&obj.digest).expect("manifest digest"));
                 }

@@ -26,12 +26,12 @@ pub const EVENTS_FILE: &str = "events.jsonl";
 /// Prefix of per-session journal files (`events-<label>.jsonl`).
 ///
 /// Concurrent sessions against one run root (or one shared store root)
-/// must not append to the same file: `Storage::append` is a read +
-/// rewrite, so two interleaved writers can silently drop or interleave
-/// each other's lines. Each session appends to its own
-/// `events-<label>.jsonl` instead, and [`read_merged_journal`] folds all
-/// of them (plus the legacy single-writer `events.jsonl`) back into one
-/// event stream at report time.
+/// do not share an append target: `LocalFs` appends with `O_APPEND`, but
+/// `Storage::append`'s *default* (what test doubles inherit) is a read +
+/// rewrite that can drop a concurrent writer's lines, and a torn tail
+/// should name the one writer that died. Each session appends to its own
+/// `events-<label>.jsonl`, and [`read_merged_journal`] folds them (plus
+/// the single-writer `events.jsonl`) into one stream at report time.
 pub const SESSION_EVENTS_PREFIX: &str = "events-";
 
 /// File name of the per-session journal for `label`, with the label

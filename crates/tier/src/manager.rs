@@ -27,7 +27,7 @@ use llmt_cas::{Digest, ObjectKind, ObjectStore};
 use llmt_ckpt::engine::{self, SaveOptions};
 use llmt_ckpt::writer::SaveRequest;
 use llmt_ckpt::{
-    restore_checkpoint_with, CheckpointPaths, CheckpointReport, CkptError, PartialManifest,
+    read_seal, restore_checkpoint_with, CheckpointPaths, CheckpointReport, CkptError,
     RestoreRequest, RestoredState,
 };
 use llmt_obs::{Journal, MetricsRegistry, RunEvent};
@@ -605,7 +605,7 @@ impl TierManager {
         // commit marker last — the drain copies in this exact order.
         let placement_storage: &dyn Storage = placements[placed.placement];
         let mut files = self
-            .collect_files(placement_storage, &dir)
+            .collect_files(placement_storage, req.step)
             .map_err(|e| CkptError::Io(dir.clone(), e))?;
         self.append_object_chains(placement_storage, req.step, &mut files)
             .map_err(|e| CkptError::Io(dir.clone(), e))?;
@@ -648,30 +648,21 @@ impl TierManager {
         })
     }
 
-    /// Recursively enumerate a checkpoint directory, commit marker last.
-    fn collect_files(&self, storage: &dyn Storage, dir: &Path) -> io::Result<Vec<FileRec>> {
+    /// The files of `checkpoint-<step>` as run-root-relative drain
+    /// records, commit marker last.
+    fn collect_files(&self, storage: &dyn Storage, step: u64) -> io::Result<Vec<FileRec>> {
         let mut files = Vec::new();
-        let mut stack = vec![dir.to_path_buf()];
-        while let Some(d) = stack.pop() {
-            for entry in storage.list_dir(&d)? {
-                match storage.list_dir(&entry) {
-                    Ok(_) => stack.push(entry),
-                    Err(_) => {
-                        let bytes = storage.file_len(&entry)?;
-                        let rel = entry
-                            .strip_prefix(&self.root)
-                            .map_err(|_| {
-                                io::Error::new(
-                                    io::ErrorKind::InvalidInput,
-                                    format!("{} outside run root", entry.display()),
-                                )
-                            })?
-                            .to_string_lossy()
-                            .into_owned();
-                        files.push(FileRec { path: rel, bytes });
-                    }
-                }
-            }
+        for (path, bytes) in CheckpointPaths::under(&self.root, step).files_on(storage)? {
+            let rel = path.strip_prefix(&self.root).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("{} outside run root", path.display()),
+                )
+            })?;
+            files.push(FileRec {
+                path: rel.to_string_lossy().into_owned(),
+                bytes,
+            });
         }
         // Commit marker strictly last: a crashed drain must never leave
         // a marker ahead of the payload it vouches for.
@@ -700,11 +691,11 @@ impl TierManager {
         }
         let store = ObjectStore::for_run_root(&self.root);
         let paths = CheckpointPaths::under(&self.root, step);
-        let Ok(manifest_bytes) = storage.read(&paths.manifest()) else {
-            return Ok(()); // pre-manifest save: nothing content-addressed
+        let manifest = match read_seal(storage, &paths).manifest {
+            Ok(manifest) => manifest,
+            Err(CkptError::Io(..)) => return Ok(()), // pre-manifest save
+            Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
         };
-        let manifest: PartialManifest = serde_json::from_slice(&manifest_bytes)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let Some(refs) = manifest.objects else {
             return Ok(());
         };

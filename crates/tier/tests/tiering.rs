@@ -731,3 +731,38 @@ fn saves_overlapping_drain_hops_all_succeed_and_persist_in_order() {
     }
     assert_eq!(mgr.status().pending_drains, 1);
 }
+
+#[test]
+fn a_checkpoint_not_named_by_step_opens_through_any_storage() {
+    // A merge output is named by its recipe (`merged-5`), so its step
+    // comes from the `latest` file — which lives wherever the checkpoint
+    // does, here only in memory.
+    let cfg = ModelConfig::tiny_test();
+    let (model, engine, ts) = make_state(&cfg, 21);
+    let mem: Arc<dyn Storage> = Arc::new(MemStorage::new(1 << 30));
+    let dir = Path::new("/run/merged-5");
+    llmt_ckpt::engine::save(
+        &[&*mem],
+        &SaveRequest {
+            dir,
+            step: 5,
+            source: &LiveState {
+                config: &cfg,
+                params: &model.params,
+                engine: &engine,
+            },
+            trainer_state: &ts,
+            units: &LayerUnit::all(&cfg),
+            metrics: &MetricsRegistry::new(),
+            store: None,
+        },
+        &SaveOptions::dedup(true),
+    )
+    .unwrap();
+    let h = llmt_ckpt::CheckpointHandle::open_on(mem.clone(), dir, llmt_ckpt::LoadMode::LazyRange)
+        .unwrap();
+    assert_eq!(h.paths.step, 5);
+    assert!(h.is_committed());
+    let report = llmt_ckpt::verify_checkpoint_on(mem, dir, true).unwrap();
+    assert!(report.ok(), "{:?}", report.findings);
+}

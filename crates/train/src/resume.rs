@@ -111,6 +111,7 @@ pub fn resume_trainer_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llmt_ckpt::CheckpointPaths;
     use llmt_model::LayerUnit;
     use llmtailor::StrategyKind;
 
@@ -207,10 +208,9 @@ mod tests {
         t.train_until(3, None).unwrap();
         let mut resumed = resume_trainer(&dir.path().join("checkpoint-2"), cfg).unwrap();
         resumed.train_until(5, None).unwrap();
-        let m = llmt_ckpt::PartialManifest::load(
-            &dir.path().join("checkpoint-4/partial_manifest.json"),
-        )
-        .unwrap();
+        let m = llmt_ckpt::read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), 4))
+            .manifest
+            .unwrap();
         assert!(m.full);
         assert_eq!(m.units, LayerUnit::all(&resumed.config.model_config));
     }

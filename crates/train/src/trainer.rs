@@ -102,14 +102,6 @@ pub struct TrainerConfig {
     /// diffs against the previous checkpoint's units.
     #[serde(default)]
     pub ckpt_delta_chain: usize,
-    /// Journal run events to a per-session file
-    /// (`events-<label>.jsonl`) instead of the shared `events.jsonl`.
-    /// Required whenever several sessions write into one run root — the
-    /// store coordinator labels every session it admits — because
-    /// interleaved appends to a single journal can tear each other.
-    /// `report` merges all session journals back into one stream.
-    #[serde(default)]
-    pub session_label: Option<String>,
 }
 
 /// Serde default for [`TrainerConfig::tensor_parallel`].
@@ -150,17 +142,6 @@ impl TrainerConfig {
             sequential_ckpt_io: false,
             ckpt_compress: false,
             ckpt_delta_chain: 0,
-            session_label: None,
-        }
-    }
-
-    /// The journal this configuration implies: per-session when
-    /// [`Self::session_label`] is set, the run root's `events.jsonl`
-    /// otherwise.
-    fn build_journal(&self, storage: Arc<dyn Storage>) -> Journal {
-        match &self.session_label {
-            Some(label) => Journal::for_session(storage, &self.run_root, label),
-            None => Journal::at_run_root(storage, &self.run_root),
         }
     }
 
@@ -354,7 +335,7 @@ impl Trainer {
                 &metrics,
             )
         });
-        let journal = config.build_journal(storage.clone());
+        let journal = Journal::at_run_root(storage.clone(), &config.run_root);
         Trainer {
             config,
             model,
@@ -415,7 +396,7 @@ impl Trainer {
                 &metrics,
             )
         });
-        let journal = config.build_journal(storage.clone());
+        let journal = Journal::at_run_root(storage.clone(), &config.run_root);
         Trainer {
             config,
             model,
@@ -882,14 +863,12 @@ mod tests {
             ..quick_config(dir.path())
         });
         t.train_until(5, None).unwrap();
-        let m2 = llmt_ckpt::PartialManifest::load(
-            &dir.path().join("checkpoint-2/partial_manifest.json"),
-        )
-        .unwrap();
-        let m4 = llmt_ckpt::PartialManifest::load(
-            &dir.path().join("checkpoint-4/partial_manifest.json"),
-        )
-        .unwrap();
+        let m2 = llmt_ckpt::read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), 2))
+            .manifest
+            .unwrap();
+        let m4 = llmt_ckpt::read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), 4))
+            .manifest
+            .unwrap();
         assert!(!m2.full && !m4.full);
         assert_ne!(m2.units, m4.units, "parity phases differ");
     }
@@ -1043,15 +1022,13 @@ mod dynamic_tests {
         let dir = tempfile::tempdir().unwrap();
         let mut t = Trainer::new(dyn_config(dir.path()));
         t.train_until(9, None).unwrap();
-        let m2 = llmt_ckpt::PartialManifest::load(
-            &dir.path().join("checkpoint-2/partial_manifest.json"),
-        )
-        .unwrap();
+        let m2 = llmt_ckpt::read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), 2))
+            .manifest
+            .unwrap();
         assert!(m2.full, "cold start saves everything");
-        let m4 = llmt_ckpt::PartialManifest::load(
-            &dir.path().join("checkpoint-4/partial_manifest.json"),
-        )
-        .unwrap();
+        let m4 = llmt_ckpt::read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), 4))
+            .manifest
+            .unwrap();
         assert!(!m4.full, "subsequent events respect the budget");
         assert!(!m4.units.is_empty());
     }
@@ -1076,7 +1053,9 @@ mod dynamic_tests {
         let cfg = dyn_config(dir.path());
         let mut t = Trainer::new(cfg.clone());
         t.train_until(16, None).unwrap();
-        let log = llmt_ckpt::manifest::SaveLog::load(&dir.path().join("save_log.json")).unwrap();
+        let log =
+            llmt_ckpt::manifest::SaveLog::load_on(&LocalFs, &dir.path().join("save_log.json"))
+                .unwrap();
         for u in LayerUnit::all(&cfg.model_config) {
             let latest = log.latest_for(u, 16).unwrap_or(0);
             // 8 events happened; staleness bound 3 means every unit was

@@ -4,6 +4,7 @@
 
 use llmt_ckpt::{CheckpointHandle, LoadMode};
 use llmt_model::LayerUnit;
+use llmt_storage::vfs::LocalFs;
 use llmt_train::{recover_checkpoint, resume_trainer, Trainer, TrainerConfig};
 use llmtailor::StrategyKind;
 
@@ -81,7 +82,8 @@ fn async_save_log_only_records_completed_writes() {
     let mut t = Trainer::new(cfg.clone());
     let report = t.train_until(6, None).unwrap();
     // Everything drained at segment end: log matches written checkpoints.
-    let log = llmt_ckpt::manifest::SaveLog::load(&dir.path().join("save_log.json")).unwrap();
+    let log =
+        llmt_ckpt::manifest::SaveLog::load_on(&LocalFs, &dir.path().join("save_log.json")).unwrap();
     for u in LayerUnit::all(&cfg.model_config) {
         assert_eq!(
             log.saved_at[&u.as_string()],

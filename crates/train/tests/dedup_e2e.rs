@@ -10,7 +10,7 @@
 //!    object: every surviving committed checkpoint still verifies, and a
 //!    clean retry finishes the sweep.
 
-use llmt_ckpt::PartialManifest;
+use llmt_ckpt::{census_run_roots, read_seal, CheckpointPaths};
 use llmt_model::LayerUnit;
 use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs, LocalFs};
 use llmt_train::{resume_trainer, Trainer, TrainerConfig};
@@ -33,13 +33,11 @@ fn frozen_layer_bytes_are_stored_exactly_once_across_checkpoints() {
     drop(t);
 
     let load = |s: u64| {
-        PartialManifest::load(
-            &dir.path()
-                .join(format!("checkpoint-{s}/partial_manifest.json")),
-        )
-        .unwrap()
-        .objects
-        .expect("dedup manifests carry object references")
+        read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), s))
+            .manifest
+            .unwrap()
+            .objects
+            .expect("dedup manifests carry object references")
     };
     let (r2, r4) = (load(2), load(4));
     // Frozen units share one object; the trained layer does not.
@@ -69,7 +67,7 @@ fn frozen_layer_bytes_are_stored_exactly_once_across_checkpoints() {
     assert!(du.dedup_ratio > 1.0, "ratio {}", du.dedup_ratio);
 
     // Both checkpoints reference the shared objects (refcount 2).
-    let counts = llmtailor::gc::object_refcounts(dir.path()).unwrap();
+    let counts = census_run_roots(&LocalFs, &[dir.path()]).unwrap().refs;
     for unit in ["embed_tokens", "layers.0"] {
         let d = llmt_cas::Digest::parse_hex(&r2.weights[unit].digest).unwrap();
         assert_eq!(counts[&d], 2, "frozen unit {unit}");
@@ -215,7 +213,8 @@ fn gc_killed_at_any_op_never_deletes_a_live_object() {
     for k in 0..total_ops {
         let root = tempfile::tempdir().unwrap();
         build_garbage_run(root.path());
-        let live = llmtailor::live_digests(root.path()).unwrap();
+        let live = census_run_roots(&LocalFs, &[root.path()]).unwrap().refs;
+        let live: Vec<_> = live.into_keys().collect();
         assert!(!live.is_empty());
 
         let fs = FaultyFs::with_seed(

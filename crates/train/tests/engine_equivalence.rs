@@ -13,8 +13,8 @@
 
 use llmt_cas::{Digest, ObjectStore};
 use llmt_ckpt::{
-    restore_checkpoint, safetensors, CheckpointPaths, CkptError, LoadMode, PartialManifest,
-    RestoreRequest, RestoredState, SaveOptions,
+    read_seal, restore_checkpoint, safetensors, CheckpointPaths, CkptError, LoadMode,
+    PartialManifest, RestoreRequest, RestoredState, SaveOptions,
 };
 use llmt_coord::Coordinator;
 use llmt_obs::MetricsRegistry;
@@ -45,7 +45,8 @@ fn committed(root: &Path) -> (PartialManifest, RestoredState) {
 }
 
 fn committed_at(dir: &Path) -> (PartialManifest, RestoredState) {
-    let manifest = PartialManifest::load(&dir.join("partial_manifest.json")).unwrap();
+    let paths = CheckpointPaths::open_on(&LocalFs, dir).unwrap();
+    let manifest = read_seal(&LocalFs, &paths).manifest.unwrap();
     let state = restore_checkpoint(dir, &RestoreRequest::default()).unwrap();
     (manifest, state)
 }
@@ -176,13 +177,11 @@ fn dedup_manifest_digests_match_whole_buffer_encoding() {
     let dir = tempfile::tempdir().unwrap();
     run(dir.path(), false, true);
 
-    let refs = PartialManifest::load(
-        &dir.path()
-            .join(format!("checkpoint-{STEP}/partial_manifest.json")),
-    )
-    .unwrap()
-    .objects
-    .expect("dedup manifests carry object references");
+    let refs = read_seal(&LocalFs, &CheckpointPaths::under(dir.path(), STEP))
+        .manifest
+        .unwrap()
+        .objects
+        .expect("dedup manifests carry object references");
     assert!(!refs.weights.is_empty());
     assert!(!refs.optim.is_empty());
 

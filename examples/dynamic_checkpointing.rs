@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example dynamic_checkpointing`
 
 use llmt_ckpt::manifest::SaveLog;
+use llmt_storage::vfs::LocalFs;
 use llmt_train::{recover_checkpoint, resume_trainer, Trainer, TrainerConfig};
 use llmtailor::StrategyKind;
 
@@ -28,7 +29,7 @@ fn main() {
     drop(t); // crash; the writer thread drains on drop
 
     // Show what the strategy actually chose.
-    let log = SaveLog::load(&dir.path().join("save_log.json")).unwrap();
+    let log = SaveLog::load_on(&LocalFs, &dir.path().join("save_log.json")).unwrap();
     println!("\nper-unit save schedule (step numbers):");
     for (unit, steps) in &log.saved_at {
         println!("  {unit:<14} {steps:?}");

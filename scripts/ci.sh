@@ -11,10 +11,11 @@ cargo check --workspace --all-targets
 # Deleted-name guard: the save entry points, snapshot ring and fault knob
 # that `engine::save` and `Trainer::with_storage` replaced, the reader
 # helpers and restore option that the shared file plan replaced, and the
-# second writer's helpers that the merge `StateSource` replaced, stay
-# deleted. (Each pattern ends in a bracket expression so this line
-# matches nothing.)
-if git grep -nE 'save_source_wit[h]|save_checkpoint_dedu[p]|MemoryTie[r]|crash_during_sav[e]|parse_optim_ke[y]|materialize_encode[d]|fetch_file_o[n]|require_committe[d]|commit_checkpoint_o[n]|units_fro[m]|safetensors::stream_fil[e]\(' -- . \
+# second writer's helpers that the merge `StateSource` replaced, and the
+# two private censuses, the raw directory lister and the dead journal knob
+# that the run-root catalog replaced, stay deleted. (Each pattern ends in
+# a bracket expression so this line matches nothing.)
+if git grep -nE 'save_source_wit[h]|save_checkpoint_dedu[p]|MemoryTie[r]|crash_during_sav[e]|parse_optim_ke[y]|materialize_encode[d]|fetch_file_o[n]|require_committe[d]|commit_checkpoint_o[n]|units_fro[m]|safetensors::stream_fil[e]\(|manifest_digest[s]\(|referenced_digest[s]|session_labe[l]\b|CheckpointPaths::lis[t]' -- . \
   ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!crates/ledger'; then
   echo "a deleted name is back (see the matches above)"; exit 1
 fi
@@ -32,6 +33,21 @@ fi
 if [ "$(git grep -n '\.materialize(' -- crates/ckpt/src ':!crates/ckpt/src/engine.rs' | wc -l)" -ne 1 ]; then
   git grep -n '\.materialize(' -- crates/ckpt/src ':!crates/ckpt/src/engine.rs' || true
   echo "expected exactly one .materialize( call outside engine.rs"; exit 1
+fi
+# One run-root catalog: the modules that read a run root do it through a
+# `Storage` (no raw `std::fs`, no `Path::exists()` probe outside their
+# tests), and one line of product code judges a commit marker.
+for f in crates/ckpt/src/layout.rs crates/ckpt/src/manifest.rs crates/core/src/gc.rs \
+  crates/core/src/retention.rs crates/coord/src/coordinator.rs; do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'std::fs|path\.exists\(\)'; then
+    echo "$f reads the filesystem beside the Storage VFS"; exit 1
+  fi
+done
+VERDICTS=$(for f in $(git ls-files 'crates/*/src/*.rs' ':!crates/ledger'); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -F 'CommitStatus::evaluate(' || true
+done | wc -l)
+if [ "$VERDICTS" -ne 1 ]; then
+  echo "expected exactly one CommitStatus::evaluate( call outside tests, found $VERDICTS"; exit 1
 fi
 cargo test -q
 cargo clippy --workspace -- -D warnings

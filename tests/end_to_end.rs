@@ -3,8 +3,9 @@
 //! exercised only through the crates' public APIs.
 
 use llmt_ckpt::manifest::SaveLog;
-use llmt_ckpt::{CheckpointHandle, CheckpointPaths, LoadMode};
+use llmt_ckpt::{scan_run_root, CheckpointHandle, LoadMode, SealedCheckpoint};
 use llmt_model::{LayerUnit, ModelConfig};
+use llmt_storage::vfs::LocalFs;
 use llmt_train::{recover_checkpoint, resume_trainer, Trainer, TrainerConfig};
 use llmtailor::StrategyKind;
 
@@ -33,14 +34,15 @@ fn parity_pipeline_end_to_end() {
     drop(crashing);
 
     // Partial checkpoints really are roughly half-size.
-    let ckpts = CheckpointPaths::list(dir2.path());
+    let ckpts = scan_run_root(dir2.path()).committed;
     assert!(ckpts.len() >= 4);
-    let sizes: Vec<u64> = ckpts.iter().map(|c| c.total_bytes().unwrap()).collect();
+    let size_of = |c: &SealedCheckpoint| c.paths().total_bytes_on(&LocalFs).unwrap();
+    let sizes: Vec<u64> = ckpts.iter().map(size_of).collect();
     let full_size = {
         let d3 = tempfile::tempdir().unwrap();
         let mut t = Trainer::new(quick_config(d3.path(), StrategyKind::Full, 2));
         t.train_until(3, None).unwrap();
-        CheckpointPaths::list(d3.path())[0].total_bytes().unwrap()
+        size_of(&scan_run_root(d3.path()).committed[0])
     };
     for s in &sizes {
         let ratio = *s as f64 / full_size as f64;
@@ -67,7 +69,7 @@ fn filtered_pipeline_recovers_with_stale_middle() {
     // aux ones which come every 5th event; run long enough for those.
     t.train_until(12, Some(11)).unwrap();
     drop(t);
-    let log = SaveLog::load(&dir.path().join("save_log.json")).unwrap();
+    let log = SaveLog::load_on(&LocalFs, &dir.path().join("save_log.json")).unwrap();
     // Hot units saved at every event; embed only at sparse events.
     assert!(log.saved_at["layers.0"].len() > log.saved_at["embed_tokens"].len());
     let (merged, _) = recover_checkpoint(dir.path(), &cfg.model_config, 11, "m").unwrap();
@@ -221,8 +223,8 @@ struct PartialManifestDigests(std::collections::BTreeMap<String, u64>);
 
 impl PartialManifestDigests {
     fn read(dir: &std::path::Path) -> Self {
-        let m = llmt_ckpt::PartialManifest::load(&dir.join("partial_manifest.json")).unwrap();
-        PartialManifestDigests(m.weight_digests)
+        let h = CheckpointHandle::open(dir, LoadMode::LazyRange).unwrap();
+        PartialManifestDigests(h.manifest.unwrap().weight_digests)
     }
 }
 

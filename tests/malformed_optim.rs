@@ -62,7 +62,7 @@ proptest! {
         // Rename or remove one randomly chosen optimizer tensor in one
         // rank's shard file. The file stays a perfectly valid
         // safetensors container — only the checkpoint contract breaks.
-        let paths = CheckpointPaths::open(&dir).expect("checkpoint dir opens");
+        let paths = CheckpointPaths::open_on(&LocalFs, &dir).expect("checkpoint dir opens");
         let shard = paths.optim_shard(rank);
         let (mut tensors, metadata) = safetensors::read_file(&shard).expect("shard reads");
         prop_assume!(!tensors.is_empty());
