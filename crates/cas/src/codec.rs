@@ -263,13 +263,16 @@ pub fn xor_into(acc: &mut [u8], other: &[u8]) -> io::Result<()> {
 /// it is safe on whole unit files (safetensors header included).
 pub fn shuffle4(buf: &[u8]) -> Vec<u8> {
     let lanes = buf.len() / 4;
-    let mut out = Vec::with_capacity(buf.len());
-    for lane in 0..4 {
-        for group in 0..lanes {
-            out.push(buf[group * 4 + lane]);
-        }
+    let mut out = vec![0u8; buf.len()];
+    let (p0, rest) = out.split_at_mut(lanes);
+    let (p1, rest) = rest.split_at_mut(lanes);
+    let (p2, rest) = rest.split_at_mut(lanes);
+    let (p3, tail) = rest.split_at_mut(lanes);
+    let groups = buf.chunks_exact(4);
+    tail.copy_from_slice(groups.remainder());
+    for ((((group, a), b), c), d) in groups.zip(p0).zip(p1).zip(p2).zip(p3) {
+        (*a, *b, *c, *d) = (group[0], group[1], group[2], group[3]);
     }
-    out.extend_from_slice(&buf[lanes * 4..]);
     out
 }
 
@@ -277,12 +280,15 @@ pub fn shuffle4(buf: &[u8]) -> Vec<u8> {
 pub fn unshuffle4(buf: &[u8]) -> Vec<u8> {
     let lanes = buf.len() / 4;
     let mut out = vec![0u8; buf.len()];
-    for lane in 0..4 {
-        for group in 0..lanes {
-            out[group * 4 + lane] = buf[lane * lanes + group];
-        }
+    let (p0, rest) = buf.split_at(lanes);
+    let (p1, rest) = rest.split_at(lanes);
+    let (p2, rest) = rest.split_at(lanes);
+    let (p3, tail) = rest.split_at(lanes);
+    let mut groups = out.chunks_exact_mut(4);
+    for ((((group, a), b), c), d) in (&mut groups).zip(p0).zip(p1).zip(p2).zip(p3) {
+        group.copy_from_slice(&[*a, *b, *c, *d]);
     }
-    out[lanes * 4..].copy_from_slice(&buf[lanes * 4..]);
+    groups.into_remainder().copy_from_slice(tail);
     out
 }
 
@@ -302,11 +308,70 @@ const MAX_MATCH: usize = 259;
 const WINDOW: usize = 65535;
 const HASH_BITS: u32 = 15;
 const MAX_PROBES: usize = 32;
+/// "No position" in the match finder's tables.
+const NO_POS: u32 = u32::MAX;
+
+/// The four bytes at `input[at..]` as one little-endian word.
+#[inline]
+fn prefix4(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("4-byte slice"))
+}
 
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+fn hash4(prefix: u32) -> usize {
+    (prefix.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of `input[a..]` and `input[b..]`, capped
+/// at `limit`; the caller guarantees `a < b` and `b + limit <= len`.
+#[inline]
+fn match_len(input: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let (x, y) = (&input[a..a + limit], &input[b..b + limit]);
+    let mut l = 0usize;
+    for (p, q) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let p = u64::from_le_bytes(p.try_into().expect("8-byte chunk"));
+        let q = u64::from_le_bytes(q.try_into().expect("8-byte chunk"));
+        if p != q {
+            return l + ((p ^ q).trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && x[l] == y[l] {
+        l += 1;
+    }
+    l
+}
+
+/// The match finder's state: `head[h]` is the most recent position
+/// whose 4-byte prefix hashes to `h`, `prev` links each position to the
+/// one before it in its bucket. A link is only ever followed from a
+/// candidate inside the 65 535-byte window, so `prev` is a ring of
+/// 65 536 slots indexed by the low position bits, not one slot per input
+/// byte. Positions are `u32`: beyond 4 GiB they wrap, which can cost a
+/// match the full-width tables would have found but never yields an
+/// invalid one (every candidate is compared byte for byte).
+struct Chains {
+    head: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Chains {
+    fn new() -> Self {
+        Chains {
+            head: vec![NO_POS; 1 << HASH_BITS],
+            prev: vec![NO_POS; WINDOW + 1],
+        }
+    }
+
+    /// Index `pos` under its 4-byte `prefix` and return the position that
+    /// headed its bucket until now.
+    #[inline]
+    fn insert(&mut self, prefix: u32, pos: usize) -> u32 {
+        let head = &mut self.head[hash4(prefix)];
+        let before = std::mem::replace(head, pos as u32);
+        self.prev[pos & WINDOW] = before;
+        before
+    }
 }
 
 /// LZSS-compress `input`. Always succeeds; the output of incompressible
@@ -314,78 +379,68 @@ fn hash4(bytes: &[u8]) -> usize {
 /// sizes and fall back to raw storage when that happens).
 pub fn lzss_compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; input.len()];
+    let mut chains = Chains::new();
+    // Positions below this have `MIN_MATCH` bytes left: they can start a
+    // match and are indexed.
+    let indexable = input.len().saturating_sub(MIN_MATCH - 1);
     let mut pos = 0usize;
-    let mut flag_at = usize::MAX;
+    let mut flag_at = 0usize;
     let mut flag_bit = 8u8;
-
-    let mut push_token = |out: &mut Vec<u8>, is_match: bool| -> usize {
-        if flag_bit == 8 {
-            out.push(0);
-            flag_at = out.len() - 1;
-            flag_bit = 0;
-        }
-        if is_match {
-            out[flag_at] |= 1 << flag_bit;
-        }
-        flag_bit += 1;
-        flag_at
-    };
 
     while pos < input.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if pos + MIN_MATCH <= input.len() {
-            let h = hash4(&input[pos..]);
-            let mut cand = head[h];
-            let mut probes = 0usize;
-            while cand != usize::MAX && probes < MAX_PROBES {
-                let dist = pos - cand;
-                if dist > WINDOW {
+        if pos < indexable {
+            let prefix = prefix4(input, pos);
+            let limit = (input.len() - pos).min(MAX_MATCH);
+            // Indexing `pos` before the search changes nothing: the walk
+            // starts from the bucket's previous head.
+            let mut cand = chains.insert(prefix, pos);
+            for _ in 0..MAX_PROBES {
+                let dist = (pos as u32).wrapping_sub(cand) as usize;
+                if cand == NO_POS || dist == 0 || dist > WINDOW {
                     break;
                 }
-                let limit = (input.len() - pos).min(MAX_MATCH);
-                let mut l = 0usize;
-                while l < limit && input[cand + l] == input[pos + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = dist;
-                    if l == limit {
-                        break;
+                let at = pos - dist;
+                // A candidate from the same bucket with another prefix
+                // matches fewer than `MIN_MATCH` bytes and can neither be
+                // emitted nor keep a longer one from being taken; one
+                // that differs at `best_len` cannot beat the best so far.
+                if prefix4(input, at) == prefix && input[at + best_len] == input[pos + best_len] {
+                    let l = MIN_MATCH
+                        + match_len(input, at + MIN_MATCH, pos + MIN_MATCH, limit - MIN_MATCH);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == limit {
+                            break;
+                        }
                     }
                 }
-                cand = prev[cand];
-                probes += 1;
+                cand = chains.prev[at & WINDOW];
             }
         }
-        if best_len >= MIN_MATCH {
-            push_token(&mut out, true);
+        if flag_bit == 8 {
+            flag_at = out.len();
+            out.push(0);
+            flag_bit = 0;
+        }
+        let end = if best_len >= MIN_MATCH {
+            out[flag_at] |= 1 << flag_bit;
             out.extend_from_slice(&(best_dist as u16).to_le_bytes());
             out.push((best_len - MIN_MATCH) as u8);
-            // Index every covered position so later matches can start
-            // inside this one.
-            let end = pos + best_len;
-            while pos < end {
-                if pos + MIN_MATCH <= input.len() {
-                    let h = hash4(&input[pos..]);
-                    prev[pos] = head[h];
-                    head[h] = pos;
-                }
-                pos += 1;
-            }
+            pos + best_len
         } else {
-            push_token(&mut out, false);
             out.push(input[pos]);
-            if pos + MIN_MATCH <= input.len() {
-                let h = hash4(&input[pos..]);
-                prev[pos] = head[h];
-                head[h] = pos;
-            }
-            pos += 1;
+            pos + 1
+        };
+        flag_bit += 1;
+        // Index every covered position so later matches can start inside
+        // this one.
+        for covered in pos + 1..end.min(indexable) {
+            chains.insert(prefix4(input, covered), covered);
         }
+        pos = end;
     }
     out
 }
@@ -401,6 +456,14 @@ pub fn lzss_decompress(input: &[u8]) -> io::Result<Vec<u8>> {
     while i < input.len() {
         let flags = input[i];
         i += 1;
+        // Eight literals in a row (the common case on noisy planes).
+        if flags == 0 {
+            if let Some(literals) = input.get(i..i + 8) {
+                out.extend_from_slice(literals);
+                i += 8;
+                continue;
+            }
+        }
         for bit in 0..8 {
             if i >= input.len() {
                 break;
@@ -418,12 +481,14 @@ pub fn lzss_decompress(input: &[u8]) -> io::Result<Vec<u8>> {
                 if dist == 0 || dist > out.len() {
                     return Err(bad("match distance outside produced output"));
                 }
+                // `dist < len` repeats the last `dist` bytes: every pass
+                // copies all of the period written so far, doubling it.
                 let start = out.len() - dist;
-                // Overlapping copies are the point (dist < len repeats);
-                // byte-at-a-time keeps the semantics exact.
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                let mut left = len;
+                while left > 0 {
+                    let n = left.min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                    left -= n;
                 }
             }
         }
@@ -435,6 +500,144 @@ pub fn lzss_decompress(input: &[u8]) -> io::Result<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::Digest;
+    use proptest::prelude::*;
+
+    /// The encoder as it stood before the ring-buffer match finder, kept
+    /// verbatim: [`lzss_compress`] must emit exactly this token stream.
+    fn lzss_compress_reference(input: &[u8]) -> Vec<u8> {
+        fn hash4(bytes: &[u8]) -> usize {
+            let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+            (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+        }
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; input.len()];
+        let mut pos = 0usize;
+        let mut flag_at = usize::MAX;
+        let mut flag_bit = 8u8;
+
+        let mut push_token = |out: &mut Vec<u8>, is_match: bool| -> usize {
+            if flag_bit == 8 {
+                out.push(0);
+                flag_at = out.len() - 1;
+                flag_bit = 0;
+            }
+            if is_match {
+                out[flag_at] |= 1 << flag_bit;
+            }
+            flag_bit += 1;
+            flag_at
+        };
+
+        while pos < input.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if pos + MIN_MATCH <= input.len() {
+                let h = hash4(&input[pos..]);
+                let mut cand = head[h];
+                let mut probes = 0usize;
+                while cand != usize::MAX && probes < MAX_PROBES {
+                    let dist = pos - cand;
+                    if dist > WINDOW {
+                        break;
+                    }
+                    let limit = (input.len() - pos).min(MAX_MATCH);
+                    let mut l = 0usize;
+                    while l < limit && input[cand + l] == input[pos + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                    cand = prev[cand];
+                    probes += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                push_token(&mut out, true);
+                out.extend_from_slice(&(best_dist as u16).to_le_bytes());
+                out.push((best_len - MIN_MATCH) as u8);
+                let end = pos + best_len;
+                while pos < end {
+                    if pos + MIN_MATCH <= input.len() {
+                        let h = hash4(&input[pos..]);
+                        prev[pos] = head[h];
+                        head[h] = pos;
+                    }
+                    pos += 1;
+                }
+            } else {
+                push_token(&mut out, false);
+                out.push(input[pos]);
+                if pos + MIN_MATCH <= input.len() {
+                    let h = hash4(&input[pos..]);
+                    prev[pos] = head[h];
+                    head[h] = pos;
+                }
+                pos += 1;
+            }
+        }
+        out
+    }
+
+    /// The regimes the encoder meets: noise, runs (zero runs included),
+    /// repeated motifs, byte planes of a float diff (two noisy planes, a
+    /// nearly constant one, a zero one), inputs shorter than a match, and
+    /// buffers long enough to wrap the 64 KiB link ring.
+    fn arb_encoder_input() -> impl Strategy<Value = Vec<u8>> {
+        let float_planes = (1usize..1024, any::<u64>()).prop_map(|(lanes, seed)| {
+            let mut x = seed | 1;
+            let mut rnd = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut out = Vec::with_capacity(lanes * 4);
+            out.extend((0..lanes * 2).map(|_| rnd() as u8));
+            out.extend((0..lanes).map(|_| (rnd() % 4) as u8));
+            out.resize(lanes * 4, 0);
+            out
+        });
+        let long = (
+            prop::collection::vec(any::<u8>(), 1..600),
+            70_000usize..200_000,
+        )
+            .prop_map(|(motif, len)| {
+                // A motif repeated with a drifting byte: matches at many
+                // distances, some beyond the window.
+                (0..len)
+                    .map(|i| motif[i % motif.len()] ^ ((i / 9973) as u8))
+                    .collect::<Vec<u8>>()
+            });
+        prop_oneof![
+            4 => prop::collection::vec(any::<u8>(), 0..2048),
+            2 => (any::<u8>(), 1usize..2048).prop_map(|(b, n)| vec![b; n]),
+            2 => (1usize..100_000).prop_map(|n| vec![0u8; n]),
+            3 => (prop::collection::vec(any::<u8>(), 1..32), 1usize..64)
+                .prop_map(|(motif, reps)| motif.repeat(reps)),
+            3 => float_planes,
+            2 => prop::collection::vec(any::<u8>(), 0..MIN_MATCH),
+            1 => long,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The rewritten match finder is an optimization only: same
+        /// greedy parse, same probe order, the same bytes out.
+        #[test]
+        fn lzss_compress_emits_the_reference_token_stream(input in arb_encoder_input()) {
+            let packed = lzss_compress(&input);
+            prop_assert!(packed == lzss_compress_reference(&input));
+            prop_assert!(lzss_decompress(&packed).unwrap() == input);
+        }
+    }
 
     #[test]
     fn lzss_round_trips_typical_payloads() {

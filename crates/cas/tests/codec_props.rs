@@ -63,9 +63,11 @@ proptest! {
         prop_assert!(packed.len() <= image.len() + image.len() / 8 + 2);
         if !packed.is_empty() {
             let torn = &packed[..packed.len() - 1];
+            // A torn match token is an error by itself; a dropped literal
+            // decodes one byte short, which the codec's length check
+            // catches.
             prop_assert!(
-                codec::lzss_decompress(torn, image.len() as u64).is_err()
-                    || image.is_empty()
+                Codec::Lzss.decode(torn, image.len() as u64).is_err() || image.is_empty()
             );
         }
     }

@@ -25,6 +25,12 @@
 //!   into the checkpoint directory. A payload the source already knows as
 //!   a stored object ([`StateSource::stored_object`] — a merge whose
 //!   donor checkpoint shares the store) is linked without being read.
+//!   A compressing or delta save splits each store miss into *resolve*
+//!   (every read), a pure *encode* step and *commit* (the put and the
+//!   link): the calling thread issues every storage call in key order
+//!   and only the encode steps of a bounded window of misses run on
+//!   worker threads, so the op schedule is the same with and without
+//!   them.
 //! * *Commit*: metadata, the `COMMIT` marker sealing the manifest, the
 //!   atomic rename, and the run-root fsync — unchanged from the
 //!   two-phase protocol documented in [`crate::writer`].
@@ -61,8 +67,8 @@ use llmt_storage::StageTimings;
 use llmt_tensor::{DType, RawTensor, Shape};
 use llmt_zero::{ShardState, Topology, ZeroEngine};
 use rayon::prelude::*;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// Default streaming chunk size for tensor payloads. Large enough that
@@ -70,16 +76,25 @@ use std::path::{Path, PathBuf};
 /// chaos suite shrinks it to force multi-chunk files and mid-file tears.
 pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
 
-/// How a save's per-rank optimizer shard files are written.
+/// Where a save's parallelisable work runs. Every [`Storage`] call of a
+/// dedup save is issued by the calling thread, in key order, under
+/// either value, so the op schedule a fault injector sees, the dedup
+/// counters, the manifests and every object byte are the same with and
+/// without workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Shard files in parallel on the rayon pool (the paper parallelizes
-    /// shard I/O with a process pool).
+    /// Conventional saves write the per-rank shard files in parallel on
+    /// the rayon pool (the paper parallelizes shard I/O with a process
+    /// pool); compressing or delta dedup saves run the pure encode step
+    /// of a store miss (XOR diff and the LZSS candidates, no storage
+    /// access) on a scoped worker thread, at most
+    /// `rayon::current_num_threads()` misses waiting at once — the
+    /// window that bounds what a save stages to cores × one unit.
     #[default]
     Rayon,
-    /// Strictly sequential writes. Gives the fault injector a fully
-    /// deterministic op schedule; dedup saves are always sequential for
-    /// the same reason (and so identical shards dedup instead of racing).
+    /// Everything inline on the calling thread: shard files one after
+    /// the other, which also makes a conventional save's op schedule
+    /// deterministic.
     Sequential,
 }
 
@@ -102,7 +117,8 @@ pub struct SaveOptions {
     pub delta_chain: usize,
     /// Streaming chunk size in bytes (clamped to at least 1).
     pub chunk_bytes: usize,
-    /// Shard-file write strategy for conventional saves.
+    /// Whether shard-file writes (conventional saves) and the encode
+    /// step (compressing or delta dedup saves) may use worker threads.
     pub parallelism: Parallelism,
 }
 
@@ -269,34 +285,6 @@ pub fn shard_state_tensors(shard: &ShardState, gid: usize) -> Vec<(String, RawTe
     ]
 }
 
-/// Place a tensor payload in the content-addressed store and hard-link
-/// the object at `dest`. Hash-first: the image is digested in one
-/// bounded-memory pass (zero storage ops), and only a store miss streams
-/// the payload — so a dedup hit costs exactly one counted op (the link).
-fn place_tensors_object(
-    storage: &dyn Storage,
-    store: &ObjectStore,
-    tensors: &[(String, RawTensor)],
-    metadata: &BTreeMap<String, String>,
-    chunk_bytes: usize,
-    dest: &Path,
-) -> Result<PutOutcome> {
-    let (prefix, len, digest) = safetensors::image_digest(tensors, metadata)?;
-    let chunk_bytes = chunk_bytes.max(1);
-    let chunks = std::iter::once(prefix.as_slice()).chain(
-        tensors
-            .iter()
-            .flat_map(move |(_, t)| t.bytes().chunks(chunk_bytes)),
-    );
-    let out = store
-        .put_stream(storage, digest, len, chunks)
-        .map_err(io_err(store.root_dir()))?;
-    store
-        .link(storage, out.digest, dest)
-        .map_err(io_err(dest))?;
-    Ok(out)
-}
-
 /// How the place stage encodes store objects, derived from
 /// [`SaveOptions`] plus the previous committed checkpoint's object refs
 /// (the delta bases).
@@ -364,102 +352,394 @@ fn smallest_encoding(image: &[u8]) -> (Codec, Vec<u8>) {
     }
 }
 
-/// [`place_tensors_object`] with the codec/delta policy applied: a dedup
-/// hit (which re-dates the base chain) short-circuits everything; a miss
-/// tries, in order, an XOR delta against the previous checkpoint's `key`
-/// object, an LZ-compressed `Full`, and finally the raw streamed put —
-/// each taken only when it actually shrinks the stored bytes. The
-/// manifest-facing outcome (logical digest + length) is identical across
-/// all four paths; only `stored_len` differs.
-#[allow(clippy::too_many_arguments)]
-fn place_tensors_encoded(
+/// A store miss of an encoding save between its resolve and commit
+/// steps: the decoded image (units are the bounded dedup granule, so
+/// this is a per-unit, not per-model, cost) and, when the delta policy
+/// found a usable base, that base's decoded image.
+struct Staged {
+    digest: Digest,
+    image: Vec<u8>,
+    base: Option<(Digest, Vec<u8>)>,
+}
+
+/// How the encode step decided an image is stored.
+enum Encoded {
+    /// Compressed XOR diff against the staged base.
+    Delta(Codec, Vec<u8>),
+    /// Self-contained compressed payload.
+    Full(Codec, Vec<u8>),
+    /// Nothing shrinks it: the image itself.
+    Raw,
+}
+
+/// Resolve step of an encoding save's store miss — every read the key
+/// needs. Builds the decoded image and, when the previous checkpoint
+/// holds a different object of equal length for `key` whose chain has
+/// headroom, materializes it as the delta base. Any store-side failure
+/// (base swept mid-save, chain walk error) leaves the base out — deltas
+/// are an optimization, never a correctness dependency.
+fn stage_miss(
     storage: &dyn Storage,
     store: &ObjectStore,
-    tensors: &[(String, RawTensor)],
-    metadata: &BTreeMap<String, String>,
-    chunk_bytes: usize,
-    dest: &Path,
     key: &str,
     policy: &PlacePolicy,
-) -> Result<PutOutcome> {
-    if !policy.encoding() {
-        return place_tensors_object(storage, store, tensors, metadata, chunk_bytes, dest);
-    }
-    let (prefix, len, digest) = safetensors::image_digest(tensors, metadata)?;
-    let link = |out: PutOutcome| -> Result<PutOutcome> {
-        store
-            .link(storage, out.digest, dest)
-            .map_err(io_err(dest))?;
-        Ok(out)
-    };
-    if let Some(hit) = store.note_hit(storage, digest, len) {
-        return link(hit);
-    }
-
-    // Encoding needs the whole decoded image in memory (units are the
-    // bounded dedup granule, so this is a per-unit, not per-model, cost).
-    let mut image = Vec::with_capacity(len as usize);
-    image.extend_from_slice(&prefix);
+    (prefix, len, digest): (Vec<u8>, u64, Digest),
+    tensors: &[(String, RawTensor)],
+) -> Staged {
+    let mut image = prefix;
+    image.reserve_exact((len as usize).saturating_sub(image.len()));
     for (_, t) in tensors {
         image.extend_from_slice(t.bytes());
     }
+    let base = policy
+        .base_for(key, digest, len)
+        .filter(|(base, _)| {
+            store
+                .chain_len(storage, *base)
+                .is_ok_and(|depth| depth < policy.delta_chain)
+        })
+        .and_then(|(base, _)| Some((base, store.materialize(storage, base).ok()?)))
+        .filter(|(_, base_image)| base_image.len() == image.len());
+    Staged {
+        digest,
+        image,
+        base,
+    }
+}
 
-    // 1. Delta against the previous checkpoint's object for this key,
-    //    when the chain has headroom and the diff actually shrinks. Any
-    //    store-side failure (base swept mid-save, chain walk error)
-    //    falls through to a self-contained encoding — deltas are an
-    //    optimization, never a correctness dependency.
-    if policy.delta_chain > 0 {
-        if let Some((base, _)) = policy.base_for(key, digest, len) {
-            let headroom = store
-                .chain_len(storage, base)
-                .map(|d| d < policy.delta_chain)
-                .unwrap_or(false);
-            if headroom {
-                if let Ok(base_image) = store.materialize(storage, base) {
-                    if base_image.len() == image.len() {
-                        let mut diff = image.clone();
-                        codec::xor_into(&mut diff, &base_image).map_err(io_err(dest))?;
-                        let (delta_codec, payload) = smallest_encoding(&diff);
-                        if ((codec::DELTA_HEADER_LEN + payload.len()) as u64) < len {
-                            match store.put_delta(
-                                storage,
-                                digest,
-                                base,
-                                &base_image,
-                                delta_codec,
-                                &payload,
-                            ) {
-                                Ok(out) => return link(out),
-                                // Base swept between materialize and put:
-                                // fall through to a self-contained object.
-                                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                                Err(e) => return Err(io_err(store.root_dir())(e)),
+/// Encode step: pure CPU work on bytes the resolve step fetched, so it
+/// can run on any thread without touching the save's op schedule. Tries,
+/// in order, an XOR delta against `base_image` (same length as `image`)
+/// and, under `compress`, a self-contained compressed object — each
+/// taken only when it actually shrinks the stored bytes.
+fn encode_image(image: &[u8], base_image: Option<&[u8]>, compress: bool) -> Encoded {
+    if let Some(base_image) = base_image {
+        debug_assert_eq!(image.len(), base_image.len());
+        let diff: Vec<u8> = image.iter().zip(base_image).map(|(a, b)| a ^ b).collect();
+        let (codec, payload) = smallest_encoding(&diff);
+        if codec::DELTA_HEADER_LEN + payload.len() < image.len() {
+            return Encoded::Delta(codec, payload);
+        }
+    }
+    if compress {
+        let (codec, payload) = smallest_encoding(image);
+        if codec::FULL_HEADER_LEN + payload.len() < image.len() {
+            return Encoded::Full(codec, payload);
+        }
+    }
+    Encoded::Raw
+}
+
+/// Commit step of a store miss: one put in the form the encode step
+/// chose. The manifest-facing outcome (logical digest + length) is
+/// identical across all three forms; only `stored_len` differs.
+fn commit_staged(
+    storage: &dyn Storage,
+    store: &ObjectStore,
+    staged: &Staged,
+    mut encoded: Encoded,
+    policy: &PlacePolicy,
+    chunk_bytes: usize,
+) -> Result<PutOutcome> {
+    let store_err = io_err(store.root_dir());
+    if let (Encoded::Delta(codec, payload), Some((base, base_image))) = (&encoded, &staged.base) {
+        match store.put_delta(storage, staged.digest, *base, base_image, *codec, payload) {
+            // Base swept between materialize and put: fall back to a
+            // self-contained object.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                encoded = encode_image(&staged.image, None, policy.compress);
+            }
+            done => return done.map_err(store_err),
+        }
+    }
+    let len = staged.image.len() as u64;
+    match encoded {
+        Encoded::Full(codec, payload) => {
+            store.put_full_encoded(storage, staged.digest, codec, &payload, len)
+        }
+        _ => store.put_stream(
+            storage,
+            staged.digest,
+            len,
+            staged.image.chunks(chunk_bytes),
+        ),
+    }
+    .map_err(store_err)
+}
+
+/// One logical key of a dedup save.
+struct KeySpec {
+    /// `unit.as_string()` for a unit's weights, [`CasRefs::optim_key`]
+    /// for a `(rank, gid)` shard.
+    key: String,
+    /// The checkpoint file the object is hard-linked at.
+    dest: PathBuf,
+    payload: KeyPayload,
+}
+
+/// What a key's object holds: a unit's weights (stamped with the
+/// safetensors metadata, per-tensor digests recorded in the manifest) or
+/// one optimizer shard (neither).
+#[derive(Clone, Copy)]
+enum KeyPayload {
+    Weights(LayerUnit),
+    Shard { rank: usize, gid: usize },
+}
+
+/// A resolved key waiting for its commit turn.
+enum Pending<'scope> {
+    /// The store holds the object: only the link is left.
+    Held(PutOutcome),
+    /// A miss of an encoding save: its image digest and its encode step.
+    Miss(Digest, Encoding<'scope>),
+}
+
+/// The encode step of a staged miss: on a worker thread, or already run
+/// inline.
+enum Encoding<'scope> {
+    Worker(std::thread::ScopedJoinHandle<'scope, (Staged, Encoded)>),
+    Done(Staged, Encoded),
+}
+
+/// What the place stage of a dedup save produced.
+#[derive(Default)]
+struct PlacedObjects {
+    refs: CasRefs,
+    model_bytes: u64,
+    optim_bytes: u64,
+    /// Payload bytes actually written vs. satisfied by objects the store
+    /// already held.
+    physical_payload: u64,
+    dedup_bytes: u64,
+    /// Delta/compression accounting across placed objects.
+    delta_objects: u64,
+    delta_saved_bytes: u64,
+    delta_max_chain: u64,
+}
+
+impl PlacedObjects {
+    /// Book one committed key.
+    fn record(&mut self, spec: KeySpec, out: &PutOutcome) {
+        if out.written {
+            self.physical_payload += out.stored_len;
+            self.delta_saved_bytes += out.len.saturating_sub(out.stored_len);
+            if out.chain_depth > 0 {
+                self.delta_objects += 1;
+                self.delta_max_chain = self.delta_max_chain.max(out.chain_depth as u64);
+            }
+        } else {
+            self.dedup_bytes += out.len;
+        }
+        let object = ObjectRef {
+            digest: out.digest.to_hex(),
+            bytes: out.len,
+        };
+        if matches!(spec.payload, KeyPayload::Weights(_)) {
+            self.model_bytes += out.len;
+            self.refs.weights.insert(spec.key, object);
+        } else {
+            self.optim_bytes += out.len;
+            self.refs.optim.insert(spec.key, object);
+        }
+    }
+}
+
+/// Place stage of a dedup save: one store object per logical key — one
+/// per unit (the layer-wise dedup granule, hard-linked under `units/`)
+/// and one per (rank, group) — linked unread when the source already
+/// names a stored object for it, otherwise fetched, encoded under the
+/// policy and put.
+///
+/// Each key goes through *resolve* (tensor fetch, image digest, hit
+/// peek, delta-base read), *encode* ([`encode_image`]) and *commit* (the
+/// put and the link). Resolve and commit run on the calling thread, each
+/// in key order, so identical payloads dedup instead of racing and the
+/// op schedule does not depend on [`Parallelism`]. A key with nothing to
+/// encode — a hit, a source-named object, any key of a save that neither
+/// compresses nor deltas (hash-first zero-copy streaming put) — commits
+/// as soon as every key before it has. The encode step of a miss starts
+/// the moment the key is resolved — on a scoped worker thread under
+/// [`Parallelism::Rayon`] — and the caller goes on resolving later keys
+/// until a window of `rayon::current_num_threads()` misses is waiting;
+/// then it commits the oldest. Staged memory is therefore bounded by
+/// worker count × (image + base + encode candidates) of one unit, never
+/// by the checkpoint.
+fn place_objects(
+    storage: &dyn Storage,
+    plan: &StagePlan,
+    weights_meta: &BTreeMap<String, String>,
+    weight_digests: &mut BTreeMap<String, u64>,
+    timings: &mut StageTimings,
+) -> Result<PlacedObjects> {
+    let (req, store, staging) = (plan.req, plan.store, plan.staging);
+    let chunk = plan.opts.chunk_bytes.max(1);
+    // Delta bases come from the newest committed predecessor's manifest;
+    // resolving it is one read pair, done once per save.
+    let prev_refs = (plan.opts.delta_chain > 0)
+        .then(|| previous_refs_on(storage, plan.root, req.step))
+        .flatten();
+    let policy = PlacePolicy {
+        compress: plan.opts.compress,
+        delta_chain: plan.opts.delta_chain,
+        prev: prev_refs.as_ref(),
+    };
+    let window = rayon::current_num_threads().max(1);
+    let no_meta = BTreeMap::new();
+
+    let unit_keys = plan.units.iter().map(|unit| {
+        let key = unit.as_string();
+        KeySpec {
+            dest: staging.unit_weights(&key),
+            key,
+            payload: KeyPayload::Weights(*unit),
+        }
+    });
+    let world = req.source.world_size();
+    let shard_keys = (0..world).flat_map(|rank| {
+        plan.present.iter().map(move |gid| KeySpec {
+            key: CasRefs::optim_key(rank, *gid),
+            dest: staging.optim_group(rank, *gid),
+            payload: KeyPayload::Shard { rank, gid: *gid },
+        })
+    });
+
+    let mut placed = PlacedObjects::default();
+    std::thread::scope(|workers| -> Result<()> {
+        let mut queue: VecDeque<(KeySpec, Pending)> = VecDeque::new();
+        let misses = |queue: &VecDeque<(KeySpec, Pending)>| {
+            queue
+                .iter()
+                .filter(|(_, p)| matches!(p, Pending::Miss(..)))
+                .count()
+        };
+        // Commit the oldest resolved key.
+        let mut commit_front =
+            |queue: &mut VecDeque<(KeySpec, Pending)>, timings: &mut StageTimings| -> Result<()> {
+                let Some((spec, resolved)) = queue.pop_front() else {
+                    return Ok(());
+                };
+                let sp = req.metrics.span("ckpt.save.place");
+                let out = match resolved {
+                    Pending::Held(out) => out,
+                    Pending::Miss(_, encoding) => {
+                        let (staged, encoded) = match encoding {
+                            Encoding::Done(staged, encoded) => (staged, encoded),
+                            // A worker's panic is the save's panic.
+                            Encoding::Worker(worker) => {
+                                worker.join().unwrap_or_else(|p| resume_unwind(p))
                             }
+                        };
+                        commit_staged(storage, store, &staged, encoded, &policy, chunk)?
+                    }
+                };
+                store
+                    .link(storage, out.digest, &spec.dest)
+                    .map_err(io_err(&spec.dest))?;
+                placed.record(spec, &out);
+                timings.place_ns += sp.finish();
+                Ok(())
+            };
+
+        for spec in unit_keys.chain(shard_keys) {
+            let resolved = if let Some((object, fnv)) = req.source.stored_object(&spec.key) {
+                let digest = Digest::parse_hex(&object.digest).map_err(|e| {
+                    CkptError::Format(format!("stored object for {}: {e}", spec.key))
+                })?;
+                weight_digests.extend(fnv);
+                Pending::Held(PutOutcome {
+                    digest,
+                    len: object.bytes,
+                    stored_len: 0,
+                    written: false,
+                    chain_depth: 0,
+                })
+            } else {
+                let sp = req.metrics.span("ckpt.save.encode");
+                let (tensors, metadata) = match spec.payload {
+                    KeyPayload::Weights(unit) => {
+                        let tensors = req.source.unit_weight_tensors(unit)?;
+                        for (name, t) in &tensors {
+                            weight_digests.insert(name.clone(), t.digest());
                         }
+                        (tensors, weights_meta)
+                    }
+                    KeyPayload::Shard { rank, gid } => {
+                        (req.source.shard_tensors(rank, gid)?, &no_meta)
+                    }
+                };
+                timings.encode_ns += sp.finish();
+
+                // Hash-first: the image is digested in one bounded-memory
+                // pass (zero storage ops), so a dedup hit costs exactly
+                // one counted op (the link).
+                let sp = req.metrics.span("ckpt.save.place");
+                let (prefix, len, digest) = safetensors::image_digest(&tensors, metadata)?;
+                timings.place_ns += sp.finish();
+                // The same content is already waiting as a miss: commit
+                // it first, so this key is the dedup hit it would be
+                // without a window.
+                if queue
+                    .iter()
+                    .any(|(_, p)| matches!(p, Pending::Miss(waiting, _) if *waiting == digest))
+                {
+                    while !queue.is_empty() {
+                        commit_front(&mut queue, timings)?;
                     }
                 }
+                let sp = req.metrics.span("ckpt.save.place");
+                let resolved = if !policy.encoding() {
+                    // Only a store miss streams the payload, straight
+                    // from the tensors.
+                    let chunks = std::iter::once(prefix.as_slice())
+                        .chain(tensors.iter().flat_map(|(_, t)| t.bytes().chunks(chunk)));
+                    let out = store
+                        .put_stream(storage, digest, len, chunks)
+                        .map_err(io_err(store.root_dir()))?;
+                    Pending::Held(out)
+                } else if let Some(hit) = store.note_hit(storage, digest, len) {
+                    // A hit re-dates the base chain and short-circuits
+                    // everything else.
+                    Pending::Held(hit)
+                } else {
+                    let staged = stage_miss(
+                        storage,
+                        store,
+                        &spec.key,
+                        &policy,
+                        (prefix, len, digest),
+                        &tensors,
+                    );
+                    let compress = policy.compress;
+                    let encode = move || {
+                        let base_image = staged.base.as_ref().map(|(_, image)| image.as_slice());
+                        let encoded = encode_image(&staged.image, base_image, compress);
+                        (staged, encoded)
+                    };
+                    Pending::Miss(
+                        digest,
+                        match plan.opts.parallelism {
+                            Parallelism::Rayon => Encoding::Worker(workers.spawn(encode)),
+                            Parallelism::Sequential => {
+                                let (staged, encoded) = encode();
+                                Encoding::Done(staged, encoded)
+                            }
+                        },
+                    )
+                };
+                timings.place_ns += sp.finish();
+                resolved
+            };
+            queue.push_back((spec, resolved));
+            while matches!(queue.front(), Some((_, Pending::Held(_)))) || misses(&queue) >= window {
+                commit_front(&mut queue, timings)?;
             }
         }
-    }
-
-    // 2. Self-contained compressed object, when that shrinks it.
-    if policy.compress {
-        let (full_codec, payload) = smallest_encoding(&image);
-        if ((codec::FULL_HEADER_LEN + payload.len()) as u64) < len {
-            let out = store
-                .put_full_encoded(storage, digest, full_codec, &payload, len)
-                .map_err(io_err(store.root_dir()))?;
-            return link(out);
+        while !queue.is_empty() {
+            commit_front(&mut queue, timings)?;
         }
-    }
-
-    // 3. Raw object, streamed in bounded chunks.
-    let chunk_bytes = chunk_bytes.max(1);
-    let out = store
-        .put_stream(storage, digest, len, image.chunks(chunk_bytes))
-        .map_err(io_err(store.root_dir()))?;
-    link(out)
+        Ok(())
+    })?;
+    Ok(placed)
 }
 
 /// A committed save: the report plus which placement (index into the
@@ -668,116 +948,20 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
 
     let mut files_written = 0usize;
     let mut meta_bytes = 0u64;
-    // Dedup accounting: payload bytes actually written vs. satisfied by
-    // objects the store already held.
-    let mut physical_payload = 0u64;
-    let mut dedup_bytes = 0u64;
-    // Delta/compression accounting across placed objects.
-    let mut delta_objects = 0u64;
-    let mut delta_saved_bytes = 0u64;
-    let mut delta_max_chain = 0u64;
-    let mut tally = |out: &PutOutcome| {
-        if out.written {
-            delta_saved_bytes += out.len.saturating_sub(out.stored_len);
-            if out.chain_depth > 0 {
-                delta_objects += 1;
-                delta_max_chain = delta_max_chain.max(out.chain_depth as u64);
-            }
-        }
-    };
-    let mut refs = dedup.then(CasRefs::default);
-    let store = plan.store;
-    // Delta bases come from the newest committed predecessor's manifest;
-    // resolving it is one read pair, done once per save.
-    let prev_refs = (dedup && plan.opts.delta_chain > 0)
-        .then(|| previous_refs_on(storage, plan.root, req.step))
-        .flatten();
-    let policy = PlacePolicy {
-        compress: plan.opts.compress,
-        delta_chain: plan.opts.delta_chain,
-        prev: prev_refs.as_ref(),
-    };
 
     let mut st_meta = BTreeMap::new();
     st_meta.insert("format".to_string(), "pt".to_string());
 
     // 1 + 2. Payload. Conventional: one consolidated `model.safetensors`
     //    (BF16, selected units only) and per-rank shard files, streamed,
-    //    the shard files optionally in parallel. Dedup: one object per unit
-    //    — the layer-wise dedup granule, hard-linked under `units/` — and
-    //    one per (rank, group), always sequential, so the fault injector's
-    //    op schedule stays deterministic and identical shards across ranks
-    //    dedup instead of racing.
+    //    the shard files optionally in parallel. Dedup: one store object
+    //    per logical key ([`place_objects`]).
     let mut digests = BTreeMap::new();
-    let (model_bytes, optim_bytes): (u64, u64) = if let Some(refs) = refs.as_mut() {
-        // One logical key -> one store object at `dest`: linked unread when
-        // the source already names a stored object for it, otherwise
-        // fetched, encoded under the policy and placed. Weight units are
-        // stamped with `st_meta` and record per-tensor digests in the
-        // manifest; shards carry neither.
-        let no_meta = BTreeMap::new();
-        let mut place = |key: &str,
-                         dest: &Path,
-                         weights: bool,
-                         fetch: &dyn Fn() -> Result<Vec<(String, RawTensor)>>|
-         -> Result<ObjectRef> {
-            files_written += 1;
-            if let Some((object, fnv)) = req.source.stored_object(key) {
-                let sp = req.metrics.span("ckpt.save.place");
-                let digest = Digest::parse_hex(&object.digest)
-                    .map_err(|e| CkptError::Format(format!("stored object for {key}: {e}")))?;
-                store.link(storage, digest, dest).map_err(io_err(dest))?;
-                timings.place_ns += sp.finish();
-                dedup_bytes += object.bytes;
-                digests.extend(fnv);
-                return Ok(object);
-            }
-            let sp = req.metrics.span("ckpt.save.encode");
-            let tensors = fetch()?;
-            if weights {
-                for (name, t) in &tensors {
-                    digests.insert(name.clone(), t.digest());
-                }
-            }
-            timings.encode_ns += sp.finish();
-
-            let sp = req.metrics.span("ckpt.save.place");
-            let metadata = if weights { &st_meta } else { &no_meta };
-            let out = place_tensors_encoded(
-                storage, store, &tensors, metadata, chunk, dest, key, &policy,
-            )?;
-            timings.place_ns += sp.finish();
-            tally(&out);
-            if out.written {
-                physical_payload += out.stored_len;
-            } else {
-                dedup_bytes += out.len;
-            }
-            Ok(ObjectRef {
-                digest: out.digest.to_hex(),
-                bytes: out.len,
-            })
-        };
-        let mut model = 0u64;
-        for unit in plan.units {
-            let key = unit.as_string();
-            let object = place(&key, &staging.unit_weights(&key), true, &|| {
-                req.source.unit_weight_tensors(*unit)
-            })?;
-            model += object.bytes;
-            refs.weights.insert(key, object);
-        }
-        let mut optim = 0u64;
-        for rank in 0..world {
-            for gid in plan.present {
-                let key = CasRefs::optim_key(rank, *gid);
-                let dest = staging.optim_group(rank, *gid);
-                let object = place(&key, &dest, false, &|| req.source.shard_tensors(rank, *gid))?;
-                optim += object.bytes;
-                refs.optim.insert(key, object);
-            }
-        }
-        (model, optim)
+    let mut placed = PlacedObjects::default();
+    let (model_bytes, optim_bytes): (u64, u64) = if dedup {
+        placed = place_objects(storage, plan, &st_meta, &mut digests, &mut timings)?;
+        files_written += plan.units.len() + world * plan.present.len();
+        (placed.model_bytes, placed.optim_bytes)
     } else {
         let sp = req.metrics.span("ckpt.save.encode");
         let mut weight_tensors: Vec<(String, RawTensor)> = Vec::new();
@@ -883,7 +1067,7 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         units: plan.units.to_vec(),
         weight_digests: digests,
         full: plan.full,
-        objects: refs,
+        objects: dedup.then_some(placed.refs),
         topology: (topo.tp > 1).then_some(topo),
     };
     let manifest_json = serde_json::to_string_pretty(&manifest)?;
@@ -921,14 +1105,14 @@ fn write_staged_and_commit(storage: &dyn Storage, plan: &StagePlan) -> Result<Ch
         files_written,
         units: plan.units.to_vec(),
         physical_bytes: if dedup {
-            physical_payload + meta_bytes
+            placed.physical_payload + meta_bytes
         } else {
             total_bytes
         },
-        dedup_bytes,
-        delta_objects,
-        delta_saved_bytes,
-        delta_max_chain,
+        dedup_bytes: placed.dedup_bytes,
+        delta_objects: placed.delta_objects,
+        delta_saved_bytes: placed.delta_saved_bytes,
+        delta_max_chain: placed.delta_max_chain,
         timings,
     })
 }
@@ -1025,29 +1209,289 @@ mod tests {
     fn panicking_writer_is_reported_as_error_and_cleans_staging() {
         let cfg = ModelConfig::tiny_test();
         let (model, engine, ts) = make_state(&cfg, 2);
-        let dir = tempfile::tempdir().unwrap();
         let source = PanickingSource(LiveState {
             config: &cfg,
             params: &model.params,
             engine: &engine,
         });
-        let err = save_at(dir.path(), 5, &source, &ts, &SaveOptions::default()).unwrap_err();
-        match err {
-            CkptError::Format(msg) => assert!(msg.contains("injected writer panic"), "{msg}"),
-            other => panic!("expected Format error, got {other}"),
+        // The panic fires on a rayon worker writing a shard file, on the
+        // caller, and on the caller of an encoding dedup save while the
+        // weight units' encode workers are still in flight.
+        for opts in [
+            SaveOptions::default(),
+            SaveOptions {
+                parallelism: Parallelism::Sequential,
+                ..SaveOptions::default()
+            },
+            encoding_opts(Parallelism::Rayon),
+            encoding_opts(Parallelism::Sequential),
+        ] {
+            let dir = tempfile::tempdir().unwrap();
+            let err = save_at(dir.path(), 5, &source, &ts, &opts).unwrap_err();
+            match err {
+                CkptError::Format(msg) => {
+                    assert!(msg.contains("checkpoint writer panicked"), "{msg}");
+                    assert!(msg.contains("injected writer panic"), "{msg}");
+                }
+                other => panic!("expected Format error, got {other}"),
+            }
+            // The single failure path removed the staging dir despite the
+            // panic — previously only the async worker's catch_unwind
+            // fired, *after* skipping the writer's own cleanup.
+            let leftovers: Vec<String> = std::fs::read_dir(dir.path())
+                .unwrap()
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect();
+            assert!(
+                leftovers.iter().all(|n| !n.ends_with(".tmp")),
+                "{opts:?}: tmp debris left behind: {leftovers:?}"
+            );
         }
-        // The single failure path removed the staging dir despite the
-        // panic — previously only the async worker's catch_unwind fired,
-        // *after* skipping the writer's own cleanup.
-        let leftovers: Vec<String> = std::fs::read_dir(dir.path())
-            .unwrap()
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
+    }
+
+    /// Dedup + compress + delta-chain options, the every-step mode.
+    fn encoding_opts(parallelism: Parallelism) -> SaveOptions {
+        SaveOptions {
+            dedup: true,
+            compress: true,
+            delta_chain: 8,
+            parallelism,
+            ..SaveOptions::default()
+        }
+    }
+
+    /// Every regular file under `dir`, by path relative to it.
+    fn files_under(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+        fn walk(dir: &Path, base: &Path, out: &mut BTreeMap<String, Vec<u8>>) {
+            for entry in std::fs::read_dir(dir).unwrap().flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    walk(&path, base, out);
+                } else {
+                    let name = path.strip_prefix(base).unwrap().display().to_string();
+                    out.insert(name, std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        let mut out = BTreeMap::new();
+        walk(dir, dir, &mut out);
+        out
+    }
+
+    /// Everything a run of saves leaves behind that must not depend on
+    /// [`Parallelism`].
+    #[derive(Debug, PartialEq)]
+    struct RunRecord {
+        /// Every storage call in order: method and root-relative path.
+        calls: Vec<(&'static str, String)>,
+        objects: BTreeMap<String, Vec<u8>>,
+        /// `partial_manifest.json` and `COMMIT` of every checkpoint.
+        seals: Vec<(Vec<u8>, Vec<u8>)>,
+        counters: Vec<(&'static str, u64)>,
+        /// total, model, optim, physical, dedup, delta objects, delta
+        /// saved bytes, deepest chain, files — per save.
+        reports: Vec<[u64; 9]>,
+    }
+
+    /// Ten every-step saves of one deterministic training run: the
+    /// embedding unit's weights never change (a dedup hit in every save
+    /// after the first), nothing changes before save 6 (all hits), and
+    /// everything else drifts by one optimizer step per save.
+    fn ten_encoding_saves(parallelism: Parallelism) -> RunRecord {
+        use crate::verify::recording_fs::RecordingFs;
+        let cfg = ModelConfig::tiny_test();
+        let (mut model, mut engine, ts) = make_state(&cfg, 2);
+        let frozen = model.params.clone();
+        let embedding = frozen.unit_positions(LayerUnit::all(&cfg)[0]);
+        let mut rng = Prng::seed_from_u64(9);
+        let dir = tempfile::tempdir().unwrap();
+        let fs = RecordingFs::new(LocalFs);
+        let metrics = MetricsRegistry::new();
+        let opts = encoding_opts(parallelism);
+        let mut reports = Vec::new();
+        let mut seals = Vec::new();
+        for step in 1..=10u64 {
+            if step != 6 {
+                let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
+                let mut grads = ParamSet::zeros(&cfg);
+                model.loss_and_grad(&llmt_model::Batch::new(tokens, 2, 8), &mut grads);
+                engine.step(&mut model.params, &grads, 1e-3, true);
+                for i in &embedding {
+                    *model.params.at_mut(*i) = frozen.at(*i).clone();
+                }
+            }
+            let paths = CheckpointPaths::under(dir.path(), step);
+            let req = SaveRequest {
+                dir: &paths.dir,
+                step,
+                source: &LiveState {
+                    config: &cfg,
+                    params: &model.params,
+                    engine: &engine,
+                },
+                trainer_state: &ts,
+                units: &LayerUnit::all(&cfg),
+                metrics: &metrics,
+                store: None,
+            };
+            let r = save(&[&fs], &req, &opts).unwrap().report;
+            reports.push([
+                r.total_bytes,
+                r.model_bytes,
+                r.optim_bytes,
+                r.physical_bytes,
+                r.dedup_bytes,
+                r.delta_objects,
+                r.delta_saved_bytes,
+                r.delta_max_chain,
+                r.files_written as u64,
+            ]);
+            seals.push((
+                std::fs::read(paths.manifest()).unwrap(),
+                std::fs::read(paths.commit_marker()).unwrap(),
+            ));
+        }
+        let calls = fs
+            .calls()
+            .into_iter()
+            .map(|(op, path)| {
+                let mut rel = path
+                    .strip_prefix(dir.path())
+                    .unwrap_or(&path)
+                    .display()
+                    .to_string();
+                // `<hex>.<pid>-<nonce>.part`: the nonce is a process-wide
+                // counter, not part of the schedule.
+                if let Some(stem) = rel.strip_suffix(".part") {
+                    rel = format!("{}.part", &stem[..stem.rfind('.').unwrap()]);
+                }
+                (op, rel)
+            })
             .collect();
-        assert!(
-            leftovers.iter().all(|n| !n.ends_with(".tmp")),
-            "tmp debris left behind: {leftovers:?}"
+        let counters = [
+            "cas.dedup.hits",
+            "cas.dedup.misses",
+            "cas.dedup.saved_bytes",
+            "cas.delta.puts",
+            "cas.delta.bytes_saved",
+        ]
+        .map(|name| (name, metrics.counter_value(name)))
+        .to_vec();
+        RunRecord {
+            calls,
+            objects: files_under(&dir.path().join("objects")),
+            seals,
+            counters,
+            reports,
+        }
+    }
+
+    #[test]
+    fn encoding_saves_do_not_depend_on_parallelism() {
+        let workers = ten_encoding_saves(Parallelism::Rayon);
+        let inline = ten_encoding_saves(Parallelism::Sequential);
+        // Compare piecewise: a whole-struct diff of megabytes helps no one.
+        assert_eq!(workers.calls.len(), inline.calls.len());
+        for (i, (w, s)) in workers.calls.iter().zip(&inline.calls).enumerate() {
+            assert_eq!(w, s, "storage call {i} differs");
+        }
+        assert_eq!(
+            workers.objects.keys().collect::<Vec<_>>(),
+            inline.objects.keys().collect::<Vec<_>>()
         );
+        assert!(workers.objects == inline.objects, "object bytes differ");
+        assert!(workers.seals == inline.seals, "manifest or COMMIT differs");
+        assert_eq!(workers.counters, inline.counters);
+        assert_eq!(workers.reports, inline.reports);
+        // The run exercised what it claims to: hits, deltas, deep chains.
+        let counter = |name: &str| workers.counters.iter().find(|c| c.0 == name).unwrap().1;
+        assert!(counter("cas.dedup.hits") > 0);
+        assert!(counter("cas.delta.puts") > 0);
+        assert!(workers.reports.iter().any(|r| r[7] >= 2), "no chain grew");
+        let all_hits = workers.reports[5];
+        assert_eq!(
+            all_hits[4],
+            all_hits[1] + all_hits[2],
+            "save 6 wrote payload"
+        );
+    }
+
+    /// [`LiveState`] whose rank-1 shards are rank 0's: every optimizer
+    /// object appears under two keys of one save.
+    struct MirroredRanks<'a>(LiveState<'a>);
+
+    impl StateSource for MirroredRanks<'_> {
+        fn model_config(&self) -> &ModelConfig {
+            self.0.model_config()
+        }
+        fn group_specs(&self) -> &[GroupSpec] {
+            self.0.group_specs()
+        }
+        fn world_size(&self) -> usize {
+            self.0.world_size()
+        }
+        fn shard_len(&self, gid: usize) -> usize {
+            self.0.shard_len(gid)
+        }
+        fn optimizer_step(&self) -> u64 {
+            self.0.optimizer_step()
+        }
+        fn unit_weight_tensors(&self, unit: LayerUnit) -> Result<Vec<(String, RawTensor)>> {
+            self.0.unit_weight_tensors(unit)
+        }
+        fn shard_tensors(&self, _rank: usize, gid: usize) -> Result<Vec<(String, RawTensor)>> {
+            self.0.shard_tensors(0, gid)
+        }
+    }
+
+    #[test]
+    fn identical_content_under_two_keys_is_one_miss_and_one_hit() {
+        let cfg = ModelConfig::tiny_test();
+        let (model, engine, ts) = make_state(&cfg, 2);
+        let source = MirroredRanks(LiveState {
+            config: &cfg,
+            params: &model.params,
+            engine: &engine,
+        });
+        // One unit with a single optimizer group puts the two copies on
+        // consecutive keys (inside any window); the full selection puts
+        // them a whole rank apart.
+        for units in [vec![LayerUnit::EmbedTokens], LayerUnit::all(&cfg)] {
+            let groups = source
+                .group_specs()
+                .iter()
+                .filter(|g| g.unit.is_some_and(|u| units.contains(&u)))
+                .count() as u64;
+            for parallelism in [Parallelism::Rayon, Parallelism::Sequential] {
+                let dir = tempfile::tempdir().unwrap();
+                let metrics = MetricsRegistry::new();
+                let paths = CheckpointPaths::under(dir.path(), 1);
+                let req = SaveRequest {
+                    dir: &paths.dir,
+                    step: 1,
+                    source: &source,
+                    trainer_state: &ts,
+                    units: &units,
+                    metrics: &metrics,
+                    store: None,
+                };
+                let report = save(&[&LocalFs], &req, &encoding_opts(parallelism))
+                    .unwrap()
+                    .report;
+                assert_eq!(metrics.counter_value("cas.dedup.hits"), groups);
+                assert_eq!(
+                    metrics.counter_value("cas.dedup.misses"),
+                    units.len() as u64 + groups
+                );
+                assert_eq!(report.dedup_bytes * 2, report.optim_bytes);
+                let store = ObjectStore::for_run_root(dir.path());
+                assert_eq!(
+                    store.list(&LocalFs).unwrap().len() as u64,
+                    units.len() as u64 + groups
+                );
+            }
+        }
     }
 
     #[test]

@@ -290,7 +290,7 @@ pub fn verify_checkpoint_on(
 
 #[cfg(test)]
 #[path = "../../storage/tests/support/recording_fs.rs"]
-mod recording_fs;
+pub(crate) mod recording_fs;
 
 #[cfg(test)]
 pub(crate) mod tests {

@@ -86,9 +86,13 @@ pub struct TrainerConfig {
     /// reachable kill points.
     #[serde(default)]
     pub ckpt_chunk_bytes: Option<usize>,
-    /// Write optimizer shard files sequentially instead of on the rayon
-    /// pool. Needed whenever the storage op schedule must be
-    /// deterministic (fault injection); pure overhead otherwise.
+    /// Keep every save on the calling thread
+    /// ([`llmt_ckpt::Parallelism::Sequential`]): shard files of a
+    /// conventional save are written one after the other, the encode
+    /// step of a compressing or delta dedup save runs inline. Needed
+    /// whenever a conventional save's storage op schedule must be
+    /// deterministic (fault injection; a dedup save's is under either
+    /// value); pure overhead otherwise.
     #[serde(default)]
     pub sequential_ckpt_io: bool,
     /// LZ-compress store objects when that shrinks them (dedup saves

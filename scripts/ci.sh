@@ -49,6 +49,20 @@ done | wc -l)
 if [ "$VERDICTS" -ne 1 ]; then
   echo "expected exactly one CommitStatus::evaluate( call outside tests, found $VERDICTS"; exit 1
 fi
+# One place for `unsafe`: the SHA-NI compression function and its
+# run-time-detected call site in the digest module. No other product
+# source may use the word, in code or in a comment.
+if git grep -n 'unsafe' -- 'crates/*/src' ':!crates/ledger' ':!crates/cas/src/digest.rs'; then
+  echo "unsafe outside crates/cas/src/digest.rs"; exit 1
+fi
+# The encode step of a dedup save is pure: what runs on worker threads
+# must not be able to issue a storage call, or the op schedule would
+# depend on the workers.
+ENCODE_FN="$(sed -n '/^fn encode_image(/,/^}/p' crates/ckpt/src/engine.rs)"
+[ -n "$ENCODE_FN" ] || { echo "engine.rs has no encode_image function"; exit 1; }
+if echo "$ENCODE_FN" | grep -niE 'storage|store'; then
+  echo "encode_image reaches for storage (see the matches above)"; exit 1
+fi
 cargo test -q
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
@@ -88,12 +102,19 @@ cargo test -q -p llmt-tier --test drain_chaos
 # must come out populated.
 cargo run --release --example tiered_training
 
+SMOKE_ROOT="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_ROOT"' EXIT
+
+# Ledger smoke: every workload of the benchmark on the tiny model, with
+# its oracles — each resumed trainer bit-exact against the state that was
+# saved, each audited checkpoint deep-verified. Exits non-zero on any
+# failed op or check; asserts no timing.
+cargo run --release -p llmt-ledger -- run --all --smoke --seed 1 --out "$SMOKE_ROOT/BENCH_smoke.json"
+
 # Telemetry smoke: a train/resume/GC run must journal every event to
 # events.jsonl (the example asserts nonzero stage totals and cadence),
 # and `llmtailor report --json` must parse the journal and render a
 # nonzero per-stage breakdown for the saves.
-SMOKE_ROOT="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_ROOT"' EXIT
 cargo run --release --example telemetry_report -- "$SMOKE_ROOT"
 REPORT_JSON="$(cargo run --release -q -p llmtailor --bin llmtailor -- report "$SMOKE_ROOT" --json)"
 echo "$REPORT_JSON" | grep -Eq '"place": [1-9]' \
