@@ -9,11 +9,15 @@
 //! fetch       chunked streaming reads through `Storage::read_range`;
 //!             a SHA-256 is computed exactly when the manifest holds an
 //!             object digest to compare it with
-//! decode      safetensors header parse + tensor materialization
+//! decode      safetensors header parse, then each tensor copied out of
+//!             the fetched image once, in the form the restored state
+//!             holds it: weights as raw tensors, optimizer shards
+//!             converted to `f32`
 //! validate    verify-on-read: object digests, tensor digests/shapes,
-//!             shard lengths
-//! bind        canonical-order weights + optimizer rank states,
-//!             resharded to the requested world size
+//!             shard lengths — on borrowed views of the same image
+//! bind        arrangement only: canonical-order weights, optimizer rank
+//!             states (moved at the saved topology, resharded to a
+//!             different one)
 //! ```
 //!
 //! [`file_plans`] is the only read-side code that knows the plain and
@@ -26,6 +30,9 @@
 //! Fetch/decode/validate run fused per file on the rayon pool, so a
 //! checkpoint with many unit and shard files restores with near-linear
 //! speedup over the sequential baseline (`restore_throughput` bench).
+//! Every per-byte pass over the payload, the `f32` conversion included,
+//! is inside that parallel stage; the bind stage on the caller's thread
+//! touches no tensor data unless the topology changes.
 //! Because every read goes through the [`Storage`] trait in bounded
 //! chunks, `FaultyFs` can fail or interrupt any individual chunk of any
 //! file — the read path gets the same chaos coverage as the save path.
@@ -55,7 +62,7 @@ use llmt_obs::MetricsRegistry;
 use llmt_optim::{build_groups, GroupLayout};
 use llmt_storage::vfs::{LocalFs, Storage};
 use llmt_storage::RestoreTimings;
-use llmt_tensor::RawTensor;
+use llmt_tensor::{RawTensor, RawView};
 use llmt_zero::{GroupPlan, GroupTopoLayout, RankState, ShardState, Topology};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap};
@@ -315,7 +322,7 @@ pub(crate) fn fetch_payload(
         return Ok((image, Some(want)));
     }
     let len = storage.file_len(path).map_err(io_err(path))? as usize;
-    let mut bytes = Vec::with_capacity(len);
+    let mut bytes = Vec::new();
     let mut hasher = plan.object()?.map(|_| Hasher::new());
     while bytes.len() < len {
         let take = DEFAULT_CHUNK_BYTES.min(len - bytes.len());
@@ -325,14 +332,31 @@ pub(crate) fn fetch_payload(
         if let Some(h) = &mut hasher {
             h.update(&chunk);
         }
-        bytes.extend_from_slice(&chunk);
+        if bytes.is_empty() {
+            // The first chunk becomes the image, so a file of one chunk
+            // is adopted as it was read and never copied.
+            bytes = chunk;
+            bytes.reserve_exact(len - take);
+        } else {
+            bytes.extend_from_slice(&chunk);
+        }
     }
     Ok((bytes, hasher.map(Hasher::finalize)))
 }
 
-/// Take group `gid`'s three state tensors out of a decoded shard file.
+/// Decode a shard file's tensors into the `f32` buffers a [`ShardState`]
+/// holds, straight out of the fetched image: the one conversion a restored
+/// optimizer value goes through, done inside the per-file task.
+pub(crate) fn shard_values(views: &[(&str, RawView<'_>)]) -> HashMap<String, Vec<f32>> {
+    views
+        .iter()
+        .map(|(name, t)| (name.to_string(), t.to_f32s()))
+        .collect()
+}
+
+/// Take group `gid`'s three state buffers out of a decoded shard file.
 pub(crate) fn take_shard(
-    by_name: &mut HashMap<String, RawTensor>,
+    by_name: &mut HashMap<String, Vec<f32>>,
     rank: usize,
     gid: usize,
 ) -> Result<ShardState> {
@@ -340,7 +364,6 @@ pub(crate) fn take_shard(
     let mut take = |name: &str| {
         by_name
             .remove(name)
-            .map(|t| t.to_f32s())
             .ok_or_else(|| CkptError::Missing(format!("shard tensor '{name}' of rank {rank}")))
     };
     Ok(ShardState {
@@ -350,9 +373,12 @@ pub(crate) fn take_shard(
     })
 }
 
-/// Output of one fused fetch→decode→validate task.
+/// Output of one fused fetch→decode→validate task: the file's tensors in
+/// the form the restored state holds them, so the bind stage only moves
+/// them. A weights file fills `weights`, a shard file `shards`.
 struct FileOut {
-    tensors: Vec<(String, RawTensor)>,
+    weights: Vec<(String, RawTensor)>,
+    shards: HashMap<String, Vec<f32>>,
     bytes: u64,
     digests_verified: usize,
 }
@@ -439,28 +465,32 @@ pub fn restore_checkpoint_with(
         fetch_ns.fetch_add(sp.finish(), Ordering::Relaxed);
 
         let sp = metrics.span("ckpt.restore.decode");
-        let (tensors, _meta) = safetensors::decode_image(&plan.path, &bytes)
-            .map_err(|e| annotate(e, &plan.subject))?;
+        let index =
+            safetensors::parse_image(&plan.path, &bytes).map_err(|e| annotate(e, &plan.subject))?;
+        let views: Vec<(&str, RawView<'_>)> = index.views(&bytes).collect();
+        let (weights, shards) = match plan.kind {
+            FileKind::Weights { .. } => (
+                views
+                    .iter()
+                    .map(|(name, t)| (name.to_string(), t.to_raw()))
+                    .collect(),
+                HashMap::new(),
+            ),
+            FileKind::Shards { .. } => (Vec::new(), shard_values(&views)),
+        };
         decode_ns.fetch_add(sp.finish(), Ordering::Relaxed);
 
         let sp = metrics.span("ckpt.restore.validate");
         let len = bytes.len() as u64;
-        drop(bytes);
-        let (digests_verified, problems) = validate_file(
-            plan,
-            len,
-            digest,
-            &tensors,
-            config,
-            h.manifest.as_ref(),
-            meta,
-        );
+        let (digests_verified, problems) =
+            validate_file(plan, len, digest, &views, config, h.manifest.as_ref(), meta);
         if let Some(first) = problems.into_iter().next() {
             return Err(first);
         }
         validate_ns.fetch_add(sp.finish(), Ordering::Relaxed);
         Ok(FileOut {
-            tensors,
+            weights,
+            shards,
             bytes: len,
             digests_verified,
         })
@@ -495,14 +525,11 @@ pub fn restore_checkpoint_with(
     let sp_bind = metrics.span("ckpt.restore.bind");
     let mut weight_map: HashMap<String, RawTensor> = HashMap::new();
     let mut shard_map: HashMap<(usize, usize), ShardState> = HashMap::new();
-    for (plan, out) in plans.iter().zip(outs) {
-        match &plan.kind {
-            FileKind::Weights { .. } => weight_map.extend(out.tensors),
-            FileKind::Shards { rank, gids } => {
-                let mut by_name: HashMap<String, RawTensor> = out.tensors.into_iter().collect();
-                for gid in gids {
-                    shard_map.insert((*rank, *gid), take_shard(&mut by_name, *rank, *gid)?);
-                }
+    for (plan, mut out) in plans.iter().zip(outs) {
+        weight_map.extend(out.weights);
+        if let FileKind::Shards { rank, gids } = &plan.kind {
+            for gid in gids {
+                shard_map.insert((*rank, *gid), take_shard(&mut out.shards, *rank, *gid)?);
             }
         }
     }
@@ -599,13 +626,13 @@ pub(crate) fn validate_file(
     plan: &FilePlan,
     len: u64,
     digest: Option<Digest>,
-    tensors: &[(String, RawTensor)],
+    tensors: &[(&str, RawView<'_>)],
     config: &ModelConfig,
     manifest: Option<&PartialManifest>,
     meta: &ZeroMeta,
 ) -> (usize, Vec<CkptError>) {
     let (mut verified, mut problems) = validate_object(plan, len, digest);
-    let by_name: HashMap<&str, &RawTensor> = tensors.iter().map(|(n, t)| (n.as_str(), t)).collect();
+    let by_name: HashMap<&str, &RawView<'_>> = tensors.iter().map(|(n, t)| (*n, t)).collect();
     match &plan.kind {
         FileKind::Weights { units } => {
             for spec in units.iter().flat_map(|u| unit_param_specs(config, *u)) {
@@ -938,22 +965,38 @@ mod tests {
     #[test]
     fn parallel_and_sequential_restores_are_identical() {
         let cfg = ModelConfig::tiny_test();
-        let dir = tempfile::tempdir().unwrap();
-        write_ckpt(dir.path(), &cfg, 10, 2, &LayerUnit::all(&cfg), true);
-        let ckpt = dir.path().join("checkpoint-10");
-        let par = restore_checkpoint(&ckpt, &RestoreRequest::default()).unwrap();
-        let seq = restore_checkpoint(
-            &ckpt,
-            &RestoreRequest {
-                parallelism: Parallelism::Sequential,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(par.weights, seq.weights);
-        assert_eq!(par.ranks, seq.ranks);
-        assert_eq!(par.report.bytes_fetched, seq.report.bytes_fetched);
-        assert_eq!(par.report.files_fetched, seq.report.files_fetched);
+        for dedup in [false, true] {
+            let dir = tempfile::tempdir().unwrap();
+            write_ckpt(dir.path(), &cfg, 10, 2, &LayerUnit::all(&cfg), dedup);
+            let ckpt = dir.path().join("checkpoint-10");
+            for topology in [None, Some(Topology { dp: 2, tp: 2 })] {
+                let restore = |parallelism| {
+                    let req = RestoreRequest {
+                        topology,
+                        parallelism,
+                        ..Default::default()
+                    };
+                    restore_checkpoint(&ckpt, &req).unwrap()
+                };
+                let (par, seq) = (
+                    restore(Parallelism::Rayon),
+                    restore(Parallelism::Sequential),
+                );
+                assert_eq!(par.weights, seq.weights);
+                assert_eq!(par.ranks, seq.ranks);
+                let counts = |r: &RestoreReport| {
+                    (
+                        r.files_fetched,
+                        r.bytes_fetched,
+                        r.digests_verified,
+                        r.resharded,
+                        r.units.clone(),
+                    )
+                };
+                assert_eq!(counts(&par.report), counts(&seq.report));
+                assert_eq!(par.report.resharded, topology.is_some());
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::error::{io_err, CkptError, Result};
 use llmt_storage::vfs::{LocalFs, Storage};
-use llmt_tensor::{DType, RawTensor, Shape};
+use llmt_tensor::{DType, RawTensor, RawView, Shape};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -53,6 +53,18 @@ impl SafetensorsIndex {
     /// Total data-section bytes.
     pub fn data_len(&self) -> u64 {
         self.entries.iter().map(|(.., _b, e)| *e).max().unwrap_or(0)
+    }
+
+    /// Every tensor in file order, borrowed out of `image` — the complete
+    /// image this index was parsed from by [`parse_image`], which checked
+    /// every entry's byte range against it.
+    pub fn views<'a>(&'a self, image: &'a [u8]) -> impl Iterator<Item = (&'a str, RawView<'a>)> {
+        let data = &image[self.data_start as usize..];
+        self.entries.iter().map(move |(name, dtype, shape, b, e)| {
+            let view = RawView::new(*dtype, shape, &data[*b as usize..*e as usize])
+                .expect("parse_header checked the byte range against the shape");
+            (name.as_str(), view)
+        })
     }
 }
 
@@ -236,11 +248,11 @@ pub fn read_file_on(storage: &dyn Storage, path: &Path) -> Result<TensorsAndMeta
     decode_image(path, &all)
 }
 
-/// Decode a complete in-memory safetensors image into tensors plus
-/// metadata. `path` is only used for error messages. This is the decode
-/// stage of the restore engine, split from fetching so the engine can
-/// stream bytes (and their digest) through [`Storage::read_range`] first.
-pub fn decode_image(path: &Path, all: &[u8]) -> Result<TensorsAndMetadata> {
+/// Parse a complete in-memory safetensors image: its header, checked
+/// against the image's length. `path` is only used for error messages.
+/// The tensors stay where they are; [`SafetensorsIndex::views`] borrows
+/// them out of the same `all`.
+pub fn parse_image(path: &Path, all: &[u8]) -> Result<SafetensorsIndex> {
     if all.len() < 8 {
         return Err(CkptError::Format(format!(
             "{}: truncated (no header length)",
@@ -260,22 +272,25 @@ pub fn decode_image(path: &Path, all: &[u8]) -> Result<TensorsAndMetadata> {
         }
     };
     let index = parse_header(path, &all[8..data_start], data_start as u64)?;
-    let data = &all[data_start..];
-    let mut out = Vec::with_capacity(index.entries.len());
-    for (name, dtype, shape, b, e) in &index.entries {
-        let (b, e) = (*b as usize, *e as usize);
-        if e > data.len() {
-            return Err(CkptError::Format(format!(
-                "{}: tensor '{name}' extends past end of file",
-                path.display()
-            )));
-        }
-        out.push((
-            name.clone(),
-            RawTensor::from_bytes(*dtype, shape.clone(), data[b..e].to_vec()),
-        ));
+    let data_len = (all.len() - data_start) as u64;
+    if let Some((name, ..)) = index.entries.iter().find(|(.., e)| *e > data_len) {
+        return Err(CkptError::Format(format!(
+            "{}: tensor '{name}' extends past end of file",
+            path.display()
+        )));
     }
-    Ok((out, index.metadata))
+    Ok(index)
+}
+
+/// Decode a complete in-memory safetensors image into owned tensors plus
+/// metadata. `path` is only used for error messages.
+pub fn decode_image(path: &Path, all: &[u8]) -> Result<TensorsAndMetadata> {
+    let index = parse_image(path, all)?;
+    let tensors = index
+        .views(all)
+        .map(|(name, t)| (name.to_string(), t.to_raw()))
+        .collect();
+    Ok((tensors, index.metadata))
 }
 
 /// Parse only the header of a safetensors file (cheap).

@@ -192,11 +192,11 @@ pub fn verify_checkpoint_on(
         }
         let fetched = restore::fetch_payload(&*h.storage, h.store.as_ref(), plan).and_then(
             |(bytes, digest)| {
-                let (tensors, _) = safetensors::decode_image(&plan.path, &bytes)?;
-                Ok((bytes.len() as u64, digest, tensors))
+                let index = safetensors::parse_image(&plan.path, &bytes)?;
+                Ok((bytes, digest, index))
             },
         );
-        let (len, digest, tensors) = match fetched {
+        let (bytes, digest, index) = match fetched {
             Ok(f) => f,
             Err(e) => {
                 let problem = match &plan.expect {
@@ -209,6 +209,8 @@ pub fn verify_checkpoint_on(
                 continue;
             }
         };
+        let len = bytes.len() as u64;
+        let tensors: Vec<_> = index.views(&bytes).collect();
         let (verified, problems) = restore::validate_file(
             plan,
             len,
@@ -229,7 +231,7 @@ pub fn verify_checkpoint_on(
         // manifest that lists a weight without a digest.
         match &plan.kind {
             FileKind::Weights { units } => {
-                let present: HashSet<&str> = tensors.iter().map(|(n, _)| n.as_str()).collect();
+                let present: HashSet<&str> = tensors.iter().map(|(n, _)| *n).collect();
                 for spec in units.iter().flat_map(|u| unit_param_specs(&h.config, *u)) {
                     if !present.contains(spec.name.as_str()) {
                         continue;
@@ -244,7 +246,7 @@ pub fn verify_checkpoint_on(
                 }
             }
             FileKind::Shards { rank, gids } => {
-                let mut by_name = tensors.into_iter().collect();
+                let mut by_name = restore::shard_values(&tensors);
                 for gid in gids {
                     // A missing tensor is already one of `problems`.
                     let Ok(shard) = restore::take_shard(&mut by_name, *rank, *gid) else {

@@ -197,7 +197,7 @@ fn convert_from_checkpoint(
             let config = restored.config.clone();
             let mut params = ParamSet::zeros(&config);
             set_params(&mut params, &restored.weights)?;
-            let mut engine = ZeroEngine::with_topology(
+            let mut engine = ZeroEngine::from_rank_states(
                 &params,
                 groups_for_meta(&config, &restored.zero_meta)?,
                 topo,
@@ -205,12 +205,9 @@ fn convert_from_checkpoint(
                     weight_decay: 0.01,
                     ..Default::default()
                 },
-            );
-            for (rank, state) in restored.ranks.into_iter().enumerate() {
-                engine
-                    .try_load_rank_state(rank, state)
-                    .map_err(|e| TailorError::Ckpt(CkptError::Format(format!("convert: {e}"))))?;
-            }
+                restored.ranks,
+            )
+            .map_err(|e| TailorError::Ckpt(CkptError::Format(format!("convert: {e}"))))?;
             engine.step_count = restored.zero_meta.optimizer_step;
             let report = save_sharded(
                 storage.as_ref(),

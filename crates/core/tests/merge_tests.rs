@@ -284,10 +284,17 @@ fn merged_checkpoint_resumes_bit_exactly() {
     // Resume: rebuild model + engine + rng from the merged checkpoint.
     let mut h = CheckpointHandle::open(&report.output, LoadMode::EagerFull).unwrap();
     let mut resumed = Fixture::new(cfg.clone(), 999); // wrong init on purpose
-    for rank in 0..WORLD {
-        let state = h.rank_state_full(rank).unwrap();
-        resumed.engine.load_rank_state(rank, state);
-    }
+    let ranks = (0..WORLD)
+        .map(|rank| h.rank_state_full(rank).unwrap())
+        .collect();
+    resumed.engine = ZeroEngine::from_rank_states(
+        &resumed.model.params,
+        build_groups(&cfg, GroupLayout::LayerWise),
+        resumed.engine.topology(),
+        resumed.engine.hyper,
+        ranks,
+    )
+    .unwrap();
     resumed.engine.step_count = h.zero_meta.optimizer_step;
     resumed
         .engine

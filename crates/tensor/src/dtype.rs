@@ -172,61 +172,50 @@ pub fn f16_round(x: f32) -> f32 {
 }
 
 /// Encode a slice of `f32` into raw little-endian bytes of the given dtype.
+///
+/// Each arm is one `chunks_exact_mut` pass over a pre-sized buffer: no
+/// per-element capacity check, so the F32 and BF16 arms vectorise.
 pub fn encode_f32s(values: &[f32], dtype: DType) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * dtype.size_bytes());
-    match dtype {
-        DType::F32 => {
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+    fn fill<const N: usize>(values: &[f32], to_bytes: impl Fn(f32) -> [u8; N]) -> Vec<u8> {
+        let mut out = vec![0u8; values.len() * N];
+        for (dst, v) in out.chunks_exact_mut(N).zip(values) {
+            dst.copy_from_slice(&to_bytes(*v));
         }
-        DType::BF16 => {
-            for v in values {
-                out.extend_from_slice(&f32_to_bf16_bits(*v).to_le_bytes());
-            }
-        }
-        DType::F16 => {
-            for v in values {
-                out.extend_from_slice(&f32_to_f16_bits(*v).to_le_bytes());
-            }
-        }
+        out
     }
-    out
+    match dtype {
+        DType::F32 => fill(values, f32::to_le_bytes),
+        DType::BF16 => fill(values, |v| f32_to_bf16_bits(v).to_le_bytes()),
+        DType::F16 => fill(values, |v| f32_to_f16_bits(v).to_le_bytes()),
+    }
 }
 
 /// Decode raw little-endian bytes of the given dtype into `f32`s.
 ///
 /// Returns `None` if the byte length is not a multiple of the element size.
+/// Each arm collects an exact-size `chunks_exact` iterator, which writes
+/// straight into the one allocation and vectorises.
 pub fn decode_f32s(bytes: &[u8], dtype: DType) -> Option<Vec<f32>> {
-    let esz = dtype.size_bytes();
-    if !bytes.len().is_multiple_of(esz) {
+    fn collect<const N: usize>(bytes: &[u8], from_bytes: impl Fn([u8; N]) -> f32) -> Vec<f32> {
+        bytes
+            .chunks_exact(N)
+            .map(|c| from_bytes(c.try_into().expect("chunks_exact yields N bytes")))
+            .collect()
+    }
+    if !bytes.len().is_multiple_of(dtype.size_bytes()) {
         return None;
     }
-    let n = bytes.len() / esz;
-    let mut out = Vec::with_capacity(n);
-    match dtype {
-        DType::F32 => {
-            for c in bytes.chunks_exact(4) {
-                out.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-            }
-        }
-        DType::BF16 => {
-            for c in bytes.chunks_exact(2) {
-                out.push(bf16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
-            }
-        }
-        DType::F16 => {
-            for c in bytes.chunks_exact(2) {
-                out.push(f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
-            }
-        }
-    }
-    Some(out)
+    Some(match dtype {
+        DType::F32 => collect(bytes, f32::from_le_bytes),
+        DType::BF16 => collect(bytes, |b| bf16_bits_to_f32(u16::from_le_bytes(b))),
+        DType::F16 => collect(bytes, |b| f16_bits_to_f32(u16::from_le_bytes(b))),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn dtype_sizes() {
@@ -319,5 +308,88 @@ mod tests {
     fn decode_rejects_ragged_lengths() {
         assert!(decode_f32s(&[0u8; 3], DType::F32).is_none());
         assert!(decode_f32s(&[0u8; 3], DType::BF16).is_none());
+    }
+
+    /// [`encode_f32s`] as it stood before the `chunks_exact_mut` bodies,
+    /// kept verbatim as the reference.
+    fn encode_f32s_reference(values: &[f32], dtype: DType) -> Vec<u8> {
+        let mut out = Vec::with_capacity(values.len() * dtype.size_bytes());
+        match dtype {
+            DType::F32 => {
+                for v in values {
+                    out.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+            DType::BF16 => {
+                for v in values {
+                    out.extend_from_slice(&f32_to_bf16_bits(*v).to_le_bytes());
+                }
+            }
+            DType::F16 => {
+                for v in values {
+                    out.extend_from_slice(&f32_to_f16_bits(*v).to_le_bytes());
+                }
+            }
+        }
+        out
+    }
+
+    /// [`decode_f32s`] as it stood before the `chunks_exact` collects.
+    fn decode_f32s_reference(bytes: &[u8], dtype: DType) -> Option<Vec<f32>> {
+        let esz = dtype.size_bytes();
+        if !bytes.len().is_multiple_of(esz) {
+            return None;
+        }
+        let mut out = Vec::with_capacity(bytes.len() / esz);
+        match dtype {
+            DType::F32 => {
+                for c in bytes.chunks_exact(4) {
+                    out.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+                }
+            }
+            DType::BF16 => {
+                for c in bytes.chunks_exact(2) {
+                    out.push(bf16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
+                }
+            }
+            DType::F16 => {
+                for c in bytes.chunks_exact(2) {
+                    out.push(f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
+                }
+            }
+        }
+        Some(out)
+    }
+
+    /// Bit patterns, so NaN payloads compare.
+    fn bits(values: Option<Vec<f32>>) -> Option<Vec<u32>> {
+        values.map(|v| v.into_iter().map(f32::to_bits).collect())
+    }
+
+    proptest! {
+        /// Any byte string, ragged lengths included, decodes to what the
+        /// per-element loop produced (`None` exactly where it did).
+        #[test]
+        fn decode_matches_the_reference(bytes in prop::collection::vec(any::<u8>(), 0..259)) {
+            for dtype in [DType::F32, DType::BF16, DType::F16] {
+                prop_assert_eq!(
+                    bits(decode_f32s(&bytes, dtype)),
+                    bits(decode_f32s_reference(&bytes, dtype))
+                );
+            }
+        }
+
+        /// Any `f32` bit patterns (NaNs, infinities, subnormals) encode to
+        /// the bytes the per-element loop produced.
+        #[test]
+        fn encode_matches_the_reference(raw in prop::collection::vec(any::<u32>(), 0..67)) {
+            let values: Vec<f32> = raw.into_iter().map(f32::from_bits).collect();
+            for dtype in [DType::F32, DType::BF16, DType::F16] {
+                prop_assert_eq!(
+                    encode_f32s(&values, dtype),
+                    encode_f32s_reference(&values, dtype)
+                );
+            }
+        }
     }
 }

@@ -22,6 +22,6 @@ pub mod shape;
 pub mod tensor;
 
 pub use dtype::DType;
-pub use raw::RawTensor;
+pub use raw::{RawTensor, RawView};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -83,8 +83,7 @@ impl RawTensor {
 
     /// Decode to `f32` values (lossless for all supported dtypes).
     pub fn to_f32s(&self) -> Vec<f32> {
-        dtype::decode_f32s(&self.data, self.dtype)
-            .expect("RawTensor invariant guarantees aligned byte length")
+        self.view().to_f32s()
     }
 
     /// Re-encode into another storage dtype (rounding if narrowing).
@@ -95,15 +94,84 @@ impl RawTensor {
         RawTensor::from_f32s(&self.to_f32s(), self.shape.clone(), dtype)
     }
 
+    /// Borrow as a [`RawView`].
+    pub fn view(&self) -> RawView<'_> {
+        RawView {
+            dtype: self.dtype,
+            shape: &self.shape,
+            data: &self.data,
+        }
+    }
+
     /// A cheap non-cryptographic digest of the contents (FNV-1a over dtype,
     /// shape and bytes). Used for checkpoint integrity manifests.
+    pub fn digest(&self) -> u64 {
+        self.view().digest()
+    }
+}
+
+/// A [`RawTensor`] whose bytes are borrowed — a tensor still inside the
+/// file image it was read in. The restore path checks tensors in this
+/// form and copies out only what it keeps, in the form it keeps it in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RawView<'a> {
+    dtype: DType,
+    shape: &'a Shape,
+    data: &'a [u8],
+}
+
+impl<'a> RawView<'a> {
+    /// View `data` as a tensor. `None` if the byte length does not match
+    /// `shape.numel() * dtype.size_bytes()`.
+    pub fn new(dtype: DType, shape: &'a Shape, data: &'a [u8]) -> Option<Self> {
+        (data.len() == shape.numel().checked_mul(dtype.size_bytes())?).then_some(RawView {
+            dtype,
+            shape,
+            data,
+        })
+    }
+
+    /// Storage dtype.
+    #[inline]
+    pub fn dtype(&self) -> DType {
+        self.dtype
+    }
+
+    /// Shape.
+    #[inline]
+    pub fn shape(&self) -> &'a Shape {
+        self.shape
+    }
+
+    /// Raw little-endian bytes.
+    #[inline]
+    pub fn bytes(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// Copy into an owned tensor.
+    pub fn to_raw(&self) -> RawTensor {
+        RawTensor {
+            dtype: self.dtype,
+            shape: self.shape.clone(),
+            data: self.data.to_vec(),
+        }
+    }
+
+    /// Decode to `f32` values (lossless for all supported dtypes).
+    pub fn to_f32s(&self) -> Vec<f32> {
+        dtype::decode_f32s(self.data, self.dtype)
+            .expect("RawView invariant guarantees aligned byte length")
+    }
+
+    /// [`RawTensor::digest`] of the owned copy, without making one.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write(self.dtype.as_str().as_bytes());
         for d in self.shape.dims() {
             h.write(&(*d as u64).to_le_bytes());
         }
-        h.write(&self.data);
+        h.write(self.data);
         h.finish()
     }
 }
@@ -182,6 +250,18 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest(), "shape participates in digest");
         assert_eq!(a.digest(), a.clone().digest());
+    }
+
+    #[test]
+    fn view_agrees_with_the_owned_tensor() {
+        let t = RawTensor::from_f32s(&[1.0, -0.5, 3.0, 128.0], [2, 2], DType::BF16);
+        let v = RawView::new(t.dtype(), t.shape(), t.bytes()).unwrap();
+        assert_eq!(v, t.view());
+        assert_eq!(v.digest(), t.digest());
+        assert_eq!(v.to_f32s(), t.to_f32s());
+        assert_eq!(v.to_raw(), t);
+        // One byte short of the shape is not a tensor.
+        assert!(RawView::new(t.dtype(), t.shape(), &t.bytes()[1..]).is_none());
     }
 
     #[test]

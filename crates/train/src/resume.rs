@@ -7,11 +7,16 @@
 //! restore engine executes a reshard plan on load, the configured dp×tp
 //! topology no longer has to match the saved layout: a run saved at
 //! `{dp=4, tp=1}` resumes bit-exactly at `{dp=2, tp=2}` and vice versa.
+//!
+//! A resume costs what its verified read costs: the optimizer engine
+//! adopts the restored rank states and the model is built from their
+//! masters, so nothing is initialised, partitioned or zero-filled only to
+//! be replaced, and the result does not depend on `TrainerConfig::seed`.
 
 use crate::trainer::{Trainer, TrainerConfig};
 use llmt_ckpt::{CkptError, RestoreRequest, RestoreScope, Result};
 use llmt_data::BatchSource;
-use llmt_model::Model;
+use llmt_model::{Model, ParamSet};
 use llmt_optim::{build_groups, AdamWHyper, GroupLayout};
 use llmt_storage::vfs::{LocalFs, Storage};
 use llmt_zero::ZeroEngine;
@@ -59,22 +64,31 @@ pub fn resume_trainer_on(
         )));
     }
 
-    // Model + engine skeletons, then overwrite all state from the restore.
-    let mut model = Model::new(config.model_config.clone(), config.seed);
-    let mut engine = ZeroEngine::with_topology(
-        &model.params,
+    // The engine adopts the restored rank states and the model is built
+    // from their masters: every parameter belongs to exactly one group, so
+    // materializing writes every element and nothing is initialised first
+    // (`config.seed` plays no part in a resume).
+    let mut params = ParamSet::zeros(&config.model_config);
+    let mut engine = ZeroEngine::from_rank_states(
+        &params,
         build_groups(&config.model_config, GroupLayout::LayerWise),
         config.topology(),
         AdamWHyper {
             weight_decay: 0.01,
             ..Default::default()
         },
-    );
-    for (rank, state) in restored.ranks.into_iter().enumerate() {
-        engine.load_rank_state(rank, state);
-    }
+        restored.ranks,
+    )
+    .map_err(|e| {
+        CkptError::Incompatible(format!(
+            "restored optimizer state does not fit model {} at topology {}: {e}",
+            config.model_config.model_name,
+            config.topology()
+        ))
+    })?;
     engine.step_count = restored.zero_meta.optimizer_step;
-    engine.materialize_params(&mut model.params, true);
+    engine.materialize_params(&mut params, true);
+    let model = Model::from_params(config.model_config.clone(), params);
 
     let ts = restored.trainer_state;
     // Selective-strategy phase and the save-decision log continue across
@@ -170,6 +184,74 @@ mod tests {
         t.train_until(3, None).unwrap();
         let err = resume_trainer(&dir.path().join("checkpoint-2"), cfg).unwrap_err();
         assert!(matches!(err, CkptError::Incompatible(_)), "{err}");
+    }
+
+    /// Units each checkpoint of a run holds, by step, from its manifest.
+    fn units_by_step(root: &Path, steps: std::ops::RangeInclusive<u64>) -> Vec<Vec<LayerUnit>> {
+        steps
+            .map(|step| {
+                llmt_ckpt::read_seal(&LocalFs, &CheckpointPaths::under(root, step))
+                    .manifest
+                    .unwrap()
+                    .units
+            })
+            .collect()
+    }
+
+    /// An uninterrupted run and a crash + recover + resume must select
+    /// the same units at every checkpoint event after the failure.
+    fn assert_resume_keeps_the_strategy_in_phase(strategy: StrategyKind) {
+        const END: u64 = 16;
+        const FAIL: u64 = 11; // newest checkpoint: step 10, written by event 9
+        let configure = |root: &Path| {
+            let mut cfg = TrainerConfig::test_default(root.to_path_buf());
+            cfg.model_config = llmt_model::ModelConfig {
+                num_hidden_layers: 6, // room for Filtered's middle layers
+                ..cfg.model_config
+            };
+            cfg.ckpt_interval = 1;
+            cfg.strategy = strategy;
+            cfg
+        };
+        let straight_root = tempfile::tempdir().unwrap();
+        Trainer::new(configure(straight_root.path()))
+            .train_until(END, None)
+            .unwrap();
+
+        let root = tempfile::tempdir().unwrap();
+        let cfg = configure(root.path());
+        Trainer::new(cfg.clone())
+            .train_until(END, Some(FAIL))
+            .unwrap();
+        let (merged, _) =
+            crate::recover_checkpoint(root.path(), &cfg.model_config, FAIL, "merged").unwrap();
+        let mut resumed = resume_trainer(&merged, cfg).unwrap();
+        assert_eq!(resumed.step, FAIL - 1);
+        resumed.train_until(END, None).unwrap();
+
+        assert_eq!(
+            units_by_step(root.path(), FAIL..=END),
+            units_by_step(straight_root.path(), FAIL..=END),
+            "{strategy:?}: the resumed run left the uninterrupted run's phase"
+        );
+    }
+
+    #[test]
+    fn full_strategy_resumes_in_phase() {
+        assert_resume_keeps_the_strategy_in_phase(StrategyKind::Full);
+    }
+
+    /// Fails today: the checkpoint stores the index of the event that
+    /// wrote it and resume continues *at* that index, so the resumed run
+    /// repeats the last phase (ROADMAP item 1). Continuing at `saved + 1`
+    /// fixes it, but `llmt-ledger`'s oracle compares a resumed trainer's
+    /// `ckpt_event` with the value captured before the save and has to
+    /// move in the same change.
+    #[test]
+    #[ignore = "ROADMAP item 1: resume repeats the saved event's phase"]
+    fn selective_strategies_resume_in_phase() {
+        assert_resume_keeps_the_strategy_in_phase(StrategyKind::Parity);
+        assert_resume_keeps_the_strategy_in_phase(StrategyKind::Filtered);
     }
 
     #[test]

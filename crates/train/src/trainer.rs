@@ -30,7 +30,8 @@ pub struct TrainerConfig {
     pub model_config: ModelConfig,
     /// CPT or SFT.
     pub task: DataTask,
-    /// Model-initialization seed.
+    /// Model-initialization seed (fresh runs only: a resume builds the
+    /// model from the checkpoint's masters and never reads it).
     pub seed: u64,
     /// Data seed (corpus/QA construction; batch order comes from the
     /// checkpointed RNG).

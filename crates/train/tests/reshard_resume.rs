@@ -84,3 +84,39 @@ fn resume_across_extreme_world_sizes_is_bit_exact() {
     cross_world_resume(2, 1);
     cross_world_resume(1, 8);
 }
+
+/// A resume takes nothing from `TrainerConfig::seed`: the model is built
+/// from the restored masters, not initialised and overwritten. Two
+/// resumes of one checkpoint under different seeds are the same trainer,
+/// at the saved topology and through dp and dp×tp reshards.
+#[test]
+fn resume_does_not_depend_on_the_init_seed() {
+    let run_root = tempfile::tempdir().unwrap();
+    let mut saved = Trainer::new(config(run_root.path(), 4));
+    saved.train_until(CKPT, None).unwrap();
+    drop(saved);
+    let ckpt = run_root.path().join(format!("checkpoint-{CKPT}"));
+
+    for (world, tp) in [(4, 1), (2, 1), (2, 2)] {
+        let resume_with_seed = |seed: u64| {
+            let scratch = tempfile::tempdir().unwrap();
+            let mut cfg = config(scratch.path(), world);
+            cfg.tensor_parallel = tp;
+            cfg.seed = seed;
+            let mut t = resume_trainer(&ckpt, cfg).unwrap();
+            let before = (t.engine.ranks.clone(), t.engine.step_count);
+            let params: Vec<Vec<f32>> = t
+                .model
+                .params
+                .iter()
+                .map(|(_, x)| x.data().to_vec())
+                .collect();
+            let next_loss = t.step_once();
+            (before, params, next_loss.to_bits(), t.engine.ranks.clone())
+        };
+        let a = resume_with_seed(1);
+        let b = resume_with_seed(0xDEAD_BEEF);
+        assert!(a == b, "dp={world} tp={tp}: resume depends on the seed");
+        assert_eq!(a.0 .0.len(), world * tp);
+    }
+}

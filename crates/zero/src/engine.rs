@@ -4,7 +4,8 @@
 //! master/exp_avg/exp_avg_sq buffers. A step reduce-scatters the gradients
 //! (a slice, since our ranks share an address space), updates every shard
 //! in parallel, then all-gathers the masters back into the BF16 model
-//! copy. Checkpointing reads [`RankState`]s; resuming writes them back.
+//! copy. Checkpointing reads [`RankState`]s; resuming builds an engine
+//! around the restored ones ([`ZeroEngine::from_rank_states`]).
 
 use crate::topology::{GroupTopoLayout, PlanError, Topology};
 use llmt_model::ParamSet;
@@ -87,16 +88,9 @@ impl ZeroEngine {
     ) -> Self {
         topology.validate().expect("degenerate topology");
         // Invariant: `groups` was built from the same config as `params`,
-        // so every member exists. Malformed *checkpoint* data never
-        // reaches this path — the restore engine validates shards and
-        // `load_rank_state` guards shapes.
-        let layouts: Vec<GroupTopoLayout> = groups
-            .iter()
-            .map(|g| {
-                GroupTopoLayout::from_group(g, |n| params.get(n).map(|t| t.shape().dims().to_vec()))
-                    .expect("group layout matches live ParamSet")
-            })
-            .collect();
+        // so every member exists. Checkpoint data never reaches this
+        // path: restored states enter through `from_rank_states`.
+        let layouts = group_layouts(params, &groups).expect("group layout matches live ParamSet");
         let world_size = topology.world();
         let mut ranks: Vec<RankState> = (0..world_size)
             .map(|_| RankState {
@@ -121,6 +115,61 @@ impl ZeroEngine {
             step_count: 0,
             hyper,
         }
+    }
+
+    /// Build an engine around restored rank states — the checkpoint
+    /// resume path. Only the *shapes* of `params` are read (a set freshly
+    /// allocated from the model's specs will do), every shard is checked
+    /// against the length its layout dictates under `topology`, and
+    /// `ranks` is adopted as the engine's state: nothing is flattened,
+    /// partitioned or zero-filled only to be replaced. `ranks` is
+    /// checkpoint data, so a state that does not fit is a typed error.
+    pub fn from_rank_states(
+        params: &ParamSet,
+        groups: Vec<GroupSpec>,
+        topology: Topology,
+        hyper: AdamWHyper,
+        ranks: Vec<RankState>,
+    ) -> Result<Self, PlanError> {
+        topology.validate()?;
+        let world_size = topology.world();
+        if ranks.len() != world_size {
+            return Err(PlanError::RankCountMismatch {
+                got: ranks.len(),
+                expect: world_size,
+            });
+        }
+        let layouts = group_layouts(params, &groups)?;
+        if let Some(state) = ranks.iter().find(|r| r.shards.len() != groups.len()) {
+            return Err(PlanError::GroupCountMismatch {
+                got: state.shards.len(),
+                expect: groups.len(),
+            });
+        }
+        for (gi, layout) in layouts.iter().enumerate() {
+            for (rank, want) in layout.shard_lens(&topology)?.into_iter().enumerate() {
+                let sh = &ranks[rank].shards[gi];
+                for buf in [&sh.master, &sh.exp_avg, &sh.exp_avg_sq] {
+                    if buf.len() != want {
+                        return Err(PlanError::ShortSource {
+                            group: gi,
+                            rank,
+                            got: buf.len(),
+                            expect: want,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(ZeroEngine {
+            world_size,
+            topology,
+            groups,
+            layouts,
+            ranks,
+            step_count: 0,
+            hyper,
+        })
     }
 
     /// Group specs in optimizer order.
@@ -214,46 +263,6 @@ impl ZeroEngine {
             .expect("engine topology is valid")
     }
 
-    /// Replace one rank's state wholesale (checkpoint resume path).
-    /// Panics if the shard shapes do not match this engine's layout.
-    pub fn load_rank_state(&mut self, rank: usize, state: RankState) {
-        if let Err(e) = self.try_load_rank_state(rank, state) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`Self::load_rank_state`] for load paths fed by untrusted
-    /// checkpoint data: shape mismatches come back as a typed error.
-    pub fn try_load_rank_state(&mut self, rank: usize, state: RankState) -> Result<(), PlanError> {
-        if rank >= self.world_size {
-            return Err(PlanError::RankCountMismatch {
-                got: rank,
-                expect: self.world_size,
-            });
-        }
-        if state.shards.len() != self.groups.len() {
-            return Err(PlanError::RankCountMismatch {
-                got: state.shards.len(),
-                expect: self.groups.len(),
-            });
-        }
-        for (gi, sh) in state.shards.iter().enumerate() {
-            let want = self.shard_lens(gi)[rank];
-            for buf in [&sh.master, &sh.exp_avg, &sh.exp_avg_sq] {
-                if buf.len() != want {
-                    return Err(PlanError::ShortSource {
-                        group: gi,
-                        rank,
-                        got: buf.len(),
-                        expect: want,
-                    });
-                }
-            }
-        }
-        self.ranks[rank] = state;
-        Ok(())
-    }
-
     /// Write the gathered masters into `params` without stepping (used
     /// after loading a checkpoint to materialize the model copy).
     pub fn materialize_params(&self, params: &mut ParamSet, quantize_bf16: bool) {
@@ -263,6 +272,19 @@ impl ZeroEngine {
                 .expect("gathered master matches live ParamSet layout");
         }
     }
+}
+
+/// Each group's tp-aware flat-buffer layout, from the shapes of `params`.
+fn group_layouts(
+    params: &ParamSet,
+    groups: &[GroupSpec],
+) -> Result<Vec<GroupTopoLayout>, PlanError> {
+    groups
+        .iter()
+        .map(|g| {
+            GroupTopoLayout::from_group(g, |n| params.get(n).map(|t| t.shape().dims().to_vec()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -408,52 +430,183 @@ mod tests {
     }
 
     #[test]
-    fn load_rank_state_round_trips() {
+    fn from_rank_states_adopts_the_states_at_every_topology() {
         let cfg = ModelConfig::tiny_test();
-        let mut model = Model::new(cfg.clone(), 5);
-        let mut engine = ZeroEngine::new(
-            &model.params,
-            build_groups(&cfg, GroupLayout::LayerWise),
-            2,
-            AdamWHyper::default(),
-        );
-        let batch = toy_batch(&cfg, 9);
-        let mut grads = ParamSet::zeros(&cfg);
-        model.loss_and_grad(&batch, &mut grads);
-        engine.step(&mut model.params, &grads, 1e-3, true);
-        // Snapshot, wipe, restore.
-        let snap0 = engine.ranks[0].clone();
-        let snap1 = engine.ranks[1].clone();
-        let mut fresh = ZeroEngine::new(
-            &Model::new(cfg.clone(), 999).params,
-            build_groups(&cfg, GroupLayout::LayerWise),
-            2,
-            AdamWHyper::default(),
-        );
-        fresh.load_rank_state(0, snap0);
-        fresh.load_rank_state(1, snap1);
-        fresh.step_count = engine.step_count;
-        let mut restored = ParamSet::zeros(&cfg);
-        fresh.materialize_params(&mut restored, true);
-        for ((_, a), (_, b)) in restored.iter().zip(model.params.iter()) {
-            assert_eq!(a.data(), b.data());
+        for topo in [
+            Topology::dp_only(2),
+            Topology::dp_only(3),
+            Topology { dp: 2, tp: 2 },
+        ] {
+            let mut model = Model::new(cfg.clone(), 5);
+            let groups = build_groups(&cfg, GroupLayout::LayerWise);
+            let mut engine = ZeroEngine::with_topology(
+                &model.params,
+                groups.clone(),
+                topo,
+                AdamWHyper::default(),
+            );
+            let mut grads = ParamSet::zeros(&cfg);
+            model.loss_and_grad(&toy_batch(&cfg, 9), &mut grads);
+            engine.step(&mut model.params, &grads, 1e-3, true);
+
+            let adopted = ZeroEngine::from_rank_states(
+                &ParamSet::zeros(&cfg),
+                groups,
+                topo,
+                AdamWHyper::default(),
+                engine.ranks.clone(),
+            )
+            .unwrap();
+            assert_eq!(adopted.ranks, engine.ranks, "{topo}");
+            assert_eq!(adopted.layouts(), engine.layouts(), "{topo}");
+            assert_eq!(adopted.topology(), topo);
+            assert_eq!(adopted.world_size, topo.world());
+            assert_eq!(adopted.step_count, 0);
+            // The masters alone rebuild the model copy.
+            let mut restored = ParamSet::zeros(&cfg);
+            adopted.materialize_params(&mut restored, true);
+            for ((_, a), (_, b)) in restored.iter().zip(model.params.iter()) {
+                assert_eq!(a.data(), b.data(), "{topo}");
+            }
+        }
+    }
+
+    /// What lets a resume skip initialising the model: every parameter
+    /// belongs to exactly one optimizer group, so materializing from the
+    /// adopted masters writes every element of a set allocated as NaN.
+    #[test]
+    fn every_parameter_is_materialized_from_exactly_one_group() {
+        use llmt_tensor::dtype::bf16_round;
+        let presets = [
+            ModelConfig::llama32_1b_sim(),
+            ModelConfig::llama31_8b_sim(),
+            ModelConfig::qwen25_7b_sim(),
+            ModelConfig::tiny_test(),
+            ModelConfig::tiny_test_gqa(),
+            ModelConfig::tiny_test_tied(),
+        ];
+        for (preset, tied) in presets.iter().flat_map(|p| [(p, false), (p, true)]) {
+            let cfg = ModelConfig {
+                tie_word_embeddings: tied,
+                ..preset.clone()
+            };
+            for layout in [GroupLayout::Stock, GroupLayout::LayerWise] {
+                let what = format!("{} tied={tied} {layout:?}", cfg.model_name);
+                let groups = build_groups(&cfg, layout);
+                let mut owners = std::collections::HashMap::new();
+                for name in groups.iter().flat_map(|g| &g.names) {
+                    *owners.entry(name.as_str()).or_insert(0usize) += 1;
+                }
+                for spec in llmt_model::naming::all_param_specs(&cfg) {
+                    assert_eq!(
+                        owners.remove(spec.name.as_str()),
+                        Some(1),
+                        "{what}: {}",
+                        spec.name
+                    );
+                }
+                assert!(owners.is_empty(), "{what}: groups name unknown tensors");
+
+                let topo = Topology { dp: 2, tp: 2 };
+                let value = |gid: usize, i: usize| 1.0 + ((gid * 7919 + i) % 4093) as f32 * 1e-3;
+                let mut ranks: Vec<RankState> = (0..topo.world())
+                    .map(|_| RankState { shards: Vec::new() })
+                    .collect();
+                let mut params = ParamSet::zeros(&cfg);
+                for (g, layout) in groups.iter().zip(group_layouts(&params, &groups).unwrap()) {
+                    let flat: Vec<f32> = (0..g.numel).map(|i| value(g.id, i)).collect();
+                    let shards = layout.partition_at(&topo, &flat).unwrap();
+                    for (rank, master) in ranks.iter_mut().zip(shards) {
+                        rank.shards.push(ShardState::zeros_like(master));
+                    }
+                }
+                let engine = ZeroEngine::from_rank_states(
+                    &params,
+                    groups,
+                    topo,
+                    AdamWHyper::default(),
+                    ranks,
+                )
+                .unwrap();
+                for (_, t) in params.iter_mut() {
+                    t.data_mut().fill(f32::NAN);
+                }
+                engine.materialize_params(&mut params, true);
+                for g in engine.groups() {
+                    let got = flatten_group(&params, g).unwrap();
+                    assert!(
+                        got.iter()
+                            .enumerate()
+                            .all(|(i, v)| *v == bf16_round(value(g.id, i))),
+                        "{what}: group {}",
+                        g.id
+                    );
+                }
+                assert!(
+                    params
+                        .iter()
+                        .all(|(_, t)| t.data().iter().all(|v| !v.is_nan())),
+                    "{what}: a parameter kept its allocation value"
+                );
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "source shard")]
-    fn load_rank_state_validates_shapes() {
+    fn from_rank_states_rejects_states_that_do_not_fit() {
         let cfg = ModelConfig::tiny_test();
         let model = Model::new(cfg.clone(), 5);
-        let mut engine = ZeroEngine::new(
-            &model.params,
-            build_groups(&cfg, GroupLayout::LayerWise),
-            2,
+        let groups = build_groups(&cfg, GroupLayout::LayerWise);
+        let topo = Topology::dp_only(2);
+        let good =
+            ZeroEngine::with_topology(&model.params, groups.clone(), topo, AdamWHyper::default())
+                .ranks;
+        let build = |topo, ranks| {
+            ZeroEngine::from_rank_states(
+                &model.params,
+                groups.clone(),
+                topo,
+                AdamWHyper::default(),
+                ranks,
+            )
+        };
+        assert!(build(topo, good.clone()).is_ok());
+
+        let mut long = good.clone();
+        long[1].shards[0].exp_avg.push(0.0);
+        assert!(matches!(
+            build(topo, long).unwrap_err(),
+            PlanError::ShortSource {
+                group: 0,
+                rank: 1,
+                ..
+            }
+        ));
+
+        let mut fewer_groups = good.clone();
+        fewer_groups[0].shards.pop();
+        assert!(matches!(
+            build(topo, fewer_groups).unwrap_err(),
+            PlanError::GroupCountMismatch { .. }
+        ));
+
+        // Two rank states cannot fill three ranks.
+        assert!(matches!(
+            build(Topology::dp_only(3), good.clone()).unwrap_err(),
+            PlanError::RankCountMismatch { got: 2, expect: 3 }
+        ));
+        assert!(build(Topology { dp: 0, tp: 1 }, good.clone()).is_err());
+
+        // A parameter set without the tensors the groups name (no lm_head).
+        let err = ZeroEngine::from_rank_states(
+            &ParamSet::zeros(&ModelConfig::tiny_test_tied()),
+            groups.clone(),
+            topo,
             AdamWHyper::default(),
-        );
-        let mut bad = engine.ranks[0].clone();
-        bad.shards[0].master.push(0.0);
-        engine.load_rank_state(0, bad);
+            good,
+        )
+        .unwrap_err();
+        assert!(matches!(err, PlanError::NumelMismatch { .. }), "{err}");
     }
 
     #[test]
@@ -474,10 +627,14 @@ mod tests {
                     // Simulate failure + restore: rebuild engine from the
                     // snapshot taken at this step boundary.
                     let (ranks, count) = snapshot.clone().unwrap();
-                    let mut e2 = ZeroEngine::new(&m.params, groups.clone(), 2, hyper);
-                    for (r, st) in ranks.into_iter().enumerate() {
-                        e2.load_rank_state(r, st);
-                    }
+                    let mut e2 = ZeroEngine::from_rank_states(
+                        &m.params,
+                        groups.clone(),
+                        Topology::dp_only(2),
+                        hyper,
+                        ranks,
+                    )
+                    .unwrap();
                     e2.step_count = count;
                     e2.materialize_params(&mut m.params, true);
                     e = e2;

@@ -154,6 +154,13 @@ pub enum PlanError {
         /// Ranks the topology has.
         expect: usize,
     },
+    /// A rank state holds the wrong number of group shards.
+    GroupCountMismatch {
+        /// Shards the rank state holds.
+        got: usize,
+        /// Groups the engine has.
+        expect: usize,
+    },
 }
 
 impl From<PartitionError> for PlanError {
@@ -182,6 +189,10 @@ impl fmt::Display for PlanError {
             PlanError::RankCountMismatch { got, expect } => {
                 write!(f, "got {got} rank buffers, topology has {expect} ranks")
             }
+            PlanError::GroupCountMismatch { got, expect } => write!(
+                f,
+                "rank state holds {got} group shards, the optimizer has {expect} groups"
+            ),
         }
     }
 }

@@ -63,6 +63,20 @@ ENCODE_FN="$(sed -n '/^fn encode_image(/,/^}/p' crates/ckpt/src/engine.rs)"
 if echo "$ENCODE_FN" | grep -niE 'storage|store'; then
   echo "encode_image reaches for storage (see the matches above)"; exit 1
 fi
+# A resume costs what its verified read costs: the resume path never
+# initialises a model or an engine only to overwrite it (it adopts the
+# restored rank states through `ZeroEngine::from_rank_states`), and the
+# restore engine's bind stage moves buffers the parallel decode stage
+# already converted. The ledger smoke below is the bit-exact oracle.
+if grep -nE 'Model::new|ParamSet::init|load_rank_state\(' crates/train/src/resume.rs; then
+  echo "crates/train/src/resume.rs initialises state it then overwrites"; exit 1
+fi
+BIND_STAGE="$(sed -n '/^pub(crate) fn take_shard(/,/^}/p;/^pub(crate) fn bind_ranks(/,/^}/p;/\/\/ --- bind /,/^}/p' crates/ckpt/src/restore.rs)"
+[ "$(echo "$BIND_STAGE" | grep -cE '^pub\(crate\) fn (take_shard|bind_ranks)\(|// --- bind ')" -eq 3 ] \
+  || { echo "restore.rs lost take_shard, bind_ranks or its bind section"; exit 1; }
+if echo "$BIND_STAGE" | grep -n 'to_f32s'; then
+  echo "the restore bind stage converts tensors (see the matches above)"; exit 1
+fi
 cargo test -q
 cargo clippy --workspace -- -D warnings
 cargo fmt --check

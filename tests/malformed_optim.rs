@@ -7,10 +7,11 @@
 
 use llmt_ckpt::{
     restore_checkpoint, safetensors, verify_checkpoint_on, CheckpointHandle, CheckpointPaths,
-    LoadMode, RestoreRequest,
+    CkptError, LoadMode, RestoreRequest, ZeroMeta,
 };
 use llmt_storage::vfs::LocalFs;
-use llmt_train::{Trainer, TrainerConfig};
+use llmt_tensor::{DType, RawTensor};
+use llmt_train::{resume_trainer_on, Trainer, TrainerConfig};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -102,4 +103,73 @@ proptest! {
             "every group shard of rank {rank} loaded despite '{victim}' being gone"
         );
     }
+}
+
+/// Rank states that restore cleanly but do not fit the configured model
+/// or topology are a typed `Incompatible` from `resume_trainer_on`, never
+/// a panic. `zero_meta.json` and the shard files of a conventional
+/// checkpoint are outside the commit seal, so a checkpoint can be
+/// self-consistent (it restores and verifies) and still describe another
+/// optimizer than the one the trainer is configured with.
+#[test]
+fn resume_with_rank_states_that_do_not_fit_is_a_typed_error() {
+    let resume = |dir: &Path, cfg: TrainerConfig| {
+        let err = resume_trainer_on(Arc::new(LocalFs), dir, cfg)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, CkptError::Incompatible(_)), "{err}");
+        err.to_string()
+    };
+    let work = tempfile::tempdir().unwrap();
+    let cfg = TrainerConfig::test_default(work.path().join("run"));
+    let rewrite_meta = |dir: &Path, edit: &dyn Fn(&mut ZeroMeta)| {
+        let path = CheckpointPaths::open_on(&LocalFs, dir).unwrap().zero_meta();
+        let mut meta = ZeroMeta::load(&path).unwrap();
+        edit(&mut meta);
+        std::fs::write(&path, serde_json::to_string_pretty(&meta).unwrap()).unwrap();
+    };
+
+    // A wrong-length shard: group 0 grows by one element per rank, in the
+    // metadata and in every rank's shard file alike.
+    let long = work.path().join("long/checkpoint-2");
+    copy_dir(pristine_checkpoint(), &long);
+    rewrite_meta(&long, &|meta| {
+        meta.groups[0].numel += meta.world_size;
+        meta.groups[0].shard_len += 1;
+    });
+    let paths = CheckpointPaths::open_on(&LocalFs, &long).unwrap();
+    for rank in 0..2 {
+        let shard = paths.optim_shard(rank);
+        let (mut tensors, metadata) = safetensors::read_file(&shard).unwrap();
+        for (name, t) in &mut tensors {
+            if name.starts_with("group0.") {
+                let mut values = t.to_f32s();
+                values.push(0.0);
+                *t = RawTensor::from_f32s(&values, [values.len()], DType::F32);
+            }
+        }
+        safetensors::write_file(&shard, &tensors, &metadata).unwrap();
+    }
+    restore_checkpoint(&long, &RestoreRequest::default()).expect("self-consistent checkpoint");
+    assert!(resume(&long, cfg.clone()).contains("group 0"));
+    // The same through a reshard (dp2 -> dp4).
+    let mut wide = cfg.clone();
+    wide.world_size = 4;
+    resume(&long, wide);
+
+    // A wrong group count: the metadata forgets the last group.
+    let short = work.path().join("short/checkpoint-2");
+    copy_dir(pristine_checkpoint(), &short);
+    rewrite_meta(&short, &|meta| {
+        meta.groups.pop();
+        meta.groups_present.pop();
+    });
+    restore_checkpoint(&short, &RestoreRequest::default()).expect("self-consistent checkpoint");
+    assert!(resume(&short, cfg.clone()).contains("group"));
+
+    // No tampering needed: `structurally_equal` does not look at the
+    // key/value head count, which sizes k_proj and v_proj.
+    let mut fewer_kv_heads = cfg;
+    fewer_kv_heads.model_config.num_key_value_heads = 1;
+    resume(pristine_checkpoint(), fewer_kv_heads);
 }
