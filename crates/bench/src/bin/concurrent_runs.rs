@@ -128,6 +128,7 @@ fn contend(cfg: &ModelConfig, root: &Path, runs: usize, saves: u64) -> Outcome {
                                     units: &units,
                                     metrics: &MetricsRegistry::new(),
                                     store: None,
+                                    bases: None,
                                 },
                                 &SaveOptions::default(),
                             )
@@ -201,6 +202,7 @@ fn contend_daemon(cfg: &ModelConfig, root: &Path, runs: usize, saves: u64) -> Ou
                             units: &units,
                             metrics: &MetricsRegistry::new(),
                             store: None,
+                            bases: None,
                         };
                         let (report, _) = client
                             .save(

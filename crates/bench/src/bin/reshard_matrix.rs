@@ -73,6 +73,7 @@ fn build_checkpoint(root: &Path, cfg: &ModelConfig, topo: Topology) -> PathBuf {
             units: &LayerUnit::all(cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         },
         &SaveOptions::default(),
     )

@@ -74,6 +74,7 @@ fn build_checkpoint(root: &Path, cfg: &ModelConfig) -> PathBuf {
             units: &LayerUnit::all(cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         },
         &SaveOptions::dedup(true),
     )

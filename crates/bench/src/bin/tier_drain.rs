@@ -110,6 +110,7 @@ fn main() {
         units: &units,
         metrics: &registry,
         store: None,
+        bases: None,
     };
     let report = engine::save(&[&lustre], &req_in(&base_ckpt), &SaveOptions::default())
         .expect("baseline save")

@@ -94,6 +94,7 @@ impl CkptFactory {
                 units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )

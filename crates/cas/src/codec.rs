@@ -36,8 +36,8 @@
 //! use them. [`Codec::ShuffleLzss`] transposes the buffer into byte
 //! planes (Blosc-style shuffle, stride 4) first, turning those
 //! per-element zeros into whole contiguous planes of zeros that LZSS
-//! collapses. Writers pick whichever codec actually yields the smaller
-//! payload; readers just dispatch on the tag in the header.
+//! collapses. Writers take what [`smallest_encoding`] picks; readers
+//! just dispatch on the tag in the header.
 
 use std::io;
 
@@ -103,7 +103,8 @@ impl Codec {
         }
     }
 
-    /// Encode `bytes` with this codec.
+    /// Encode `bytes` with this codec. Writers that are free to choose
+    /// go through [`smallest_encoding`] instead.
     pub fn encode(self, bytes: &[u8]) -> Vec<u8> {
         match self {
             Codec::Raw => bytes.to_vec(),
@@ -298,9 +299,11 @@ pub fn unshuffle4(buf: &[u8]) -> Vec<u8> {
 // Token stream: a flag byte announces the next eight tokens, LSB first.
 // Flag bit 0 → one literal byte. Flag bit 1 → a match: u16 LE distance
 // (1..=65535 back from the current position) followed by one length
-// byte storing `len - MIN_MATCH` (so 4..=259). The match finder is a
-// hash chain over 4-byte prefixes with a bounded probe depth — linear
-// time, and good enough on the near-zero diff streams deltas produce.
+// byte storing `len - MIN_MATCH` (so 4..=259). That format is all a
+// decoder knows; which matches an encoder finds is its own business. The
+// match finder is a hash chain over 4-byte prefixes with a bounded probe
+// depth that stops searching where nothing matches (`SKIP_TRIGGER`):
+// most of a float diff's byte planes are noise.
 // ---------------------------------------------------------------------
 
 const MIN_MATCH: usize = 4;
@@ -310,6 +313,14 @@ const HASH_BITS: u32 = 15;
 const MAX_PROBES: usize = 32;
 /// "No position" in the match finder's tables.
 const NO_POS: u32 = u32::MAX;
+/// Searched positions without a match before the literal stride grows
+/// by one byte (LZ4's skip trigger): the first 32 misses of a run still
+/// search every position, the next 32 every second one, and so on.
+const SKIP_TRIGGER: u32 = 5;
+/// Most bytes emitted as unsearched literals after one failed search: a
+/// compressible region that follows noise is entered at most this many
+/// bytes late.
+const MAX_SKIP: usize = 31;
 
 /// The four bytes at `input[at..]` as one little-endian word.
 #[inline]
@@ -372,77 +383,165 @@ impl Chains {
         self.prev[pos & WINDOW] = before;
         before
     }
+
+    /// Index `pos` and return the longest match for `input[pos..]` among
+    /// the `MAX_PROBES` most recent positions of its bucket inside the
+    /// window, as `(length, distance)`; the length is 0 when no candidate
+    /// reaches `MIN_MATCH`. The caller guarantees `MIN_MATCH` bytes at
+    /// `pos`.
+    #[inline]
+    fn longest_match(&mut self, input: &[u8], pos: usize) -> (usize, usize) {
+        let prefix = prefix4(input, pos);
+        let limit = (input.len() - pos).min(MAX_MATCH);
+        let (mut best_len, mut best_dist) = (0usize, 0usize);
+        // Indexing `pos` before the search changes nothing: the walk
+        // starts from the bucket's previous head.
+        let mut cand = self.insert(prefix, pos);
+        for _ in 0..MAX_PROBES {
+            let dist = (pos as u32).wrapping_sub(cand) as usize;
+            if cand == NO_POS || dist == 0 || dist > WINDOW {
+                break;
+            }
+            let at = pos - dist;
+            // A candidate from the same bucket with another prefix
+            // matches fewer than `MIN_MATCH` bytes and can neither be
+            // emitted nor keep a longer one from being taken; one that
+            // differs at `best_len` cannot beat the best so far.
+            if prefix4(input, at) == prefix && input[at + best_len] == input[pos + best_len] {
+                let l = MIN_MATCH
+                    + match_len(input, at + MIN_MATCH, pos + MIN_MATCH, limit - MIN_MATCH);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = dist;
+                    if l == limit {
+                        break;
+                    }
+                }
+            }
+            cand = self.prev[at & WINDOW];
+        }
+        (best_len, best_dist)
+    }
+}
+
+/// The token stream under construction: flag bytes are reserved ahead of
+/// the eight tokens they describe and filled in as those arrive.
+struct Tokens {
+    out: Vec<u8>,
+    flag_at: usize,
+    flag_bit: u8,
+}
+
+impl Tokens {
+    /// Reserve the next flag byte if the current one is used up.
+    #[inline]
+    fn next_flag(&mut self) {
+        if self.flag_bit == 8 {
+            self.flag_at = self.out.len();
+            self.out.push(0);
+            self.flag_bit = 0;
+        }
+    }
+
+    /// One literal token per byte of `bytes`.
+    #[inline]
+    fn literals(&mut self, mut bytes: &[u8]) {
+        while self.flag_bit < 8 && !bytes.is_empty() {
+            self.out.push(bytes[0]);
+            self.flag_bit += 1;
+            bytes = &bytes[1..];
+        }
+        let mut groups = bytes.chunks_exact(8);
+        for group in &mut groups {
+            self.out.push(0);
+            self.out.extend_from_slice(group);
+        }
+        let tail = groups.remainder();
+        if !tail.is_empty() {
+            self.next_flag();
+            self.out.extend_from_slice(tail);
+            self.flag_bit = tail.len() as u8;
+        }
+    }
+
+    #[inline]
+    fn a_match(&mut self, len: usize, dist: usize) {
+        self.next_flag();
+        self.out[self.flag_at] |= 1 << self.flag_bit;
+        self.flag_bit += 1;
+        self.out.extend_from_slice(&(dist as u16).to_le_bytes());
+        self.out.push((len - MIN_MATCH) as u8);
+    }
 }
 
 /// LZSS-compress `input`. Always succeeds; the output of incompressible
 /// input grows by one flag byte per eight literals (callers compare
 /// sizes and fall back to raw storage when that happens).
+///
+/// The parse is greedy and does not search noise: every
+/// `2^SKIP_TRIGGER` searched positions in a row without a match
+/// lengthen, by one byte up to `MAX_SKIP`, the run emitted as unsearched
+/// literals after the next miss; the first match resets the stride.
+/// Skipped positions are still indexed — a hash and two stores, not a
+/// chain walk — so what follows the noise finds every earlier position
+/// to match against. Whatever the parse, the stream is the token format
+/// above and [`lzss_decompress`] — of this or any earlier build — reads
+/// it.
 pub fn lzss_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    let mut tokens = Tokens {
+        // The worst case (all literals), so noise never regrows the buffer.
+        out: Vec::with_capacity(input.len() + input.len() / 8 + 1),
+        flag_at: 0,
+        flag_bit: 8,
+    };
     let mut chains = Chains::new();
     // Positions below this have `MIN_MATCH` bytes left: they can start a
     // match and are indexed.
     let indexable = input.len().saturating_sub(MIN_MATCH - 1);
     let mut pos = 0usize;
-    let mut flag_at = 0usize;
-    let mut flag_bit = 8u8;
+    let mut misses = 0u32;
 
-    while pos < input.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if pos < indexable {
-            let prefix = prefix4(input, pos);
-            let limit = (input.len() - pos).min(MAX_MATCH);
-            // Indexing `pos` before the search changes nothing: the walk
-            // starts from the bucket's previous head.
-            let mut cand = chains.insert(prefix, pos);
-            for _ in 0..MAX_PROBES {
-                let dist = (pos as u32).wrapping_sub(cand) as usize;
-                if cand == NO_POS || dist == 0 || dist > WINDOW {
-                    break;
-                }
-                let at = pos - dist;
-                // A candidate from the same bucket with another prefix
-                // matches fewer than `MIN_MATCH` bytes and can neither be
-                // emitted nor keep a longer one from being taken; one
-                // that differs at `best_len` cannot beat the best so far.
-                if prefix4(input, at) == prefix && input[at + best_len] == input[pos + best_len] {
-                    let l = MIN_MATCH
-                        + match_len(input, at + MIN_MATCH, pos + MIN_MATCH, limit - MIN_MATCH);
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = dist;
-                        if l == limit {
-                            break;
-                        }
-                    }
-                }
-                cand = chains.prev[at & WINDOW];
-            }
-        }
-        if flag_bit == 8 {
-            flag_at = out.len();
-            out.push(0);
-            flag_bit = 0;
-        }
-        let end = if best_len >= MIN_MATCH {
-            out[flag_at] |= 1 << flag_bit;
-            out.extend_from_slice(&(best_dist as u16).to_le_bytes());
-            out.push((best_len - MIN_MATCH) as u8);
-            pos + best_len
+    while pos < indexable {
+        let (len, dist) = chains.longest_match(input, pos);
+        let end = if len >= MIN_MATCH {
+            misses = 0;
+            tokens.a_match(len, dist);
+            pos + len
         } else {
-            out.push(input[pos]);
-            pos + 1
+            misses += 1;
+            let run = 1 + ((misses >> SKIP_TRIGGER) as usize).min(MAX_SKIP);
+            let end = (pos + run).min(input.len());
+            tokens.literals(&input[pos..end]);
+            end
         };
-        flag_bit += 1;
-        // Index every covered position so later matches can start inside
-        // this one.
+        // Index every covered position, matched or skipped, so later
+        // matches can start anywhere behind the cursor.
         for covered in pos + 1..end.min(indexable) {
             chains.insert(prefix4(input, covered), covered);
         }
         pos = end;
     }
-    out
+    tokens.literals(&input[pos..]);
+    tokens.out
+}
+
+/// The LZSS encoding a writer stores `image` under, and the only place
+/// that chooses one: the byte-plane shuffled form, or plain LZSS where
+/// that is smaller — tried only on images of at most one LZSS window.
+/// Float payloads and their XOR diffs keep their zeros one per element,
+/// out of an LZ matcher's reach until gathered into planes; plain wins
+/// where a safetensors header outweighs the tensor bytes behind it,
+/// which it stops doing well below 64 KiB. Whether the result beats
+/// storing `image` raw is the caller's comparison.
+pub fn smallest_encoding(image: &[u8]) -> (Codec, Vec<u8>) {
+    let shuffled = lzss_compress(&shuffle4(image));
+    if image.len() <= WINDOW {
+        let plain = lzss_compress(image);
+        if plain.len() <= shuffled.len() {
+            return (Codec::Lzss, plain);
+        }
+    }
+    (Codec::ShuffleLzss, shuffled)
 }
 
 /// Decompress an LZSS stream produced by [`lzss_compress`]. Malformed
@@ -502,8 +601,10 @@ mod tests {
     use crate::Digest;
     use proptest::prelude::*;
 
-    /// The encoder as it stood before the ring-buffer match finder, kept
-    /// verbatim: [`lzss_compress`] must emit exactly this token stream.
+    /// The exhaustive greedy encoder (every position searched and
+    /// indexed; PR 16 proved [`lzss_compress`] token-identical to it up to
+    /// PR 17), kept verbatim as the size reference for the parse that
+    /// skips noise.
     fn lzss_compress_reference(input: &[u8]) -> Vec<u8> {
         fn hash4(bytes: &[u8]) -> usize {
             let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
@@ -584,25 +685,103 @@ mod tests {
         out
     }
 
+    /// [`lzss_decompress`] as PR 17 shipped it, kept verbatim: objects in
+    /// existing stores are read by builds that have only this, so every
+    /// stream a newer encoder emits must decode with it.
+    fn lzss_decompress_pr17(input: &[u8]) -> io::Result<Vec<u8>> {
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("lzss: {what}"));
+        let mut out = Vec::with_capacity(input.len() * 2);
+        let mut i = 0usize;
+        while i < input.len() {
+            let flags = input[i];
+            i += 1;
+            // Eight literals in a row (the common case on noisy planes).
+            if flags == 0 {
+                if let Some(literals) = input.get(i..i + 8) {
+                    out.extend_from_slice(literals);
+                    i += 8;
+                    continue;
+                }
+            }
+            for bit in 0..8 {
+                if i >= input.len() {
+                    break;
+                }
+                if flags & (1 << bit) == 0 {
+                    out.push(input[i]);
+                    i += 1;
+                } else {
+                    if i + 3 > input.len() {
+                        return Err(bad("truncated match token"));
+                    }
+                    let dist = u16::from_le_bytes([input[i], input[i + 1]]) as usize;
+                    let len = input[i + 2] as usize + MIN_MATCH;
+                    i += 3;
+                    if dist == 0 || dist > out.len() {
+                        return Err(bad("match distance outside produced output"));
+                    }
+                    // `dist < len` repeats the last `dist` bytes: every pass
+                    // copies all of the period written so far, doubling it.
+                    let start = out.len() - dist;
+                    let mut left = len;
+                    while left > 0 {
+                        let n = left.min(out.len() - start);
+                        out.extend_from_within(start..start + n);
+                        left -= n;
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// xorshift64 bytes.
+    fn noise(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// The byte planes of an `f32` array XORed with itself one
+    /// optimizer-sized relative step later: two noisy mantissa planes, a
+    /// sparse one, a (nearly) zero sign/exponent plane.
+    fn float_diff_planes(elements: usize, seed: u64) -> Vec<u8> {
+        let mut rnd = noise(seed);
+        let mut diff = Vec::with_capacity(elements * 4);
+        for _ in 0..elements {
+            let w = (rnd() % 2_000_001) as f32 / 1e6 - 1.0;
+            let step = 1.0 + ((rnd() % 2001) as f32 - 1000.0) * 1e-6;
+            diff.extend_from_slice(&(w.to_bits() ^ (w * step).to_bits()).to_le_bytes());
+        }
+        shuffle4(&diff)
+    }
+
     /// The regimes the encoder meets: noise, runs (zero runs included),
-    /// repeated motifs, byte planes of a float diff (two noisy planes, a
-    /// nearly constant one, a zero one), inputs shorter than a match, and
-    /// buffers long enough to wrap the 64 KiB link ring.
+    /// repeated motifs, byte planes of a float diff, noise → zeros → noise
+    /// with stretches shorter and longer than the longest literal stride
+    /// (a miss run long enough to reach it comes first), inputs shorter
+    /// than a match, and buffers long enough to wrap the 64 KiB link ring.
     fn arb_encoder_input() -> impl Strategy<Value = Vec<u8>> {
-        let float_planes = (1usize..1024, any::<u64>()).prop_map(|(lanes, seed)| {
-            let mut x = seed | 1;
-            let mut rnd = move || {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x
-            };
-            let mut out = Vec::with_capacity(lanes * 4);
-            out.extend((0..lanes * 2).map(|_| rnd() as u8));
-            out.extend((0..lanes).map(|_| (rnd() % 4) as u8));
-            out.resize(lanes * 4, 0);
-            out
-        });
+        let float_planes =
+            (1usize..4096, any::<u64>()).prop_map(|(n, seed)| float_diff_planes(n, seed));
+        let transitions = (
+            any::<u64>(),
+            prop::collection::vec((0usize..4 * MAX_SKIP, 0usize..4 * MAX_SKIP), 1..12),
+        )
+            .prop_map(|(seed, stretches)| {
+                let mut rnd = noise(seed);
+                let ramp = (MAX_SKIP + 1) << SKIP_TRIGGER;
+                let mut out: Vec<u8> = (0..2 * ramp).map(|_| rnd() as u8).collect();
+                for (zeros, noisy) in stretches {
+                    out.resize(out.len() + zeros, 0);
+                    out.extend((0..noisy).map(|_| rnd() as u8));
+                }
+                out
+            });
         let long = (
             prop::collection::vec(any::<u8>(), 1..600),
             70_000usize..200_000,
@@ -621,22 +800,76 @@ mod tests {
             3 => (prop::collection::vec(any::<u8>(), 1..32), 1usize..64)
                 .prop_map(|(motif, reps)| motif.repeat(reps)),
             3 => float_planes,
+            3 => transitions,
             2 => prop::collection::vec(any::<u8>(), 0..MIN_MATCH),
             1 => long,
         ]
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The rewritten match finder is an optimization only: same
-        /// greedy parse, same probe order, the same bytes out.
+        /// Whatever the parse, the stream is the format every decoder
+        /// reads, and never larger than all-literals.
         #[test]
-        fn lzss_compress_emits_the_reference_token_stream(input in arb_encoder_input()) {
+        fn lzss_streams_decode_with_every_decoder(input in arb_encoder_input()) {
             let packed = lzss_compress(&input);
-            prop_assert!(packed == lzss_compress_reference(&input));
+            prop_assert!(packed.len() <= input.len() + input.len() / 8 + 1);
+            prop_assert!(lzss_decompress_pr17(&packed).unwrap() == input);
             prop_assert!(lzss_decompress(&packed).unwrap() == input);
         }
+
+        /// The one selection rule: the pick decodes back, is never larger
+        /// than the shuffled form, and plain LZSS is not even tried beyond
+        /// one window.
+        #[test]
+        fn smallest_encoding_decodes_and_obeys_the_window_rule(input in arb_encoder_input()) {
+            let (codec, payload) = smallest_encoding(&input);
+            prop_assert!(codec.decode(&payload, input.len() as u64).unwrap() == input);
+            prop_assert!(payload.len() <= Codec::ShuffleLzss.encode(&input).len());
+            prop_assert!(codec != Codec::Raw);
+            prop_assert!(input.len() <= WINDOW || codec == Codec::ShuffleLzss);
+        }
+    }
+
+    #[test]
+    fn skipping_noise_costs_under_one_percent_on_float_diffs() {
+        for (elements, seed) in [(16 * 1024, 7), (150_000, 8)] {
+            let planes = float_diff_planes(elements, seed);
+            let packed = lzss_compress(&planes);
+            let exhaustive = lzss_compress_reference(&planes);
+            assert!(
+                exhaustive.len() < planes.len() * 3 / 4,
+                "fixture is not a float diff: {} of {} bytes",
+                exhaustive.len(),
+                planes.len()
+            );
+            assert!(
+                packed.len() * 100 <= exhaustive.len() * 101,
+                "{elements} elements: {} bytes against the exhaustive search's {}",
+                packed.len(),
+                exhaustive.len()
+            );
+            assert_eq!(lzss_decompress_pr17(&packed).unwrap(), planes);
+        }
+    }
+
+    #[test]
+    fn plain_lzss_is_picked_where_a_header_dominates() {
+        // A safetensors image of one tiny tensor: a JSON header and a few
+        // payload bytes. Shuffling scatters the text; plain LZSS keeps it.
+        let header = br#"{"__metadata__":{"format":"pt"},"model.norm.weight":{"dtype":"BF16","shape":[8],"data_offsets":[0,16]},"model.norm.bias":{"dtype":"BF16","shape":[8],"data_offsets":[16,32]}}"#;
+        let mut image = (header.len() as u64).to_le_bytes().to_vec();
+        image.extend_from_slice(header);
+        image.extend((0..32u8).map(|i| i.wrapping_mul(37)));
+        let (codec, payload) = smallest_encoding(&image);
+        assert_eq!(codec, Codec::Lzss);
+        assert_eq!(payload, lzss_compress(&image));
+        // The same header in front of a float diff longer than a window:
+        // the shuffled form, without trying.
+        let mut big = image.clone();
+        big.extend(float_diff_planes(WINDOW / 4, 3));
+        assert_eq!(smallest_encoding(&big).0, Codec::ShuffleLzss);
     }
 
     #[test]

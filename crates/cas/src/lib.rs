@@ -10,10 +10,12 @@
 //!
 //! See `DESIGN.md`, "Content-addressed layer store".
 
+pub mod bases;
 pub mod codec;
 pub mod digest;
 pub mod store;
 
+pub use bases::BaseCache;
 pub use codec::{Codec, ObjectKind};
 pub use digest::{Digest, Hasher};
 pub use store::{

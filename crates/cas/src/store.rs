@@ -898,17 +898,12 @@ impl ObjectStore {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => return Err(e),
             };
-            let packed = codec::lzss_compress(&image);
-            let shuffled = codec::lzss_compress(&codec::shuffle4(&image));
-            let (codec, payload) = if shuffled.len() < packed.len() && shuffled.len() < image.len()
-            {
-                (Codec::ShuffleLzss, shuffled)
-            } else if packed.len() < image.len() {
-                (Codec::Lzss, packed)
-            } else {
-                (Codec::Raw, image.clone())
-            };
-            let mut file = codec::full_header(codec, image.len() as u64);
+            let logical_len = image.len() as u64;
+            let (mut codec, mut payload) = codec::smallest_encoding(&image);
+            if payload.len() >= image.len() {
+                (codec, payload) = (Codec::Raw, image);
+            }
+            let mut file = codec::full_header(codec, logical_len);
             file.extend_from_slice(&payload);
             self.stage_object(storage, digest, &file)?;
             // Marker last: a crash before this leaves a Full object with
@@ -2166,6 +2161,31 @@ mod tests {
         // Idempotent: a second pass finds nothing deep.
         let again = s.compact_chains(&LocalFs, 2).unwrap();
         assert_eq!(again.compacted, 0);
+    }
+
+    #[test]
+    fn compaction_stores_what_the_one_selection_rule_picks() {
+        // A chain over float-like bytes (compressible) and one over noise
+        // (stored raw): the flattened object is byte for byte the `Full`
+        // object a writer would have put for the same image.
+        let floats: Vec<u8> = (0..4096u32)
+            .flat_map(|i| ((i % 7) as f32).to_le_bytes())
+            .collect();
+        for base in [floats, chain_images(0, 4096).remove(0)] {
+            let dir = tempfile::tempdir().unwrap();
+            let s = store(dir.path());
+            let mut next = base.clone();
+            next[100] ^= 0x55;
+            let digests = put_chain(&s, &LocalFs, &[base, next.clone()]);
+            assert_eq!(s.compact_chains(&LocalFs, 0).unwrap().compacted, 1);
+            let (mut codec, mut payload) = codec::smallest_encoding(&next);
+            if payload.len() >= next.len() {
+                (codec, payload) = (Codec::Raw, next.clone());
+            }
+            let mut expected = codec::full_header(codec, next.len() as u64);
+            expected.extend_from_slice(&payload);
+            assert!(s.get(&LocalFs, digests[1]).unwrap() == expected);
+        }
     }
 
     /// Storage that answers `NotFound` for the first `misses` reads of

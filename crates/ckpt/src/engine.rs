@@ -58,7 +58,7 @@ use crate::safetensors;
 use crate::writer::{CheckpointReport, SaveRequest};
 use crate::zero_meta::{shard_tensor_names, GroupMeta, ZeroMeta};
 use llmt_cas::codec::{self, Codec};
-use llmt_cas::{Digest, ObjectStore, PutOutcome};
+use llmt_cas::{BaseCache, Digest, ObjectStore, PutOutcome};
 use llmt_model::naming::unit_param_specs;
 use llmt_model::{LayerUnit, ModelConfig, ParamSet};
 use llmt_optim::GroupSpec;
@@ -337,21 +337,6 @@ pub fn previous_refs_on(storage: &dyn Storage, root: &Path, step: u64) -> Option
     seal.manifest.ok()?.objects
 }
 
-/// Encode `image` with every byte codec and keep the smallest payload.
-/// Plain LZSS wins on structured byte streams (headers, sparse diffs
-/// with contiguous runs); the byte-plane shuffle wins on float tensor
-/// diffs, where the zeroed exponent bytes are interleaved one-per-
-/// element and invisible to an LZ matcher until gathered into planes.
-fn smallest_encoding(image: &[u8]) -> (Codec, Vec<u8>) {
-    let plain = Codec::Lzss.encode(image);
-    let shuffled = Codec::ShuffleLzss.encode(image);
-    if shuffled.len() < plain.len() {
-        (Codec::ShuffleLzss, shuffled)
-    } else {
-        (Codec::Lzss, plain)
-    }
-}
-
 /// A store miss of an encoding save between its resolve and commit
 /// steps: the decoded image (units are the bounded dedup granule, so
 /// this is a per-unit, not per-model, cost) and, when the delta policy
@@ -375,12 +360,17 @@ enum Encoded {
 /// Resolve step of an encoding save's store miss — every read the key
 /// needs. Builds the decoded image and, when the previous checkpoint
 /// holds a different object of equal length for `key` whose chain has
-/// headroom, materializes it as the delta base. Any store-side failure
-/// (base swept mid-save, chain walk error) leaves the base out — deltas
-/// are an optimization, never a correctness dependency.
+/// headroom, that object's decoded image as the delta base: taken from
+/// `bases` when the run's previous save left it there, materialized from
+/// the store otherwise (fresh process, resumed trainer, a base some other
+/// writer placed). Headroom is read from the object headers either way,
+/// so which objects re-root does not depend on the cache. Any store-side
+/// failure (base swept mid-save, chain walk error) leaves the base out —
+/// deltas are an optimization, never a correctness dependency.
 fn stage_miss(
     storage: &dyn Storage,
     store: &ObjectStore,
+    bases: Option<&BaseCache>,
     key: &str,
     policy: &PlacePolicy,
     (prefix, len, digest): (Vec<u8>, u64, Digest),
@@ -398,7 +388,13 @@ fn stage_miss(
                 .chain_len(storage, *base)
                 .is_ok_and(|depth| depth < policy.delta_chain)
         })
-        .and_then(|(base, _)| Some((base, store.materialize(storage, base).ok()?)))
+        .and_then(|(base, _)| {
+            let cached = bases.and_then(|bases| bases.take(base));
+            Some((
+                base,
+                cached.or_else(|| store.materialize(storage, base).ok())?,
+            ))
+        })
         .filter(|(_, base_image)| base_image.len() == image.len());
     Staged {
         digest,
@@ -416,13 +412,13 @@ fn encode_image(image: &[u8], base_image: Option<&[u8]>, compress: bool) -> Enco
     if let Some(base_image) = base_image {
         debug_assert_eq!(image.len(), base_image.len());
         let diff: Vec<u8> = image.iter().zip(base_image).map(|(a, b)| a ^ b).collect();
-        let (codec, payload) = smallest_encoding(&diff);
+        let (codec, payload) = codec::smallest_encoding(&diff);
         if codec::DELTA_HEADER_LEN + payload.len() < image.len() {
             return Encoded::Delta(codec, payload);
         }
     }
     if compress {
-        let (codec, payload) = smallest_encoding(image);
+        let (codec, payload) = codec::smallest_encoding(image);
         if codec::FULL_HEADER_LEN + payload.len() < image.len() {
             return Encoded::Full(codec, payload);
         }
@@ -629,7 +625,13 @@ fn place_objects(
                                 worker.join().unwrap_or_else(|p| resume_unwind(p))
                             }
                         };
-                        commit_staged(storage, store, &staged, encoded, &policy, chunk)?
+                        let out = commit_staged(storage, store, &staged, encoded, &policy, chunk)?;
+                        // The next save's delta base for this key, already
+                        // decoded and hashed.
+                        if let Some(bases) = req.bases.filter(|_| policy.delta_chain > 0) {
+                            bases.insert(staged.digest, staged.image);
+                        }
+                        out
                     }
                 };
                 store
@@ -704,6 +706,7 @@ fn place_objects(
                     let staged = stage_miss(
                         storage,
                         store,
+                        req.bases,
                         &spec.key,
                         &policy,
                         (prefix, len, digest),
@@ -876,6 +879,14 @@ pub fn save(
                 "checkpoint writer panicked: {msg}"
             )))
         });
+        // What the place stage left for the next save's deltas counts only
+        // if this checkpoint is the one that save will find.
+        if let Some(bases) = req.bases {
+            match &staged {
+                Ok(_) => bases.commit(),
+                Err(_) => bases.abort(),
+            }
+        }
         match staged {
             Ok(report) => {
                 req.metrics.counter(&format!("ckpt.place.tier{i}")).incr();
@@ -1165,6 +1176,18 @@ mod tests {
         ts: &TrainerState,
         opts: &SaveOptions,
     ) -> Result<CheckpointReport> {
+        save_at_with(root, step, source, ts, opts, None)
+    }
+
+    /// [`save_at`] with the run's decoded-base cache.
+    fn save_at_with(
+        root: &Path,
+        step: u64,
+        source: &dyn StateSource,
+        ts: &TrainerState,
+        opts: &SaveOptions,
+        bases: Option<&BaseCache>,
+    ) -> Result<CheckpointReport> {
         let req = SaveRequest {
             dir: &CheckpointPaths::under(root, step).dir,
             step,
@@ -1173,6 +1196,7 @@ mod tests {
             units: &LayerUnit::all(source.model_config()),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases,
         };
         save(&[&LocalFs], &req, opts).map(|p| p.report)
     }
@@ -1250,6 +1274,80 @@ mod tests {
         }
     }
 
+    #[test]
+    fn failed_save_leaves_the_base_cache_bounded_and_the_next_save_correct() {
+        let cfg = ModelConfig::tiny_test();
+        let (mut model, mut engine, ts) = make_state(&cfg, 2);
+        let dir = tempfile::tempdir().unwrap();
+        let bases = BaseCache::default();
+        let opts = encoding_opts(Parallelism::Rayon);
+        fn live<'a>(model: &'a Model, engine: &'a ZeroEngine) -> LiveState<'a> {
+            LiveState {
+                config: &model.config,
+                params: &model.params,
+                engine,
+            }
+        }
+
+        let first = save_at_with(
+            dir.path(),
+            1,
+            &live(&model, &engine),
+            &ts,
+            &opts,
+            Some(&bases),
+        )
+        .unwrap();
+        let one_save = first.model_bytes + first.optim_bytes;
+        assert_eq!(bases.resident_bytes(), one_save, "every key was a miss");
+
+        // The second save stages (and takes the bases of) the weight units,
+        // then panics on the first optimizer shard.
+        let mut rng = Prng::seed_from_u64(11);
+        let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
+        let mut grads = ParamSet::zeros(&cfg);
+        model.loss_and_grad(&llmt_model::Batch::new(tokens, 2, 8), &mut grads);
+        engine.step(&mut model.params, &grads, 1e-3, true);
+        let err = save_at_with(
+            dir.path(),
+            2,
+            &PanickingSource(live(&model, &engine)),
+            &ts,
+            &opts,
+            Some(&bases),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("injected writer panic"), "{err}");
+        assert!(bases.resident_bytes() <= one_save);
+        assert!(
+            bases.resident_bytes() >= first.optim_bytes,
+            "untouched bases kept"
+        );
+
+        // The retry finds the weight bases cold and the shard bases warm,
+        // and stores a checkpoint that verifies hop by hop.
+        let retried = save_at_with(
+            dir.path(),
+            2,
+            &live(&model, &engine),
+            &ts,
+            &opts,
+            Some(&bases),
+        )
+        .unwrap();
+        assert!(retried.delta_objects > 0);
+        assert!(bases.resident_bytes() <= one_save);
+        for step in [1, 2] {
+            let report = crate::verify::verify_checkpoint_on(
+                std::sync::Arc::new(LocalFs),
+                &CheckpointPaths::under(dir.path(), step).dir,
+                true,
+            )
+            .unwrap();
+            assert!(report.ok(), "checkpoint-{step}: {:?}", report.findings);
+        }
+    }
+
     /// Dedup + compress + delta-chain options, the every-step mode.
     fn encoding_opts(parallelism: Parallelism) -> SaveOptions {
         SaveOptions {
@@ -1280,7 +1378,7 @@ mod tests {
     }
 
     /// Everything a run of saves leaves behind that must not depend on
-    /// [`Parallelism`].
+    /// [`Parallelism`] or on where the delta bases came from.
     #[derive(Debug, PartialEq)]
     struct RunRecord {
         /// Every storage call in order: method and root-relative path.
@@ -1292,13 +1390,17 @@ mod tests {
         /// total, model, optim, physical, dedup, delta objects, delta
         /// saved bytes, deepest chain, files — per save.
         reports: Vec<[u64; 9]>,
+        /// Bytes the decoded-base cache held after each save.
+        resident: Vec<u64>,
     }
 
     /// Ten every-step saves of one deterministic training run: the
     /// embedding unit's weights never change (a dedup hit in every save
     /// after the first), nothing changes before save 6 (all hits), and
-    /// everything else drifts by one optimizer step per save.
-    fn ten_encoding_saves(parallelism: Parallelism) -> RunRecord {
+    /// everything else drifts by one optimizer step per save. `warm`
+    /// hands every save one decoded-base cache, as a trainer does; without
+    /// it each save materializes its bases from the store.
+    fn ten_encoding_saves(parallelism: Parallelism, warm: bool) -> RunRecord {
         use crate::verify::recording_fs::RecordingFs;
         let cfg = ModelConfig::tiny_test();
         let (mut model, mut engine, ts) = make_state(&cfg, 2);
@@ -1309,8 +1411,10 @@ mod tests {
         let fs = RecordingFs::new(LocalFs);
         let metrics = MetricsRegistry::new();
         let opts = encoding_opts(parallelism);
+        let bases = BaseCache::default();
         let mut reports = Vec::new();
         let mut seals = Vec::new();
+        let mut resident = Vec::new();
         for step in 1..=10u64 {
             if step != 6 {
                 let tokens: Vec<u32> = (0..16).map(|_| rng.below(cfg.vocab_size) as u32).collect();
@@ -1334,8 +1438,10 @@ mod tests {
                 units: &LayerUnit::all(&cfg),
                 metrics: &metrics,
                 store: None,
+                bases: warm.then_some(&bases),
             };
             let r = save(&[&fs], &req, &opts).unwrap().report;
+            resident.push(bases.resident_bytes());
             reports.push([
                 r.total_bytes,
                 r.model_bytes,
@@ -1384,26 +1490,33 @@ mod tests {
             seals,
             counters,
             reports,
+            resident,
         }
+    }
+
+    /// Field-by-field comparison of two runs that must have left the same
+    /// store behind (a whole-struct diff of megabytes helps no one).
+    fn assert_same_stored_bytes(a: &RunRecord, b: &RunRecord) {
+        assert_eq!(
+            a.objects.keys().collect::<Vec<_>>(),
+            b.objects.keys().collect::<Vec<_>>()
+        );
+        assert!(a.objects == b.objects, "object bytes differ");
+        assert!(a.seals == b.seals, "manifest or COMMIT differs");
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.reports, b.reports);
     }
 
     #[test]
     fn encoding_saves_do_not_depend_on_parallelism() {
-        let workers = ten_encoding_saves(Parallelism::Rayon);
-        let inline = ten_encoding_saves(Parallelism::Sequential);
-        // Compare piecewise: a whole-struct diff of megabytes helps no one.
+        let workers = ten_encoding_saves(Parallelism::Rayon, true);
+        let inline = ten_encoding_saves(Parallelism::Sequential, true);
         assert_eq!(workers.calls.len(), inline.calls.len());
         for (i, (w, s)) in workers.calls.iter().zip(&inline.calls).enumerate() {
             assert_eq!(w, s, "storage call {i} differs");
         }
-        assert_eq!(
-            workers.objects.keys().collect::<Vec<_>>(),
-            inline.objects.keys().collect::<Vec<_>>()
-        );
-        assert!(workers.objects == inline.objects, "object bytes differ");
-        assert!(workers.seals == inline.seals, "manifest or COMMIT differs");
-        assert_eq!(workers.counters, inline.counters);
-        assert_eq!(workers.reports, inline.reports);
+        assert_same_stored_bytes(&workers, &inline);
+        assert_eq!(workers.resident, inline.resident);
         // The run exercised what it claims to: hits, deltas, deep chains.
         let counter = |name: &str| workers.counters.iter().find(|c| c.0 == name).unwrap().1;
         assert!(counter("cas.dedup.hits") > 0);
@@ -1415,6 +1528,119 @@ mod tests {
             all_hits[1] + all_hits[2],
             "save 6 wrote payload"
         );
+    }
+
+    #[test]
+    fn cached_bases_change_reads_only() {
+        let warm = ten_encoding_saves(Parallelism::Rayon, true);
+        let cold = ten_encoding_saves(Parallelism::Rayon, false);
+        assert_same_stored_bytes(&warm, &cold);
+
+        // Everything that changes the store or a fault schedule's
+        // write-side view of it happens in the same order.
+        let writes = |run: &RunRecord| -> Vec<(&'static str, String)> {
+            let reads = [
+                "read",
+                "read_range",
+                "exists",
+                "file_len",
+                "list_dir",
+                "mtime",
+            ];
+            let mut calls = run.calls.clone();
+            calls.retain(|(op, _)| !reads.contains(op));
+            calls
+        };
+        let (warm_writes, cold_writes) = (writes(&warm), writes(&cold));
+        assert_eq!(warm_writes.len(), cold_writes.len());
+        for (i, (w, c)) in warm_writes.iter().zip(&cold_writes).enumerate() {
+            assert_eq!(w, c, "write-side call {i} differs");
+        }
+
+        // Whole-file reads per save (a save ends with the rename of its
+        // staging directory): of objects, and of anything else but chain
+        // markers and the predecessor's seal.
+        let whole_reads = |run: &RunRecord| -> Vec<(usize, usize)> {
+            let mut per_save = vec![(0, 0)];
+            for (op, path) in &run.calls {
+                let save = per_save.last_mut().expect("seeded");
+                if *op == "read" && path.ends_with(".obj") {
+                    save.0 += 1;
+                } else if *op == "read"
+                    && ![".delta", "COMMIT", "partial_manifest.json"]
+                        .iter()
+                        .any(|name| path.ends_with(name))
+                {
+                    save.1 += 1;
+                } else if *op == "rename" && path.ends_with(".tmp") {
+                    per_save.push((0, 0));
+                }
+            }
+            per_save.truncate(10);
+            per_save
+        };
+        let (warm_reads, cold_reads) = (whole_reads(&warm), whole_reads(&cold));
+        assert!(warm_reads.iter().chain(&cold_reads).all(|r| r.1 == 0));
+        // A cold save reads every hop of every base chain. A warm one reads
+        // headers (`read_range`) and markers only — except save 7: save 6
+        // re-staged nothing (all hits), so it left nothing behind.
+        for (i, (warm, cold)) in warm_reads.iter().zip(&cold_reads).enumerate() {
+            let has_bases = i != 0 && i != 5;
+            assert_eq!(cold.0 > 0, has_bases, "cold save {}", i + 1);
+            assert_eq!(
+                warm.0,
+                if i == 6 { cold.0 } else { 0 },
+                "warm save {}",
+                i + 1
+            );
+        }
+
+        // The cache never holds more than what the save that just
+        // committed missed: all of it, and nothing after the all-hits save.
+        for (held, report) in warm.resident.iter().zip(&warm.reports) {
+            assert_eq!(*held, report[1] + report[2] - report[4]);
+        }
+        assert_eq!(warm.resident[5], 0);
+        assert!(warm.resident[9] > 0);
+        assert!(cold.resident.iter().all(|held| *held == 0));
+    }
+
+    #[test]
+    fn compressing_save_stores_what_the_one_selection_rule_picks() {
+        // The engine's `Full` object for an image is the header plus
+        // `codec::smallest_encoding` of it — the bytes a compaction of the
+        // same image writes (`llmt_cas` checks that side).
+        let cfg = ModelConfig::tiny_test();
+        let (model, engine, ts) = make_state(&cfg, 2);
+        let live = LiveState {
+            config: &cfg,
+            params: &model.params,
+            engine: &engine,
+        };
+        let dir = tempfile::tempdir().unwrap();
+        let opts = SaveOptions {
+            delta_chain: 0,
+            ..encoding_opts(Parallelism::Rayon)
+        };
+        save_at(dir.path(), 1, &live, &ts, &opts).unwrap();
+        let store = ObjectStore::for_run_root(dir.path());
+        let mut encoded = 0;
+        for (digest, _) in store.list(&LocalFs).unwrap() {
+            let file = store.get(&LocalFs, digest).unwrap();
+            if !codec::is_encoded(&file) {
+                continue;
+            }
+            let image = store.materialize(&LocalFs, digest).unwrap();
+            let (picked, payload) = codec::smallest_encoding(&image);
+            let mut expected = codec::full_header(picked, image.len() as u64);
+            expected.extend_from_slice(&payload);
+            assert!(
+                file == expected,
+                "object {digest} was not encoded by the rule"
+            );
+            encoded += 1;
+        }
+        assert!(encoded > 0, "nothing was compressed");
     }
 
     /// [`LiveState`] whose rank-1 shards are rank 0's: every optimizer
@@ -1475,6 +1701,7 @@ mod tests {
                     units: &units,
                     metrics: &metrics,
                     store: None,
+                    bases: None,
                 };
                 let report = save(&[&LocalFs], &req, &encoding_opts(parallelism))
                     .unwrap()
@@ -1595,6 +1822,7 @@ mod tests {
             units: &LayerUnit::all(&cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         };
         let err = save(&[], &req, &SaveOptions::default()).unwrap_err();
         assert!(matches!(err, CkptError::Incompatible(_)), "{err}");

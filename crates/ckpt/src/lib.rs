@@ -63,5 +63,5 @@ pub use restore::{
 };
 pub use trainer_state::TrainerState;
 pub use verify::{verify_checkpoint, verify_checkpoint_on, VerifyReport};
-pub use writer::{CheckpointReport, SaveRequest};
+pub use writer::{BaseCache, CheckpointReport, SaveRequest};
 pub use zero_meta::ZeroMeta;

@@ -401,6 +401,7 @@ mod tests {
                 units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )
@@ -589,6 +590,7 @@ mod tests {
                 units: &LayerUnit::all(&cfg),
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::dedup(true),
         )

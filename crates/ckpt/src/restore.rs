@@ -874,6 +874,7 @@ mod tests {
             units,
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         };
         engine::save(&[&LocalFs], &req, &SaveOptions::dedup(dedup)).unwrap();
         (model, engine)

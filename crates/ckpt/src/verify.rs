@@ -364,6 +364,7 @@ pub(crate) mod tests {
                 units: &units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             };
             dir = engine::save(&[&LocalFs], &req, opts)
                 .unwrap()

@@ -31,6 +31,10 @@ use llmt_obs::MetricsRegistry;
 use llmt_storage::StageTimings;
 use std::path::Path;
 
+/// The type of [`SaveRequest::bases`], re-exported for the callers that
+/// own one.
+pub use llmt_cas::BaseCache;
+
 /// What to save and where its bookkeeping goes: the one argument every
 /// placement front hands to [`crate::engine::save`]. How to encode it is
 /// [`crate::engine::SaveOptions`]; which storages may take it is the
@@ -60,6 +64,15 @@ pub struct SaveRequest<'a> {
     /// Explicit object store for the place stage (the coordinator's
     /// shared, pin-observed store); `None` resolves it from `root`.
     pub store: Option<&'a ObjectStore>,
+    /// Decoded images the run's previous save staged, to take delta
+    /// bases from instead of re-materializing their chains; this save
+    /// leaves its own there when it commits. Only the place stage of a
+    /// delta save consults it, and only for the decode: whether an
+    /// object may be a base is still read from the store, and entries
+    /// are named by the SHA-256 of their bytes, so a stale one is never
+    /// used for another object. The trainer owns one per run; `None`
+    /// (every other caller) materializes each base from the store.
+    pub bases: Option<&'a BaseCache>,
 }
 
 /// What a save produced — sizes feed the Table 3/6 experiments.
@@ -134,6 +147,7 @@ mod tests {
             units,
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         };
         engine::save(&[storage], &req, &SaveOptions::dedup(dedup)).map(|p| p.report)
     }

@@ -5,7 +5,7 @@
 //! decode — after arbitrary interleavings of compaction, base loss, and
 //! store sweeps.
 
-use llmt_cas::ObjectStore;
+use llmt_cas::{BaseCache, ObjectStore};
 use llmt_ckpt::engine::{save, LiveState, SaveOptions};
 use llmt_ckpt::{
     read_seal, restore_checkpoint, verify_checkpoint_on, CheckpointHandle, CheckpointPaths,
@@ -76,6 +76,20 @@ fn save_step(
     engine: &ZeroEngine,
     opts: &SaveOptions,
 ) -> llmt_ckpt::CheckpointReport {
+    save_step_with(root, step, cfg, model, engine, opts, None)
+}
+
+/// [`save_step`] taking its delta bases from (and leaving them in) a
+/// run's decoded-base cache.
+fn save_step_with(
+    root: &Path,
+    step: u64,
+    cfg: &ModelConfig,
+    model: &Model,
+    engine: &ZeroEngine,
+    opts: &SaveOptions,
+    bases: Option<&BaseCache>,
+) -> llmt_ckpt::CheckpointReport {
     save(
         &[&LocalFs],
         &SaveRequest {
@@ -90,6 +104,7 @@ fn save_step(
             units: &LayerUnit::all(cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases,
         },
         opts,
     )
@@ -213,75 +228,90 @@ fn chain_cap_bounds_depth_across_many_steps() {
     }
 }
 
+/// Both ways a save can come by its delta bases: materialized from the
+/// store, or taken from the cache the run's previous save filled.
+fn cold_and_warm(test: impl Fn(Option<&BaseCache>)) {
+    test(None);
+    test(Some(&BaseCache::default()));
+}
+
 #[test]
 fn compaction_mid_run_preserves_restores_and_future_deltas() {
-    let cfg = ModelConfig::tiny_test();
-    let (mut model, mut engine, mut rng) = make_state(&cfg);
-    let dir = tempfile::tempdir().unwrap();
-    let opts = delta_opts(6);
+    cold_and_warm(|bases| {
+        let cfg = ModelConfig::tiny_test();
+        let (mut model, mut engine, mut rng) = make_state(&cfg);
+        let dir = tempfile::tempdir().unwrap();
+        let opts = delta_opts(6);
 
-    let mut images = Vec::new();
-    for step in 1..=4u64 {
-        evolve(&cfg, &mut model, &mut engine, &mut rng);
-        save_step(dir.path(), step, &cfg, &model, &engine, &opts);
-        images.push((step, weight_image(&model)));
-    }
-    // Flatten everything, then keep training: later saves delta against
-    // the now-Full step-4 objects.
-    let store = ObjectStore::for_run_root(dir.path());
-    let report = store.compact_chains(&LocalFs, 0).unwrap();
-    assert!(report.compacted > 0);
-    for step in 5..=6u64 {
-        evolve(&cfg, &mut model, &mut engine, &mut rng);
-        let r = save_step(dir.path(), step, &cfg, &model, &engine, &opts);
-        assert!(
-            r.delta_objects > 0,
-            "post-compaction step {step} wrote no deltas"
+        let mut images = Vec::new();
+        for step in 1..=4u64 {
+            evolve(&cfg, &mut model, &mut engine, &mut rng);
+            save_step_with(dir.path(), step, &cfg, &model, &engine, &opts, bases);
+            images.push((step, weight_image(&model)));
+        }
+        // Flatten everything, then keep training: later saves delta against
+        // the now-Full step-4 objects (whose decoded bytes, cached or not,
+        // are what they were).
+        let store = ObjectStore::for_run_root(dir.path());
+        let report = store.compact_chains(&LocalFs, 0).unwrap();
+        assert!(report.compacted > 0);
+        for step in 5..=6u64 {
+            evolve(&cfg, &mut model, &mut engine, &mut rng);
+            let r = save_step_with(dir.path(), step, &cfg, &model, &engine, &opts, bases);
+            assert!(
+                r.delta_objects > 0,
+                "post-compaction step {step} wrote no deltas"
+            );
+            images.push((step, weight_image(&model)));
+        }
+        for (step, image) in &images {
+            let ckpt = CheckpointPaths::under(dir.path(), *step).dir;
+            assert_restore_matches(&ckpt, *step, image);
+            deep_verify(&ckpt);
+        }
+        assert_eq!(
+            max_chain(dir.path(), 4),
+            0,
+            "compaction left step 4 chained"
         );
-        images.push((step, weight_image(&model)));
-    }
-    for (step, image) in &images {
-        let ckpt = CheckpointPaths::under(dir.path(), *step).dir;
-        assert_restore_matches(&ckpt, *step, image);
-        deep_verify(&ckpt);
-    }
-    assert_eq!(
-        max_chain(dir.path(), 4),
-        0,
-        "compaction left step 4 chained"
-    );
-    assert!(max_chain(dir.path(), 6) >= 1);
+        // Depth restarts from the rewritten objects' headers.
+        assert_eq!(max_chain(dir.path(), 5), 1);
+        assert_eq!(max_chain(dir.path(), 6), 2);
+    });
 }
 
 #[test]
 fn save_falls_back_to_full_objects_when_the_base_vanishes() {
-    let cfg = ModelConfig::tiny_test();
-    let (mut model, mut engine, mut rng) = make_state(&cfg);
-    let dir = tempfile::tempdir().unwrap();
-    let opts = delta_opts(4);
+    cold_and_warm(|bases| {
+        let cfg = ModelConfig::tiny_test();
+        let (mut model, mut engine, mut rng) = make_state(&cfg);
+        let dir = tempfile::tempdir().unwrap();
+        let opts = delta_opts(4);
 
-    evolve(&cfg, &mut model, &mut engine, &mut rng);
-    save_step(dir.path(), 1, &cfg, &model, &engine, &opts);
-    evolve(&cfg, &mut model, &mut engine, &mut rng);
-    save_step(dir.path(), 2, &cfg, &model, &engine, &opts);
+        evolve(&cfg, &mut model, &mut engine, &mut rng);
+        save_step_with(dir.path(), 1, &cfg, &model, &engine, &opts, bases);
+        evolve(&cfg, &mut model, &mut engine, &mut rng);
+        save_step_with(dir.path(), 2, &cfg, &model, &engine, &opts, bases);
 
-    // Simulate an out-of-band sweep stealing the whole store between
-    // saves: the next save must fall back to self-contained objects,
-    // not fail and not write dangling deltas.
-    let store = ObjectStore::for_run_root(dir.path());
-    for (digest, _) in store.list(&LocalFs).unwrap() {
-        std::fs::remove_file(store.object_path(digest)).unwrap();
-    }
-    evolve(&cfg, &mut model, &mut engine, &mut rng);
-    let report = save_step(dir.path(), 3, &cfg, &model, &engine, &opts);
-    assert_eq!(
-        report.delta_objects, 0,
-        "step 3 delta'd against a vanished base: {report:?}"
-    );
-    let image = weight_image(&model);
-    let ckpt = CheckpointPaths::under(dir.path(), 3).dir;
-    assert_restore_matches(&ckpt, 3, &image);
-    deep_verify(&ckpt);
+        // Simulate an out-of-band sweep stealing the whole store between
+        // saves: the next save must fall back to self-contained objects,
+        // not fail and not write dangling deltas — holding the vanished
+        // objects' decoded bytes does not make them bases.
+        let store = ObjectStore::for_run_root(dir.path());
+        for (digest, _) in store.list(&LocalFs).unwrap() {
+            std::fs::remove_file(store.object_path(digest)).unwrap();
+        }
+        evolve(&cfg, &mut model, &mut engine, &mut rng);
+        let report = save_step_with(dir.path(), 3, &cfg, &model, &engine, &opts, bases);
+        assert_eq!(
+            report.delta_objects, 0,
+            "step 3 delta'd against a vanished base: {report:?}"
+        );
+        let image = weight_image(&model);
+        let ckpt = CheckpointPaths::under(dir.path(), 3).dir;
+        assert_restore_matches(&ckpt, 3, &image);
+        deep_verify(&ckpt);
+    });
 }
 
 #[test]

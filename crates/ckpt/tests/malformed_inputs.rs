@@ -216,6 +216,7 @@ fn committed_ckpt_impl(root: &Path, layout: Layout) -> std::path::PathBuf {
             units: &LayerUnit::all(&cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         };
         dir = engine::save(&[&LocalFs], &req, &opts)
             .unwrap()

@@ -154,6 +154,7 @@ fn publish(
                 units: &units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )
@@ -381,10 +382,10 @@ fn transient_faults_during_chaos_are_absorbed_by_retries() {
 fn kill_points_in_one_publisher_never_damage_other_runs() {
     let cfg = ModelConfig::tiny_test();
     let (model, zero, ts) = make_state(&cfg, 13);
-    // Healthy baseline save into run-a, then a doomed publisher for run-b
-    // dies at each kill point. Whatever it leaves behind, run-a must stay
-    // verifiable and a collector pass must cope with the debris.
-    for at_op in [1u64, 10, 60, 200] {
+    // Healthy baseline save into run-a, then a publisher for run-b writes
+    // through its own handle onto the same directory tree (a killed
+    // process, not a killed disk) and dies where `spec` says.
+    let scenario = |spec: FaultSpec| {
         let dir = tempfile::tempdir().unwrap();
         let clock = Arc::new(ManualClock::default());
         let storage: Arc<dyn Storage> = Arc::new(LocalFs);
@@ -392,17 +393,9 @@ fn kill_points_in_one_publisher_never_damage_other_runs() {
             .unwrap();
         publish(&coord, "run-a", 1, &cfg, &model, &zero, &ts);
 
-        // The doomed actor writes through its own dying handle onto the
-        // same directory tree (a killed process, not a killed disk).
-        let doomed: Arc<dyn Storage> = Arc::new(FaultyFs::new(
-            LocalFs,
-            FaultSpec {
-                at_op,
-                kind: FaultKind::Crash,
-            },
-        ));
+        let doomed = Arc::new(FaultyFs::new(LocalFs, spec));
         let doomed_coord =
-            Coordinator::open_on(doomed, dir.path(), test_config(), clock.clone()).unwrap();
+            Coordinator::open_on(doomed.clone(), dir.path(), test_config(), clock.clone()).unwrap();
         let outcome = doomed_coord
             .publisher("run-b", 1 << 20)
             .and_then(|session| {
@@ -420,11 +413,32 @@ fn kill_points_in_one_publisher_never_damage_other_runs() {
                         units: &units,
                         metrics: &MetricsRegistry::new(),
                         store: None,
+                        bases: None,
                     },
                     &SaveOptions::default(),
                 )
             });
-        assert!(outcome.is_err(), "kill point {at_op} did not fire");
+        (dir, storage, coord, doomed.ops_attempted(), outcome)
+    };
+
+    // Census: the ops of an undisturbed publisher, so the kill points
+    // below land inside the save however many ops it takes today.
+    let (_dir, _, _, total_ops, clean) = scenario(FaultSpec::never());
+    clean.expect("undisturbed publisher commits");
+    assert!(
+        total_ops > 8,
+        "publisher used suspiciously few ops: {total_ops}"
+    );
+
+    for at_op in [1, total_ops / 4, total_ops / 2, total_ops - 1] {
+        let (dir, storage, coord, _, outcome) = scenario(FaultSpec {
+            at_op,
+            kind: FaultKind::Crash,
+        });
+        assert!(
+            outcome.is_err(),
+            "kill point {at_op} of {total_ops} did not fire"
+        );
 
         // Survivors are intact and GC tolerates the wreckage.
         coord.collector().unwrap().collect().unwrap();

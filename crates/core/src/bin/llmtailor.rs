@@ -756,6 +756,7 @@ fn cmd_save(args: &[String]) -> Result<(), String> {
             units: &units,
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         };
         let (_, published) = client
             .save(&storage, &run, 8 << 20, &req, &SaveOptions::default())

@@ -247,6 +247,7 @@ fn save_sharded(
         units: &LayerUnit::all(config),
         metrics: &MetricsRegistry::new(),
         store: None,
+        bases: None,
     };
     Ok(engine::save(&[storage], &req, &SaveOptions::default())?.report)
 }

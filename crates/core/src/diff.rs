@@ -161,6 +161,7 @@ mod tests {
                         units: &LayerUnit::all(cfg),
                         metrics: &MetricsRegistry::new(),
                         store: None,
+                        bases: None,
                     },
                     &SaveOptions::default(),
                 )

@@ -320,6 +320,7 @@ mod tests {
                 units: &LayerUnit::all(cfg),
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::dedup(true),
         )

@@ -98,6 +98,7 @@ pub fn execute_plan(plan: &MergePlan, mode: LoadMode, pattern: LoadPattern) -> R
         units: &LayerUnit::all(&plan.config),
         metrics: &MetricsRegistry::new(),
         store: None,
+        bases: None,
     };
     let report = engine::save(&[&fs], &req, &SaveOptions::dedup(store.is_some()))?.report;
 

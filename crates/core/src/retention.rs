@@ -208,6 +208,7 @@ mod tests {
             units: &LayerUnit::all(cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         };
         engine::save(&[&LocalFs], &req, &SaveOptions::dedup(dedup)).unwrap();
     }

@@ -60,6 +60,7 @@ fn save_step<T>(cfg: &ModelConfig, root: &Path, step: u64, save: impl FnOnce(&Sa
         units: &LayerUnit::all(cfg),
         metrics: &MetricsRegistry::new(),
         store: None,
+        bases: None,
     });
 }
 

@@ -68,6 +68,7 @@ fn build_run(root: &Path, cfg: &ModelConfig) {
                 units: &units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )

@@ -94,6 +94,7 @@ impl Fixture {
                 units: &LayerUnit::all(&self.cfg),
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )

@@ -91,6 +91,7 @@ impl Fixture {
                 units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )
@@ -366,26 +367,36 @@ fn partial_source_missing_unit_rejected_at_plan_time() {
 
 #[test]
 fn structurally_incompatible_sources_rejected() {
-    let dir = tempfile::tempdir().unwrap();
     let cfg_a = ModelConfig::tiny_test();
-    let cfg_b = ModelConfig::tiny_test_tied();
-    let mut fa = Fixture::new(cfg_a.clone(), 6);
-    fa.train(1);
-    let ca = fa.save(&dir.path().join("a"), &LayerUnit::all(&cfg_a));
-    let mut fb = Fixture::new(cfg_b.clone(), 6);
-    fb.train(1);
-    let cb = fb.save(&dir.path().join("b"), &LayerUnit::all(&cfg_b));
-    let recipe = MergeRecipe {
-        merge_method: "passthrough".into(),
-        base_checkpoint: ca,
-        output: dir.path().join("out"),
-        slices: vec![SliceSpec {
-            checkpoint: cb,
-            units: vec!["norm".into()],
-        }],
+    // A tied head; and a donor differing in nothing but the key/value head
+    // count, which sizes every layer's k_proj and v_proj.
+    let fewer_kv_heads = ModelConfig {
+        num_key_value_heads: 1,
+        ..cfg_a.clone()
     };
-    let err = MergePlan::resolve(&recipe).unwrap_err();
-    assert!(err.to_string().contains("incompatible"), "{err}");
+    for cfg_b in [ModelConfig::tiny_test_tied(), fewer_kv_heads] {
+        let dir = tempfile::tempdir().unwrap();
+        let mut fa = Fixture::new(cfg_a.clone(), 6);
+        fa.train(1);
+        let ca = fa.save(&dir.path().join("a"), &LayerUnit::all(&cfg_a));
+        let mut fb = Fixture::new(cfg_b.clone(), 6);
+        fb.train(1);
+        let cb = fb.save(&dir.path().join("b"), &LayerUnit::all(&cfg_b));
+        let recipe = MergeRecipe {
+            merge_method: "passthrough".into(),
+            base_checkpoint: ca,
+            output: dir.path().join("out"),
+            slices: vec![SliceSpec {
+                checkpoint: cb,
+                units: vec!["norm".into()],
+            }],
+        };
+        // Rejected while planning, before any payload is read or written.
+        let err = MergePlan::resolve(&recipe).unwrap_err();
+        assert!(matches!(err, TailorError::Plan(_)), "{err}");
+        assert!(err.to_string().contains("incompatible"), "{err}");
+        assert!(!recipe.output.exists());
+    }
 }
 
 /// Table 7's mechanism: the interleaved parity pattern re-reads whole

@@ -58,6 +58,7 @@ fn save_at(root: &Path, cfg: &ModelConfig, seed: u64, steps: u64) -> PathBuf {
             units: &LayerUnit::all(cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         },
         &SaveOptions::default(),
     )

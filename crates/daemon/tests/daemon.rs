@@ -101,6 +101,7 @@ fn save_via_daemon(
         units: &units,
         metrics: &MetricsRegistry::new(),
         store: None,
+        bases: None,
     };
     let opts = SaveOptions {
         dedup: true,
@@ -362,6 +363,7 @@ fn daemon_resumes_an_interrupted_tier_drain() {
                 units: &units,
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )

@@ -249,6 +249,7 @@ pub(crate) mod test_helpers {
                 units: &LayerUnit::all(cfg),
                 metrics: &MetricsRegistry::new(),
                 store: None,
+                bases: None,
             },
             &SaveOptions::default(),
         )

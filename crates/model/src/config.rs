@@ -150,6 +150,7 @@ impl ModelConfig {
             && self.intermediate_size == other.intermediate_size
             && self.num_hidden_layers == other.num_hidden_layers
             && self.num_attention_heads == other.num_attention_heads
+            && self.num_key_value_heads == other.num_key_value_heads
             && self.tie_word_embeddings == other.tie_word_embeddings
             && self.attention_bias == other.attention_bias
     }
@@ -361,6 +362,10 @@ mod tests {
         assert!(a.structurally_equal(&b));
         b.num_hidden_layers += 1;
         assert!(!a.structurally_equal(&b));
+        // The key/value head count sizes k_proj and v_proj.
+        let mut c = a.clone();
+        c.num_key_value_heads = 1;
+        assert!(!a.structurally_equal(&c));
     }
 
     #[test]

@@ -91,6 +91,7 @@ fn save_step(mgr: &TierManager, root: &Path, cfg: &ModelConfig, step: u64) {
             units: &units,
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         },
         &save_opts(),
     )

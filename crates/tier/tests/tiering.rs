@@ -75,6 +75,7 @@ fn try_save_step(
             units: &units,
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         },
         &SaveOptions::default(),
     )
@@ -527,6 +528,7 @@ fn drains_carry_delta_chains_to_every_tier() {
                     units: &units,
                     metrics: &MetricsRegistry::new(),
                     store: None,
+                    bases: None,
                 },
                 &opts,
             )
@@ -755,6 +757,7 @@ fn a_checkpoint_not_named_by_step_opens_through_any_storage() {
             units: &LayerUnit::all(&cfg),
             metrics: &MetricsRegistry::new(),
             store: None,
+            bases: None,
         },
         &SaveOptions::dedup(true),
     )

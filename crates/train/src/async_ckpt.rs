@@ -119,6 +119,7 @@ impl AsyncCheckpointer {
                         units: &job.units,
                         metrics: &worker_metrics,
                         store: None,
+                        bases: None,
                     };
                     let result = engine::save(&[&*storage], &req, &job.options).map(|placed| {
                         let mut report = placed.report;

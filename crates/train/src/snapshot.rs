@@ -48,6 +48,12 @@ impl StagedGauge {
         }
     }
 
+    /// The resident-bytes level itself, for run-owned staged bytes that
+    /// are not snapshot blocks (the trainer's decoded delta bases).
+    pub(crate) fn resident(&self) -> Arc<Gauge> {
+        self.resident.clone()
+    }
+
     fn add(&self, bytes: u64) {
         self.clones.incr();
         self.resident.add(bytes);

@@ -5,7 +5,7 @@ use crate::snapshot::{SnapshotTracker, StagedGauge};
 use llmt_ckpt::engine::{self, LiveState, Parallelism, SaveOptions};
 use llmt_ckpt::error::io_err;
 use llmt_ckpt::manifest::SaveLog;
-use llmt_ckpt::writer::{CheckpointReport, SaveRequest};
+use llmt_ckpt::writer::{BaseCache, CheckpointReport, SaveRequest};
 use llmt_ckpt::{CheckpointPaths, CkptError, Result, TrainerState};
 use llmt_data::{BatchSource, DataTask};
 use llmt_model::{Model, ModelConfig, ParamSet};
@@ -196,6 +196,12 @@ pub struct Trainer {
     /// Copy-on-write snapshot bookkeeping for async saves: tracks which
     /// units the optimizer has mutated so a snapshot clones only those.
     snapshots: SnapshotTracker,
+    /// Decoded images of what the last synchronous delta save stored,
+    /// which the next one takes its XOR bases from
+    /// ([`SaveRequest::bases`]). At most one save's missed bytes, booked
+    /// on the snapshot gauge; empty in a fresh or resumed trainer, whose
+    /// first save materializes its bases from the store.
+    bases: BaseCache,
     /// Storage stack every checkpoint write goes through (the config's
     /// retry wrapper, or whatever [`Trainer::with_storage`] was handed).
     storage: Arc<dyn Storage>,
@@ -341,6 +347,7 @@ impl Trainer {
             )
         });
         let journal = Journal::at_run_root(storage.clone(), &config.run_root);
+        let snapshots = SnapshotTracker::with_metrics(&metrics);
         Trainer {
             config,
             model,
@@ -353,7 +360,8 @@ impl Trainer {
             loss_history: Vec::new(),
             dynamic,
             async_writer,
-            snapshots: SnapshotTracker::with_metrics(&metrics),
+            bases: BaseCache::with_gauge(snapshots.gauge().resident()),
+            snapshots,
             storage,
             metrics,
             journal,
@@ -402,6 +410,7 @@ impl Trainer {
             )
         });
         let journal = Journal::at_run_root(storage.clone(), &config.run_root);
+        let snapshots = SnapshotTracker::with_metrics(&metrics);
         Trainer {
             config,
             model,
@@ -414,7 +423,8 @@ impl Trainer {
             loss_history,
             dynamic,
             async_writer,
-            snapshots: SnapshotTracker::with_metrics(&metrics),
+            bases: BaseCache::with_gauge(snapshots.gauge().resident()),
+            snapshots,
             storage,
             metrics,
             journal,
@@ -577,6 +587,7 @@ impl Trainer {
             units: &units,
             metrics: &self.metrics,
             store: None,
+            bases: Some(&self.bases),
         })?;
         self.ckpt_event += 1;
         self.book_save(self.step, &report)?;

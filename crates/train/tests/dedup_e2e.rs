@@ -9,6 +9,9 @@
 //! 3. Garbage collection killed at *any* storage op never deletes a live
 //!    object: every surviving committed checkpoint still verifies, and a
 //!    clean retry finishes the sweep.
+//! 4. The decoded delta bases a trainer keeps between saves stay usable
+//!    (or are safely ignored) whatever maintenance does to the store in
+//!    between: compaction, retention, GC, a rollback, a racing sweep.
 
 use llmt_ckpt::{census_run_roots, read_seal, CheckpointPaths};
 use llmt_model::LayerUnit;
@@ -253,5 +256,102 @@ fn gc_killed_at_any_op_never_deletes_a_live_object() {
         );
         let v = llmt_ckpt::verify_checkpoint(&root.path().join("checkpoint-4")).unwrap();
         assert!(v.ok(), "kill at op {k} post-retry: {:?}", v.findings);
+    }
+}
+
+#[test]
+fn maintenance_between_delta_saves_never_strands_the_trainers_cached_bases() {
+    let dir = tempfile::tempdir().unwrap();
+    let root = dir.path();
+    let mut cfg = dedup_config(root);
+    cfg.ckpt_interval = 1;
+    cfg.ckpt_compress = true;
+    cfg.ckpt_delta_chain = 8;
+    let store = llmt_cas::ObjectStore::for_run_root(root);
+    let ckpt = |step: u64| root.join(format!("checkpoint-{step}"));
+    let objects_of = |step: u64| -> Vec<llmt_cas::Digest> {
+        let refs = read_seal(&LocalFs, &CheckpointPaths::under(root, step))
+            .manifest
+            .unwrap()
+            .objects
+            .unwrap();
+        refs.weights
+            .values()
+            .chain(refs.optim.values())
+            .map(|r| llmt_cas::Digest::parse_hex(&r.digest).unwrap())
+            .collect()
+    };
+    let deepest = |step: u64| -> usize {
+        objects_of(step)
+            .into_iter()
+            .map(|d| store.chain_len(&LocalFs, d).unwrap())
+            .max()
+            .unwrap()
+    };
+
+    // Six every-step saves: chains five deep, the trainer holding the
+    // decoded images of checkpoint-6.
+    let mut t = Trainer::new(cfg.clone());
+    t.train_until(6, None).unwrap();
+    assert_eq!(deepest(6), 5);
+
+    // An every-step run's maintenance pass. Compaction rewrites deep
+    // objects to `Full` under their names; the cached images are still
+    // those names' bytes, and how deep the next save's deltas sit is read
+    // from the rewritten headers, not remembered.
+    llmtailor::prune_run(root, &cfg.model_config, 2).unwrap();
+    let compacted = llmtailor::compact_run_on(&LocalFs, root, 4).unwrap();
+    assert!(compacted.compacted > 0, "{compacted:?}");
+    llmtailor::collect_garbage_on(&LocalFs, root).unwrap();
+    let after = deepest(6);
+    assert!(after <= 4);
+    t.train_until(7, None).unwrap();
+    assert_eq!(deepest(7), after + 1);
+
+    // Every object the cache holds decoded is flattened in place.
+    llmtailor::compact_run_on(&LocalFs, root, 0).unwrap();
+    assert_eq!(deepest(7), 0);
+    t.train_until(8, None).unwrap();
+    assert_eq!(deepest(8), 1);
+
+    // A rollback: checkpoint-8 is deleted and its objects swept while the
+    // trainer still holds their images. The next save's bases are
+    // checkpoint-7's; the stale entries are never asked for.
+    std::fs::remove_dir_all(ckpt(8)).unwrap();
+    let gc = llmtailor::collect_garbage_on(&LocalFs, root).unwrap();
+    assert!(gc.sweep.deleted_objects > 0, "{gc:?}");
+    t.train_until(9, None).unwrap();
+    assert_eq!(deepest(9), 1);
+
+    // A sweep that raced the run: checkpoint-9's own objects vanish while
+    // its manifest still names them and the trainer still holds them
+    // decoded. The next save stores self-contained objects.
+    let older = objects_of(7);
+    for digest in objects_of(9) {
+        if !older.contains(&digest) {
+            std::fs::remove_file(store.object_path(digest)).unwrap();
+        }
+    }
+    t.train_until(10, None).unwrap();
+    assert_eq!(deepest(10), 0);
+
+    // Every checkpoint whose objects survive verifies hop by hop, and the
+    // newest resumes to exactly the live trainer.
+    for step in [7u64, 10] {
+        let v = llmt_ckpt::verify_checkpoint_on(std::sync::Arc::new(LocalFs), &ckpt(step), true)
+            .unwrap();
+        assert!(v.ok(), "checkpoint-{step}: {:?}", v.findings);
+    }
+    let resumed = resume_trainer(&ckpt(10), cfg).unwrap();
+    assert_eq!(resumed.step, t.step);
+    for ((spec, x), (_, y)) in t.model.params.iter().zip(resumed.model.params.iter()) {
+        assert_eq!(x.data(), y.data(), "tensor {} diverged", spec.name);
+    }
+    for (live, back) in t.engine.ranks.iter().zip(&resumed.engine.ranks) {
+        for (x, y) in live.shards.iter().zip(&back.shards) {
+            assert_eq!(x.master, y.master);
+            assert_eq!(x.exp_avg, y.exp_avg);
+            assert_eq!(x.exp_avg_sq, y.exp_avg_sq);
+        }
     }
 }

@@ -87,6 +87,7 @@ fn main() {
                     units: &units,
                     metrics: &MetricsRegistry::new(),
                     store: None,
+                    bases: None,
                 },
                 &SaveOptions::default(),
             )

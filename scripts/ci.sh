@@ -63,6 +63,23 @@ ENCODE_FN="$(sed -n '/^fn encode_image(/,/^}/p' crates/ckpt/src/engine.rs)"
 if echo "$ENCODE_FN" | grep -niE 'storage|store'; then
   echo "encode_image reaches for storage (see the matches above)"; exit 1
 fi
+# One codec choice: product code reaches the LZSS encoder only through
+# `codec::smallest_encoding` (or `Codec::encode`, for a caller that was
+# told which codec), so the selection rule cannot fork again. The ledger's
+# encoder-throughput probe is the one outside caller.
+ENCODER_CALLS=$(for f in $(git ls-files 'crates/*/src/*.rs' ':!crates/ledger' \
+  ':!crates/cas/src/codec.rs'); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | grep -nF 'lzss_compress(' | sed "s|^|$f:|" || true
+done)
+if [ -n "$ENCODER_CALLS" ]; then
+  echo "$ENCODER_CALLS"
+  echo "lzss_compress( called outside crates/cas/src/codec.rs"; exit 1
+fi
+# A delta save decodes a base from the store in one place only: the cold
+# fallback of `stage_miss`, for a base the run's cache does not hold.
+if [ "$(sed '/#\[cfg(test)\]/,$d' crates/ckpt/src/engine.rs | grep -cF '.materialize(')" -ne 1 ]; then
+  echo "expected exactly one .materialize( call in engine.rs outside its tests"; exit 1
+fi
 # A resume costs what its verified read costs: the resume path never
 # initialises a model or an engine only to overwrite it (it adopts the
 # restored rank states through `ZeroEngine::from_rank_states`), and the
@@ -78,6 +95,10 @@ if echo "$BIND_STAGE" | grep -n 'to_f32s'; then
   echo "the restore bind stage converts tensors (see the matches above)"; exit 1
 fi
 cargo test -q
+# The codec proptests (every stream decodes with the PR 17 decoder, the
+# size bound, the selection rule) once more with optimizations on: the
+# encoder's arithmetic and slice bounds are what they exercise.
+cargo test -q --release -p llmt-cas
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 

@@ -167,9 +167,10 @@ fn resume_with_rank_states_that_do_not_fit_is_a_typed_error() {
     restore_checkpoint(&short, &RestoreRequest::default()).expect("self-consistent checkpoint");
     assert!(resume(&short, cfg.clone()).contains("group"));
 
-    // No tampering needed: `structurally_equal` does not look at the
-    // key/value head count, which sizes k_proj and v_proj.
+    // No tampering needed: a trainer configured with another key/value
+    // head count, which sizes k_proj and v_proj. The config check turns
+    // it away before any state is bound.
     let mut fewer_kv_heads = cfg;
     fewer_kv_heads.model_config.num_key_value_heads = 1;
-    resume(pristine_checkpoint(), fewer_kv_heads);
+    assert!(resume(pristine_checkpoint(), fewer_kv_heads).contains("configured model"));
 }
