@@ -35,8 +35,6 @@ fn run(strategy: StrategyKind, async_ckpt: bool) -> (f64, f64, u64) {
         max_grad_norm: None,
         dedup_checkpoints: false,
         frozen_units: Vec::new(),
-        ckpt_chunk_bytes: None,
-        sequential_ckpt_io: false,
         ckpt_compress: false,
         ckpt_delta_chain: 0,
     });

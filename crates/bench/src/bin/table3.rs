@@ -32,8 +32,6 @@ fn measured(model: ModelConfig, task: DataTask, strategy: StrategyKind) -> (u64,
         max_grad_norm: None,
         dedup_checkpoints: false,
         frozen_units: Vec::new(),
-        ckpt_chunk_bytes: None,
-        sequential_ckpt_io: false,
         ckpt_compress: false,
         ckpt_delta_chain: 0,
     });

@@ -157,18 +157,6 @@ pub enum ObjectKind {
     },
 }
 
-impl ObjectKind {
-    /// Length of the header this kind occupies in the object file
-    /// (0 for legacy raw objects).
-    pub fn header_len(&self) -> usize {
-        match self {
-            ObjectKind::LegacyRaw => 0,
-            ObjectKind::Full { .. } => FULL_HEADER_LEN,
-            ObjectKind::Delta { .. } => DELTA_HEADER_LEN,
-        }
-    }
-}
-
 /// Whether `bytes` begin with the encoded-object magic.
 pub fn is_encoded(bytes: &[u8]) -> bool {
     bytes.len() >= OBJECT_MAGIC.len() && &bytes[..OBJECT_MAGIC.len()] == OBJECT_MAGIC

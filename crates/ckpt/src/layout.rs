@@ -24,7 +24,8 @@
 //! reads one directory's marker and manifest through a [`Storage`] and is
 //! the sole caller of [`CommitStatus::evaluate`]; [`scan_run_root_on`] is
 //! `list_dir` + the same read per entry and keeps the sealed manifests for
-//! recovery, retention and [`crate::manifest::census_run_roots`].
+//! recovery, retention and [`crate::manifest::census_run_roots`] — for
+//! which alone a read that fails is an error and not an absent file.
 
 use crate::error::{io_err, CkptError, Result};
 use crate::manifest::PartialManifest;
@@ -308,24 +309,43 @@ pub struct Seal {
 /// "not committed", never an error — and a staging directory is
 /// [`CommitStatus::Staging`] unread.
 pub fn read_seal(storage: &dyn Storage, paths: &CheckpointPaths) -> Seal {
-    let (status, bytes) = seal_bytes(storage, paths);
+    let (status, bytes) = seal_bytes(storage, paths, false).expect("only a census read fails");
     Seal {
         status,
         manifest: bytes.and_then(|bytes| parse_manifest(paths, &bytes)),
     }
 }
 
+/// One catalog read as its caller may take it. Listings, `Status`, resume
+/// and recovery read whatever fails as absent ("not committed"). A GC
+/// `census` may not: a checkpoint it cannot see is one whose live objects
+/// it would sweep, so there only a path that is not there (`NotFound`, or
+/// `NotADirectory` for a stray file named like a checkpoint) is absent and
+/// every other failure is the pass's error.
+fn seen<T>(read: io::Result<T>, path: &Path, census: bool) -> Result<io::Result<T>> {
+    use io::ErrorKind::{NotADirectory, NotFound};
+    match read {
+        Err(e) if census && !matches!(e.kind(), NotFound | NotADirectory) => Err(io_err(path)(e)),
+        read => Ok(read),
+    }
+}
+
 /// [`read_seal`] short of parsing: the verdict and the manifest bytes.
-fn seal_bytes(storage: &dyn Storage, paths: &CheckpointPaths) -> (CommitStatus, Result<Vec<u8>>) {
+fn seal_bytes(
+    storage: &dyn Storage,
+    paths: &CheckpointPaths,
+    census: bool,
+) -> Result<(CommitStatus, Result<Vec<u8>>)> {
     if CheckpointPaths::is_staging_dir(&paths.dir) {
         let status = CommitStatus::Staging;
         let unread = CkptError::Quarantined(paths.dir.clone(), status.describe());
-        return (status, Err(unread));
+        return Ok((status, Err(unread)));
     }
-    let marker = storage.read(&paths.commit_marker()).ok();
-    let manifest = storage.read(&paths.manifest());
+    let (marker_path, manifest_path) = (paths.commit_marker(), paths.manifest());
+    let marker = seen(storage.read(&marker_path), &marker_path, census)?.ok();
+    let manifest = seen(storage.read(&manifest_path), &manifest_path, census)?;
     let status = CommitStatus::evaluate(marker.as_deref(), manifest.as_deref().ok());
-    (status, manifest.map_err(io_err(paths.manifest())))
+    Ok((status, manifest.map_err(io_err(manifest_path))))
 }
 
 fn parse_manifest(paths: &CheckpointPaths, bytes: &[u8]) -> Result<PartialManifest> {
@@ -398,9 +418,23 @@ impl ScanReport {
 /// entry (including `.tmp` staging leftovers) as committed or quarantined:
 /// one `list_dir`, then one seal read per candidate. (`Storage` has no
 /// `is_dir`: a stray *file* so named is quarantined as an unsealed dir.)
+/// A root that cannot be listed scans as empty and a seal that cannot be
+/// read as not committed; `census_scan` is the same scan for the one
+/// caller that deletes on the strength of it.
 pub fn scan_run_root_on(storage: &dyn Storage, root: &Path) -> ScanReport {
+    scan(storage, root, false).expect("only a census scan fails")
+}
+
+/// [`scan_run_root_on`] for the GC census: the same reads, but a listing,
+/// marker or manifest that fails with anything other than "not there" is
+/// a typed [`CkptError::Io`] instead of an absent checkpoint.
+pub(crate) fn census_scan(storage: &dyn Storage, root: &Path) -> Result<ScanReport> {
+    scan(storage, root, true)
+}
+
+fn scan(storage: &dyn Storage, root: &Path, census: bool) -> Result<ScanReport> {
     let mut report = ScanReport::default();
-    for dir in storage.list_dir(root).unwrap_or_default() {
+    for dir in seen(storage.list_dir(root), root, census)?.unwrap_or_default() {
         let Some(rest) = dir
             .file_name()
             .and_then(|n| n.to_str())
@@ -420,7 +454,7 @@ pub fn scan_run_root_on(storage: &dyn Storage, root: &Path) -> ScanReport {
             continue;
         };
         let paths = CheckpointPaths { dir, step };
-        match seal_bytes(storage, &paths) {
+        match seal_bytes(storage, &paths, census)? {
             (CommitStatus::Committed, Ok(manifest_bytes)) => {
                 report.committed.push(SealedCheckpoint {
                     dir: paths.dir,
@@ -437,7 +471,7 @@ pub fn scan_run_root_on(storage: &dyn Storage, root: &Path) -> ScanReport {
     }
     report.committed.sort_by_key(|c| c.step);
     report.quarantined.sort_by(|a, b| a.dir.cmp(&b.dir));
-    report
+    Ok(report)
 }
 
 /// [`scan_run_root_on`] on the local filesystem.

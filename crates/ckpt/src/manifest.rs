@@ -13,7 +13,7 @@
 //! objects referenced — the GC liveness census).
 
 use crate::error::{io_err, CkptError, Result};
-use crate::layout::{scan_run_root_on, ScanReport};
+use crate::layout::{census_scan, scan_run_root_on, ScanReport};
 use llmt_cas::Digest;
 use llmt_model::LayerUnit;
 use llmt_storage::vfs::{LocalFs, Storage};
@@ -138,7 +138,7 @@ impl SaveLog {
 /// The run's save log as it should be *trusted*: reconciled against the
 /// commit markers actually on disk.
 ///
-/// Two crash windows make the raw `save_log.json` unreliable:
+/// Three crash windows make the raw `save_log.json` unreliable:
 ///
 /// * crash *during* a save — the log was never updated, but a torn
 ///   (quarantined) directory exists. Filtering log entries to committed
@@ -147,6 +147,9 @@ impl SaveLog {
 ///   committed checkpoint exists that the log has never heard of.
 ///   Absorbing each committed directory's manifest closes that gap (and
 ///   covers a missing `save_log.json` entirely).
+/// * crash *during* the log write — `save_log.json` is a torn prefix that
+///   does not parse. It is read as empty: the manifests repeat every entry
+///   it could hold for a committed step.
 ///
 /// Returns the reconciled log plus the scan so callers can surface
 /// quarantined directories. Reads `LocalFs`, like the resume, recovery and
@@ -160,7 +163,11 @@ pub fn effective_save_log(run_root: &Path) -> Result<(SaveLog, ScanReport)> {
     let mut merged: BTreeMap<String, BTreeSet<u64>> = BTreeMap::new();
     let log_path = run_root.join("save_log.json");
     if LocalFs.exists(&log_path) {
-        let logged = SaveLog::load_on(&LocalFs, &log_path)?;
+        let logged = match SaveLog::load_on(&LocalFs, &log_path) {
+            Ok(logged) => logged,
+            Err(CkptError::Json(_)) => SaveLog::default(),
+            Err(e) => return Err(e),
+        };
         for (unit, steps) in &logged.saved_at {
             let kept: BTreeSet<u64> = steps
                 .iter()
@@ -223,11 +230,13 @@ impl Census {
 /// Census every committed checkpoint under `run_roots` through `storage`
 /// — the storage the caller's sweep must then run on. One scan per root,
 /// every seal read once; a sealed manifest that does not parse or carries
-/// a malformed digest is an error, not a guess.
+/// a malformed digest is an error, not a guess, and so is a root, marker or
+/// manifest that is there but cannot be read (`census_scan`): "not found"
+/// is "not committed", "unreadable" is a pass that may not sweep.
 pub fn census_run_roots(storage: &dyn Storage, run_roots: &[impl AsRef<Path>]) -> Result<Census> {
     let mut census = Census::default();
     for root in run_roots {
-        for cp in &scan_run_root_on(storage, root.as_ref()).committed {
+        for cp in &census_scan(storage, root.as_ref())?.committed {
             census.absorb(&cp.dir, &cp.manifest()?)?;
         }
     }
@@ -320,6 +329,13 @@ mod tests {
         assert_eq!(scan.committed_steps(), vec![10, 30]);
         assert_eq!(scan.quarantined.len(), 1);
         assert_eq!(scan.quarantined[0].step, Some(20));
+
+        // A crash tore the log itself mid-write: the manifests carry on.
+        let log_path = dir.path().join("save_log.json");
+        let whole = std::fs::read(&log_path).unwrap();
+        std::fs::write(&log_path, &whole[..whole.len() / 2]).unwrap();
+        let (eff, _) = effective_save_log(dir.path()).unwrap();
+        assert_eq!(eff.saved_at["norm"], vec![10, 30]);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!
 //! Fetch/decode/validate run fused per file on the rayon pool, so a
 //! checkpoint with many unit and shard files restores with near-linear
-//! speedup over the sequential baseline (`restore_throughput` bench).
+//! speedup over the sequential baseline (the ledger's `ckpt.restore.*`
+//! stage times beside `restore_ms`).
 //! Every per-byte pass over the payload, the `f32` conversion included,
 //! is inside that parallel stage; the bind stage on the caller's thread
 //! touches no tensor data unless the topology changes.

@@ -239,7 +239,6 @@ struct Shared {
     admission: Admission,
     retired: Mutex<Vec<RetiredCheckpoint>>,
     collector_active: AtomicBool,
-    epoch_of_last_sweep: AtomicU64,
 }
 
 impl std::fmt::Debug for Shared {
@@ -316,7 +315,6 @@ impl Coordinator {
                 admission,
                 retired: Mutex::new(Vec::new()),
                 collector_active: AtomicBool::new(false),
-                epoch_of_last_sweep: AtomicU64::new(0),
             }),
         })
     }
@@ -344,11 +342,6 @@ impl Coordinator {
             .lock()
             .expect("coord ledger")
             .active_readers()
-    }
-
-    /// Mark epoch of the last completed collector pass (0 if none ran).
-    pub fn last_sweep_epoch(&self) -> u64 {
-        self.shared.epoch_of_last_sweep.load(Ordering::SeqCst)
     }
 
     /// The per-run root for `run_id` (`<root>/runs/<run_id>`).
@@ -867,9 +860,6 @@ impl CollectorSession {
             let keys: Vec<&str> = sweepable.iter().map(String::as_str).collect();
             ledger.forget(keys);
         }
-        shared
-            .epoch_of_last_sweep
-            .store(mark_epoch, Ordering::SeqCst);
 
         // --- Journal the pass in the coordinator's own journal (the
         // collector is its only writer, so a single file is safe).

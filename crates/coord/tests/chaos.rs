@@ -288,6 +288,103 @@ fn four_threaded_publishers_with_readers_and_collector() {
         let steps = scan_run_root(&coord.run_root(&format!("run-{p}"))).committed_steps();
         assert_eq!(steps, vec![2, 3], "run-{p} lost a live checkpoint");
     }
+    // The forked runs deduplicated against each other: all eight
+    // survivors name the objects of one checkpoint, stored once each.
+    let one_checkpoint: BTreeSet<Digest> = scan_run_root(&coord.run_root("run-0")).committed[0]
+        .manifest()
+        .unwrap()
+        .objects
+        .expect("coordinator saves carry object references")
+        .iter_all()
+        .map(|(_, o)| Digest::parse_hex(&o.digest).unwrap())
+        .collect();
+    assert_eq!(committed_digests(dir.path()), one_checkpoint);
+    let store = ObjectStore::for_run_root(dir.path());
+    assert_eq!(
+        store.list(&LocalFs).unwrap().len(),
+        one_checkpoint.len(),
+        "the shared store holds something other than one copy of each live object"
+    );
+    // Admission held the declared bytes in flight under the budget.
+    let peak = coord.metrics().gauge("coord.inflight_bytes").peak();
+    assert!(
+        peak > 0 && peak <= test_config().max_inflight_bytes,
+        "peak in-flight bytes {peak}"
+    );
+}
+
+/// ROADMAP item 4's first hazard: a collector that cannot *read* part of
+/// the catalog — a committed checkpoint's `COMMIT` or manifest, a run
+/// root's listing — must fail the pass, not census the checkpoint as
+/// absent and sweep its objects. One transient `Interrupted` at every op
+/// of a pass in turn, with no retry wrapper in between.
+#[test]
+fn a_collector_that_cannot_read_the_catalog_refuses_to_sweep() {
+    let cfg = ModelConfig::tiny_test();
+    // Three live checkpoints of distinct states plus the garbage of a
+    // fourth whose directory is gone, then a collector from a fresh
+    // process (no publisher pins) on `spec`-faulted storage.
+    let scenario = |spec: FaultSpec| {
+        let dir = tempfile::tempdir().unwrap();
+        let clock = Arc::new(ManualClock::default());
+        let coord =
+            Coordinator::open_on(Arc::new(LocalFs), dir.path(), test_config(), clock.clone())
+                .unwrap();
+        for (run, step, seed) in [("run-a", 1, 13), ("run-a", 2, 14), ("run-b", 1, 15)] {
+            let (model, zero, ts) = make_state(&cfg, seed);
+            publish(&coord, run, step, &cfg, &model, &zero, &ts);
+        }
+        let (model, zero, ts) = make_state(&cfg, 16);
+        publish(&coord, "run-c", 1, &cfg, &model, &zero, &ts);
+        std::fs::remove_dir_all(coord.run_root("run-c").join("checkpoint-1")).unwrap();
+        drop(coord);
+        let objects_before = ObjectStore::for_run_root(dir.path())
+            .list(&LocalFs)
+            .unwrap()
+            .len();
+
+        let faulty = Arc::new(FaultyFs::new(LocalFs, spec));
+        let outcome = Coordinator::open_on(faulty.clone(), dir.path(), test_config(), clock)
+            .and_then(|coord| coord.collector()?.collect());
+        (dir, objects_before, faulty.ops_attempted(), outcome)
+    };
+
+    let (dir, _, total_ops, clean) = scenario(FaultSpec::never());
+    let clean = clean.expect("healthy pass");
+    assert_eq!(clean.live_digests, committed_digests(dir.path()).len());
+    assert!(clean.sweep.deleted_objects > 0, "setup produced no garbage");
+
+    let mut refused = BTreeSet::new();
+    for at_op in 0..total_ops {
+        let (dir, objects_before, _, outcome) = scenario(FaultSpec {
+            at_op,
+            kind: FaultKind::Transient { failures: 1 },
+        });
+        // Whatever the fault hit, nothing live is gone.
+        assert_no_swept_live_objects(&LocalFs, dir.path());
+        assert_survivors_verify_deep(Arc::new(LocalFs), dir.path());
+        assert_eq!(
+            scan_run_root(&dir.path().join(llmt_coord::RUNS_DIR).join("run-a")).committed_steps(),
+            vec![1, 2]
+        );
+        // A fault on a catalog read is the pass's typed error, and the
+        // pass deleted nothing at all.
+        let Err(llmt_coord::CoordError::Ckpt(llmt_ckpt::CkptError::Io(path, _))) = &outcome else {
+            continue;
+        };
+        let name = path.file_name().unwrap().to_str().unwrap();
+        let door = if name.starts_with("run-") {
+            "listing"
+        } else {
+            name
+        };
+        refused.insert(door.to_string());
+        let store = ObjectStore::for_run_root(dir.path());
+        let objects = store.list(&LocalFs).unwrap().len();
+        assert_eq!(objects, objects_before, "op {at_op}: swept blind");
+    }
+    let doors: Vec<&str> = refused.iter().map(String::as_str).collect();
+    assert_eq!(doors, ["COMMIT", "listing", "partial_manifest.json"]);
 }
 
 #[test]

@@ -334,6 +334,9 @@ mod tests {
         // Two checkpoints of *different* states: disjoint object sets.
         write_dedup_ckpt(dir.path(), &cfg, 1, 3);
         write_dedup_ckpt(dir.path(), &cfg, 2, 4);
+        // A stray file named like a checkpoint holds no `COMMIT` to fail
+        // on (`NotADirectory`): absent, not unreadable, so no refusal.
+        std::fs::write(dir.path().join("checkpoint-9"), b"stray").unwrap();
         let store = ObjectStore::for_run_root(dir.path());
         let before = store.list(&LocalFs).unwrap().len();
         assert!(before > 0);
@@ -421,6 +424,73 @@ mod tests {
         let report = collect_garbage(dir.path()).unwrap();
         assert_eq!(report.live_digests, 0);
         assert!(report.sweep.deleted_objects > 0);
+    }
+
+    /// ROADMAP item 4's first hazard at this door: a pass that cannot
+    /// *read* a committed checkpoint's `COMMIT` or manifest, or list the
+    /// run root, must fail rather than census the checkpoint as absent and
+    /// sweep its objects. One transient `Interrupted` at every op of a pass
+    /// in turn, with no retry wrapper in between.
+    #[test]
+    fn gc_that_cannot_read_the_catalog_refuses_to_sweep() {
+        use llmt_ckpt::CkptError;
+        use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs};
+
+        let cfg = ModelConfig::tiny_test();
+        // Two live checkpoints of distinct states plus the garbage of a
+        // third whose directory is gone.
+        let scenario = |spec: FaultSpec| {
+            let dir = tempfile::tempdir().unwrap();
+            for (step, seed) in [(1, 3), (2, 4), (3, 5)] {
+                write_dedup_ckpt(dir.path(), &cfg, step, seed);
+            }
+            std::fs::remove_dir_all(dir.path().join("checkpoint-3")).unwrap();
+            let store = ObjectStore::for_run_root(dir.path());
+            let objects_before = store.list(&LocalFs).unwrap().len();
+            let fs = FaultyFs::new(LocalFs, spec);
+            let outcome = collect_garbage_on(&fs, dir.path());
+            (dir, objects_before, fs.ops_attempted(), outcome)
+        };
+
+        let (_dir, _, total_ops, clean) = scenario(FaultSpec::never());
+        let clean = clean.expect("healthy pass");
+        assert_eq!(clean.checkpoints_censused, 2);
+        assert!(clean.sweep.deleted_objects > 0, "setup produced no garbage");
+
+        let mut refused = BTreeSet::new();
+        for at_op in 0..total_ops {
+            let (dir, objects_before, _, outcome) = scenario(FaultSpec {
+                at_op,
+                kind: FaultKind::Transient { failures: 1 },
+            });
+            // Whatever the fault hit, nothing live is gone.
+            for step in [1, 2] {
+                let ckpt = CheckpointPaths::under(dir.path(), step).dir;
+                let verify =
+                    llmt_ckpt::verify_checkpoint_on(Arc::new(LocalFs), &ckpt, true).unwrap();
+                assert!(
+                    verify.ok(),
+                    "op {at_op}, step {step}: {:?}",
+                    verify.findings
+                );
+            }
+            // A fault on a catalog read is the pass's typed error, and
+            // the pass deleted nothing at all.
+            let Err(TailorError::Ckpt(CkptError::Io(path, _))) = &outcome else {
+                continue;
+            };
+            let door = match path.file_name().and_then(|n| n.to_str()) {
+                _ if path == dir.path() => "listing",
+                Some(name @ ("COMMIT" | "partial_manifest.json")) => name,
+                _ => continue, // the sweep's or the journal's own write
+            };
+            refused.insert(door.to_string());
+            let store = ObjectStore::for_run_root(dir.path());
+            let objects = store.list(&LocalFs).unwrap().len();
+            assert_eq!(objects, objects_before, "op {at_op}: swept blind");
+        }
+        let doors: Vec<&str> = refused.iter().map(String::as_str).collect();
+        assert_eq!(doors, ["COMMIT", "listing", "partial_manifest.json"]);
     }
 
     #[test]

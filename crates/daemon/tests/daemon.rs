@@ -427,14 +427,14 @@ fn malformed_checkpoints_and_requests_get_typed_replies() {
     let state = make_state(&cfg, 5);
     save_via_daemon(&mut client, "m", 1, &LocalFs, &cfg, &state).unwrap();
 
-    let ckpt = root
-        .join(llmt_coord::RUNS_DIR)
-        .join("m")
-        .join("checkpoint-1");
-    let mut payloads: Vec<_> = std::fs::read_dir(&ckpt)
+    // A daemon save is a dedup save: its payload files are the per-unit
+    // and per-(rank, group) links under `units/` and `global_step1/`.
+    let ckpt = CheckpointPaths::under(&root.join(llmt_coord::RUNS_DIR).join("m"), 1);
+    let mut payloads: Vec<_> = ckpt
+        .files_on(&LocalFs)
         .unwrap()
-        .flatten()
-        .map(|e| e.path())
+        .into_iter()
+        .map(|(path, _)| path)
         .filter(|p| p.extension().is_some_and(|e| e == "safetensors"))
         .collect();
     payloads.sort();

@@ -41,8 +41,8 @@ impl StageTimings {
 /// mirror image of [`StageTimings`]. The middle three stages run fused
 /// per file on the rayon pool, so their nanos are summed across workers
 /// (CPU time): under parallel restore `fetch_ns + decode_ns` can exceed
-/// the pipeline's wall clock, which is exactly the speedup the
-/// `restore_throughput` bench measures.
+/// the pipeline's wall clock — the gap between the ledger's summed
+/// `ckpt.restore.*` stage times and its `restore_ms` is that speedup.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RestoreTimings {
     /// Metadata reads: config, zero metadata, trainer state, manifest,

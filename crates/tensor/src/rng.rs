@@ -67,12 +67,6 @@ impl Prng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform f32 in [lo, hi).
-    #[inline]
-    pub fn uniform_range(&mut self, lo: f32, hi: f32) -> f32 {
-        lo + (hi - lo) * self.uniform() as f32
-    }
-
     /// Uniform integer in [0, n). Panics if `n == 0`.
     ///
     /// Uses Lemire's multiply-shift rejection method for unbiased sampling.

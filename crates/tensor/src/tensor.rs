@@ -85,11 +85,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterpret with a new shape of identical numel.
     pub fn reshape(mut self, shape: impl Into<Shape>) -> Self {
         let shape = shape.into();

@@ -101,11 +101,6 @@ impl MemStorage {
     pub fn capacity(&self) -> u64 {
         self.capacity
     }
-
-    /// Number of files currently resident.
-    pub fn file_count(&self) -> usize {
-        self.inner.lock().unwrap().files.len()
-    }
 }
 
 impl Storage for MemStorage {

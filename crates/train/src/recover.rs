@@ -51,8 +51,13 @@ mod tests {
         cfg.strategy = StrategyKind::Parity;
         cfg.lr_schedule = llmt_optim::LrSchedule::Constant { lr: 2e-3 };
 
-        // Reference run, never failing.
-        let mut reference = Trainer::new(cfg.clone());
+        // Reference run, never failing, under a run root of its own: the
+        // crashed run's recovery must not see checkpoints from its future.
+        let ref_dir = tempfile::tempdir().unwrap();
+        let mut reference = Trainer::new(TrainerConfig {
+            run_root: ref_dir.path().to_path_buf(),
+            ..cfg.clone()
+        });
         let ref_report = reference.train_until(12, None).unwrap();
 
         // Crashing run: dies at step 5 (checkpoints at 2 and 4, each

@@ -14,8 +14,8 @@
 //! Accounting is explicit: every materialization bumps the clone counter
 //! and the resident-bytes gauge on [`StagedGauge`]; every block drop
 //! (snapshot written, cache entry invalidated) decrements it. The
-//! regression test for the O(dirty) property and the
-//! `ckpt_throughput` bench both read this gauge.
+//! regression test for the O(dirty) property and the ledger's
+//! `train.snapshot_clones`/`train.peak_staged_mb` both read this gauge.
 
 use llmt_ckpt::engine::{self, StateSource};
 use llmt_ckpt::{CkptError, Result};

@@ -2,7 +2,7 @@
 
 use crate::report::RunReport;
 use crate::snapshot::{SnapshotTracker, StagedGauge};
-use llmt_ckpt::engine::{self, LiveState, Parallelism, SaveOptions};
+use llmt_ckpt::engine::{self, LiveState, SaveOptions};
 use llmt_ckpt::error::io_err;
 use llmt_ckpt::manifest::SaveLog;
 use llmt_ckpt::writer::{BaseCache, CheckpointReport, SaveRequest};
@@ -81,21 +81,6 @@ pub struct TrainerConfig {
     /// save to save — the dedup store's best case.
     #[serde(default)]
     pub frozen_units: Vec<llmt_model::LayerUnit>,
-    /// Streaming chunk size for checkpoint payload writes. `None` uses
-    /// [`llmt_ckpt::DEFAULT_CHUNK_BYTES`]; the chaos suite shrinks it so
-    /// every payload file spans multiple chunks and mid-file tears are
-    /// reachable kill points.
-    #[serde(default)]
-    pub ckpt_chunk_bytes: Option<usize>,
-    /// Keep every save on the calling thread
-    /// ([`llmt_ckpt::Parallelism::Sequential`]): shard files of a
-    /// conventional save are written one after the other, the encode
-    /// step of a compressing or delta dedup save runs inline. Needed
-    /// whenever a conventional save's storage op schedule must be
-    /// deterministic (fault injection; a dedup save's is under either
-    /// value); pure overhead otherwise.
-    #[serde(default)]
-    pub sequential_ckpt_io: bool,
     /// LZ-compress store objects when that shrinks them (dedup saves
     /// only). Manifest digests stay those of the decoded bytes, so
     /// readers and verify-on-read are unaffected.
@@ -143,8 +128,6 @@ impl TrainerConfig {
             max_grad_norm: Some(1.0),
             dedup_checkpoints: false,
             frozen_units: Vec::new(),
-            ckpt_chunk_bytes: None,
-            sequential_ckpt_io: false,
             ckpt_compress: false,
             ckpt_delta_chain: 0,
         }
@@ -690,15 +673,7 @@ impl Trainer {
             dedup: self.config.dedup_checkpoints,
             compress: self.config.ckpt_compress,
             delta_chain: self.config.ckpt_delta_chain,
-            chunk_bytes: self
-                .config
-                .ckpt_chunk_bytes
-                .unwrap_or(llmt_ckpt::DEFAULT_CHUNK_BYTES),
-            parallelism: if self.config.sequential_ckpt_io {
-                Parallelism::Sequential
-            } else {
-                Parallelism::Rayon
-            },
+            ..SaveOptions::default()
         }
     }
 

@@ -29,6 +29,26 @@ fn async_run_produces_identical_checkpoints_to_sync_run() {
     b_steps.sort_unstable();
     assert_eq!(a_steps, b_steps);
     assert_eq!(ra.ckpt_io.bytes, rb.ckpt_io.bytes);
+    assert_eq!(ra.ckpt_io.files, rb.ckpt_io.files);
+
+    // Only the overlapped path stages copy-on-write snapshot memory — a
+    // synchronous save borrows the live state — and what it stages is
+    // bounded by what the run wrote.
+    assert_eq!(a.snapshot_gauge().peak_bytes(), 0, "sync save staged bytes");
+    let staged = b.snapshot_gauge();
+    assert!(staged.clones() > 0, "async save cloned no unit blocks");
+    assert!(staged.peak_bytes() > 0, "async save staged no bytes");
+    assert!(staged.peak_bytes() < ra.ckpt_io.bytes);
+    // Stage timings flow from the engine into the run tally, the
+    // snapshot stage on the overlapped path alone.
+    for (name, stages) in [("sync", &ra.ckpt_io.stages), ("async", &rb.ckpt_io.stages)] {
+        assert!(
+            stages.encode_ns > 0 && stages.place_ns > 0 && stages.commit_ns > 0,
+            "{name}: empty stage timings {stages:?}"
+        );
+    }
+    assert_eq!(ra.ckpt_io.stages.snapshot_ns, 0);
+    assert!(rb.ckpt_io.stages.snapshot_ns > 0);
 
     for step in a_steps {
         let mut ha = CheckpointHandle::open(

@@ -17,6 +17,7 @@
 //!    committed copy of a unit: recovery still works after pruning, and
 //!    the quarantined dirs are untouched.
 
+use llmt_ckpt::engine::{self, Parallelism, SaveOptions};
 use llmt_ckpt::scan_run_root;
 use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs, LocalFs};
 use llmt_train::{recover_checkpoint, resume_trainer, Trainer, TrainerConfig};
@@ -27,26 +28,37 @@ use std::sync::Arc;
 
 const END: u64 = 8; // parity checkpoints at steps 2, 4, 6, 8
 
-fn chaos_config(root: &Path, dedup: bool) -> TrainerConfig {
+/// Training only: the sweep saves through [`train_and_save`], with its
+/// own engine options, so the trainer's interval checkpointing stays off.
+fn chaos_config(root: &Path) -> TrainerConfig {
     let mut cfg = TrainerConfig::test_default(root.to_path_buf());
-    cfg.ckpt_interval = 2;
     cfg.strategy = StrategyKind::Parity;
-    cfg.dedup_checkpoints = dedup;
-    // Small chunks force every payload file through multiple streaming
-    // writes, making mid-file tears reachable kill points; sequential
-    // shard I/O keeps the op schedule deterministic so op `k` means the
-    // same thing in the census and in the sweep.
-    cfg.ckpt_chunk_bytes = Some(8192);
-    cfg.sequential_ckpt_io = true;
     cfg
+}
+
+/// Train to `END`, checkpointing every second step through the trainer's
+/// storage. Small chunks force every payload file through multiple
+/// streaming writes, making mid-file tears reachable kill points;
+/// sequential shard I/O keeps the op schedule deterministic so op `k`
+/// means the same thing in the census and in the sweep.
+fn train_and_save(t: &mut Trainer, dedup: bool) -> llmt_ckpt::Result<()> {
+    let storage = t.storage().clone();
+    let opts = SaveOptions {
+        chunk_bytes: 8192,
+        parallelism: Parallelism::Sequential,
+        ..SaveOptions::dedup(dedup)
+    };
+    while t.step < END {
+        t.train_until(t.step + 2, None)?;
+        t.checkpoint_with(|req| Ok(engine::save(&[&*storage], req, &opts)?.report))?;
+    }
+    Ok(())
 }
 
 /// Resume from `merged` and train to `END` without further checkpointing
 /// (so control recoveries at different horizons cannot clobber each other).
-fn resume_and_finish(merged: &Path, root: &Path, dedup: bool) -> Trainer {
-    let mut cfg = chaos_config(root, dedup);
-    cfg.ckpt_interval = 0;
-    let mut t = resume_trainer(merged, cfg).unwrap();
+fn resume_and_finish(merged: &Path, root: &Path) -> Trainer {
+    let mut t = resume_trainer(merged, chaos_config(root)).unwrap();
     t.train_until(END, None).unwrap();
     t
 }
@@ -68,9 +80,8 @@ fn kill_point_sweep(dedup: bool) {
     // FaultyFs, so the sweep covers exactly the real kill-points.
     let census_root = tempfile::tempdir().unwrap();
     let census_fs = Arc::new(FaultyFs::new(LocalFs, FaultSpec::never()));
-    let mut census =
-        Trainer::with_storage(chaos_config(census_root.path(), dedup), census_fs.clone());
-    census.train_until(END, None).unwrap();
+    let mut census = Trainer::with_storage(chaos_config(census_root.path()), census_fs.clone());
+    train_and_save(&mut census, dedup).unwrap();
     let total_ops = census_fs.ops_attempted();
     assert!(
         total_ops > 40,
@@ -85,8 +96,8 @@ fn kill_point_sweep(dedup: bool) {
     // checkpoints a prefix-committed chaos run has, because training and
     // saving are deterministic.
     let control_root = tempfile::tempdir().unwrap();
-    let mut control = Trainer::new(chaos_config(control_root.path(), dedup));
-    control.train_until(END, None).unwrap();
+    let mut control = Trainer::new(chaos_config(control_root.path()));
+    train_and_save(&mut control, dedup).unwrap();
     drop(control);
     let mut control_cache: BTreeMap<u64, Trainer> = BTreeMap::new();
 
@@ -101,8 +112,8 @@ fn kill_point_sweep(dedup: bool) {
         // Seed the tear offset with k so the sweep varies where each
         // torn file is cut.
         let fs = Arc::new(FaultyFs::with_seed(LocalFs, spec, k));
-        let mut t = Trainer::with_storage(chaos_config(root.path(), dedup), fs.clone());
-        let run = t.train_until(END, None);
+        let mut t = Trainer::with_storage(chaos_config(root.path()), fs.clone());
+        let run = train_and_save(&mut t, dedup);
         assert!(run.is_err(), "kill at op {k} must abort the run");
         assert!(fs.is_dead(), "kill at op {k} did not fire");
         drop(t);
@@ -129,7 +140,7 @@ fn kill_point_sweep(dedup: bool) {
             "kill at op {k}: {tmp_dirs} staging dirs survived (only the torn save's may)"
         );
 
-        let cfg = chaos_config(root.path(), dedup);
+        let cfg = chaos_config(root.path());
         match recover_checkpoint(
             root.path(),
             &cfg.model_config,
@@ -143,7 +154,7 @@ fn kill_point_sweep(dedup: bool) {
                 let s = *committed
                     .last()
                     .expect("recovery implies committed checkpoints");
-                let resumed = resume_and_finish(&merged, root.path(), dedup);
+                let resumed = resume_and_finish(&merged, root.path());
                 assert_eq!(resumed.step, END);
                 let control_root_path = control_root.path().to_path_buf();
                 let control_resumed = control_cache.entry(s).or_insert_with(|| {
@@ -154,7 +165,7 @@ fn kill_point_sweep(dedup: bool) {
                         &format!("ctrl-{s}"),
                     )
                     .unwrap();
-                    resume_and_finish(&cm, &control_root_path, dedup)
+                    resume_and_finish(&cm, &control_root_path)
                 });
                 assert_bit_exact(
                     &resumed,
@@ -178,7 +189,7 @@ fn kill_point_sweep(dedup: bool) {
                     &format!("rec2-{k}"),
                 )
                 .expect("recovery must survive pruning");
-                let resumed2 = resume_and_finish(&merged2, root.path(), dedup);
+                let resumed2 = resume_and_finish(&merged2, root.path());
                 assert_bit_exact(&resumed2, &resumed, &format!("kill at op {k} post-prune"));
             }
             Err(e) => {

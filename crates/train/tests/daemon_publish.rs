@@ -2,6 +2,7 @@
 //! through a running `llmtailord` session instead of its private store,
 //! and resuming from the daemon-held checkpoint is bit-exact.
 
+use llmt_ckpt::engine::{Parallelism, SaveOptions};
 use llmt_daemon::{Daemon, DaemonClient, DaemonConfig};
 use llmt_storage::vfs::{FaultKind, FaultSpec, FaultyFs, LocalFs};
 use llmt_train::{resume_trainer, Trainer, TrainerConfig};
@@ -85,15 +86,22 @@ fn failed_daemon_save_releases_its_session() {
 
     // A save that dies mid-write (fault injection) must abort its
     // daemon session so the admission budget frees for the next save.
-    let mut cfg = TrainerConfig::test_default(private.path().to_path_buf());
-    cfg.sequential_ckpt_io = true;
+    // The save stays on the calling thread, so op 5 is the same write
+    // on every host.
+    let cfg = TrainerConfig::test_default(private.path().to_path_buf());
     let spec = FaultSpec {
         at_op: 5,
         kind: FaultKind::Crash,
     };
     let mut t = Trainer::with_storage(cfg, Arc::new(FaultyFs::new(LocalFs, spec)));
     t.train_until(2, None).unwrap();
-    t.checkpoint_via_daemon(&mut client, "run-b")
+    let storage = t.storage().clone();
+    let declared = t.declared_save_bytes();
+    let opts = SaveOptions {
+        parallelism: Parallelism::Sequential,
+        ..SaveOptions::default()
+    };
+    t.checkpoint_with(|req| Ok(client.save(&*storage, "run-b", declared, req, &opts)?.0))
         .expect_err("fault-injected save must fail");
 
     let status = client.status().unwrap();

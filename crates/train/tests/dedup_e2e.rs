@@ -95,7 +95,16 @@ fn dedup_resume_is_bit_exact_with_plain_resume() {
 
     let dedup_cfg = dedup_config(dir_dedup.path());
     let mut dedup = Trainer::new(dedup_cfg.clone());
-    dedup.train_until(4, None).unwrap();
+    let report = dedup.train_until(4, None).unwrap();
+    // A synchronous dedup save borrows live state like a plain one, and
+    // its stage times reach the run tally like a plain one's.
+    assert_eq!(dedup.snapshot_gauge().peak_bytes(), 0);
+    let stages = &report.ckpt_io.stages;
+    assert!(
+        stages.encode_ns > 0 && stages.place_ns > 0 && stages.commit_ns > 0,
+        "{stages:?}"
+    );
+    assert_eq!(stages.snapshot_ns, 0);
     drop(dedup);
 
     // Resume both from their checkpoint-4 and train to 8 without further

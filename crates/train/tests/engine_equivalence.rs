@@ -170,6 +170,23 @@ fn every_placement_saves_the_same_step_bit_for_bit() {
         assert_eq!(got.weights, want.weights, "{name}: weights");
         assert_eq!(got.ranks, want.ranks, "{name}: optimizer shards");
     }
+
+    // A restore fetches exactly the files its checkpoint's plan names —
+    // the consolidated weights plus one shard file per rank, or out of a
+    // store one file per unit plus one per (rank, group) — and reports
+    // the time of every stage it ran them through.
+    let cfg = TrainerConfig::test_default(PathBuf::new());
+    let units = llmt_model::LayerUnit::all(&cfg.model_config).len();
+    let groups = llmt_optim::GroupIndexMap::from_config(&cfg.model_config).group_count();
+    assert_eq!(want.report.files_fetched, 1 + cfg.world_size);
+    assert_eq!(cas.report.files_fetched, units + cfg.world_size * groups);
+    for (name, got) in [("plain", &want), ("cas", &cas)] {
+        let t = &got.report.timings;
+        assert!(
+            t.fetch_ns > 0 && t.decode_ns > 0 && t.validate_ns > 0 && t.bind_ns > 0,
+            "{name}: empty restore stage timings {t:?}"
+        );
+    }
 }
 
 #[test]

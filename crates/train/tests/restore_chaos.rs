@@ -15,6 +15,10 @@
 //!    no partially-bound trainer (`Result` guarantees this by
 //!    construction), and leave the checkpoint directory untouched so a
 //!    later resume against healthy storage still works.
+//!
+//! The transient sweep runs twice: over a conventional checkpoint, and
+//! over the tip of an every-step delta run, where each payload is decoded
+//! down a chain of compressed XOR diffs at the configured cap.
 
 use llmt_storage::vfs::{
     FaultKind, FaultSpec, FaultyFs, LocalFs, ManualClock, RetryPolicy, RetryingStorage,
@@ -46,19 +50,61 @@ fn assert_bit_exact(a: &Trainer, b: &Trainer, ctx: &str) {
     assert_eq!(a.engine.ranks, b.engine.ranks, "{ctx}: optimizer state");
 }
 
-#[test]
-fn transient_read_errors_retry_to_a_bit_exact_resume() {
-    let root = tempfile::tempdir().unwrap();
-    let (cfg, ckpt) = trained_checkpoint(root.path());
-    let baseline = resume_trainer(&ckpt, cfg.clone()).unwrap();
+/// An every-step run through the delta-chained compressed store, capped at
+/// `CHAIN_CAP` hops: returns its config and the tip checkpoint, whose
+/// objects sit at the cap.
+fn delta_chain_checkpoint(root: &Path) -> (TrainerConfig, PathBuf) {
+    const CHAIN_CAP: usize = 4;
+    let mut cfg = TrainerConfig::test_default(root.to_path_buf());
+    cfg.ckpt_interval = 1;
+    cfg.dedup_checkpoints = true;
+    cfg.ckpt_compress = true;
+    cfg.ckpt_delta_chain = CHAIN_CAP;
+    let tip = CHAIN_CAP as u64 + 1;
+    let mut t = Trainer::new(cfg.clone());
+    t.train_until(tip, None).unwrap();
+    drop(t);
+
+    let paths = llmt_ckpt::CheckpointPaths::under(root, tip);
+    let refs = llmt_ckpt::read_seal(&LocalFs, &paths)
+        .manifest
+        .unwrap()
+        .objects
+        .expect("dedup manifests carry object references");
+    let store = llmt_cas::ObjectStore::for_run_root(root);
+    let deepest = refs
+        .iter_all()
+        .map(|(_, object)| {
+            let digest = llmt_cas::Digest::parse_hex(&object.digest).unwrap();
+            store.chain_len(&LocalFs, digest).unwrap()
+        })
+        .max();
+    assert_eq!(
+        deepest,
+        Some(CHAIN_CAP),
+        "the tip must sit at the chain cap"
+    );
+    (cfg, paths.dir)
+}
+
+/// Sweep 1 of the module docs over every op of a resume of `ckpt`.
+fn transient_sweep(cfg: TrainerConfig, ckpt: &Path) {
+    let baseline = resume_trainer(ckpt, cfg.clone()).unwrap();
 
     // Census: count the resume's read ops through a never-firing injector.
     let census_fs = Arc::new(FaultyFs::new(LocalFs, FaultSpec::never()));
-    resume_trainer_on(census_fs.clone(), &ckpt, cfg.clone()).unwrap();
+    resume_trainer_on(census_fs.clone(), ckpt, cfg.clone()).unwrap();
     let total_ops = census_fs.ops_attempted();
+    // The floor is the checkpoint's own file plan: a resume reads every
+    // payload file at least once, on top of the seal and the metadata.
+    let payload_files = llmt_ckpt::restore_checkpoint(ckpt, &Default::default())
+        .unwrap()
+        .report
+        .files_fetched;
+    assert!(payload_files >= 3, "weights plus one shard file per rank");
     assert!(
-        total_ops > 10,
-        "resume used suspiciously few storage ops: {total_ops}"
+        total_ops > payload_files as u64,
+        "resume read {payload_files} payload files in only {total_ops} storage ops"
     );
 
     for k in 0..total_ops {
@@ -75,7 +121,7 @@ fn transient_read_errors_retry_to_a_bit_exact_resume() {
             RetryPolicy::default(),
             clock.clone(),
         ));
-        let resumed = resume_trainer_on(storage, &ckpt, cfg.clone())
+        let resumed = resume_trainer_on(storage, ckpt, cfg.clone())
             .unwrap_or_else(|e| panic!("transient fault at op {k} was not absorbed: {e}"));
         assert!(
             clock.sleeps() >= 1,
@@ -83,6 +129,20 @@ fn transient_read_errors_retry_to_a_bit_exact_resume() {
         );
         assert_bit_exact(&resumed, &baseline, &format!("transient at op {k}"));
     }
+}
+
+#[test]
+fn transient_read_errors_retry_to_a_bit_exact_resume() {
+    let root = tempfile::tempdir().unwrap();
+    let (cfg, ckpt) = trained_checkpoint(root.path());
+    transient_sweep(cfg, &ckpt);
+}
+
+#[test]
+fn transient_read_errors_down_a_capped_delta_chain_retry_to_a_bit_exact_resume() {
+    let root = tempfile::tempdir().unwrap();
+    let (cfg, ckpt) = delta_chain_checkpoint(root.path());
+    transient_sweep(cfg, &ckpt);
 }
 
 #[test]
